@@ -3,7 +3,7 @@
 
 Each criterion either returns a short success detail or raises CheckFailure
 with the first offending witness.  Everything is exact, seeded, and scale-
-pinned here, so two runs (at any worker count) print identical reports.
+pinned here, so two runs print identical reports.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
+from typing import Callable
 
 from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks
 from .ground import AdmissibleSet, SignedPermutation, enumerate_admissible
@@ -55,9 +56,10 @@ class CheckFailure(Exception):
     pass
 
 
-def ensure(condition: bool, message: str) -> None:
+def ensure(condition: bool, message: Callable[[], str]) -> None:
+    """Raise CheckFailure with ``message()``; the text is built only on failure."""
     if not condition:
-        raise CheckFailure(message)
+        raise CheckFailure(message())
 
 
 def _first(report) -> str:
@@ -109,7 +111,7 @@ def _compact_map(n: int, removed: set[int]):
 # -- criteria -------------------------------------------------------------------
 
 
-def criterion_validator_equivalence(workers: int = 1) -> str:
+def criterion_validator_equivalence() -> str:
     checked = 0
     for n in (1, 2):
         masks = all_full_size_masks(n)
@@ -117,36 +119,36 @@ def criterion_validator_equivalence(workers: int = 1) -> str:
             for fam in combinations(masks, k):
                 d = DeltaMatroid(n, fam)
                 a, b = d.validate("exchange").ok, d.validate("polytope").ok
-                ensure(a == b, f"disagreement at n={n} family {fam}: exchange={a} polytope={b}")
+                ensure(a == b, lambda: f"disagreement at n={n} family {fam}: exchange={a} polytope={b}")
                 checked += 1
     masks3 = all_full_size_masks(3)
     for k in range(1, len(masks3) + 1):  # exhaustive, a superset of the <= 4-set requirement
         for fam in combinations(masks3, k):
             d = DeltaMatroid(3, fam)
             a, b = d.validate("exchange").ok, d.validate("polytope").ok
-            ensure(a == b, f"disagreement at n=3 family {fam}: exchange={a} polytope={b}")
+            ensure(a == b, lambda: f"disagreement at n=3 family {fam}: exchange={a} polytope={b}")
             checked += 1
     rng = random.Random(48103)
     for i in range(10_000):
         size = rng.randint(7, 16) if i % 20 == 0 else rng.randint(1, 6)
         d = DeltaMatroid(4, rng.sample(range(16), size))
         a, b = d.validate("exchange").ok, d.validate("polytope").ok
-        ensure(a == b, f"disagreement at n=4 family {d.feasible}: exchange={a} polytope={b}")
+        ensure(a == b, lambda: f"disagreement at n=4 family {d.feasible}: exchange={a} polytope={b}")
         checked += 1
     return f"{checked} families compared, zero disagreements"
 
 
-def criterion_rank_axioms(workers: int = 1) -> str:
+def criterion_rank_axioms() -> str:
     forward = 0
     for n in range(4):
         for d in valid_delta_matroids(n):
-            table = d.rank_table(workers)
+            table = d.rank_table()
             report = check_g_axioms(table)
-            ensure(report.passed, f"axioms fail on a valid instance: {_first(report)}")
-            ensure(delta_from_rank(table) == d, f"round-trip failed for {d!r}")
+            ensure(report.passed, lambda: f"axioms fail on a valid instance: {_first(report)}")
+            ensure(delta_from_rank(table) == d, lambda: f"round-trip failed for {d!r}")
             ensure(
                 report.even == d.is_even(),
-                f"evenness criterion disagrees with parity check on {d!r}",
+                lambda: f"evenness criterion disagrees with parity check on {d!r}",
             )
             forward += 1
     # backward, exhaustive at n = 2 over parity-consistent bounded tables
@@ -167,9 +169,9 @@ def criterion_rank_axioms(workers: int = 1) -> str:
             if not check_g_axioms(table).passed:
                 continue
             d = delta_from_rank(table)
-            ensure(d.validate("exchange").ok, f"reconstruction invalid (exchange): {d!r}")
-            ensure(d.validate("polytope").ok, f"reconstruction invalid (polytope): {d!r}")
-            ensure(d.rank_table() == table, f"reconstruction does not round-trip: {d!r}")
+            ensure(d.validate("exchange").ok, lambda: f"reconstruction invalid (exchange): {d!r}")
+            ensure(d.validate("polytope").ok, lambda: f"reconstruction invalid (polytope): {d!r}")
+            ensure(d.rank_table() == table, lambda: f"reconstruction does not round-trip: {d!r}")
             reconstructed += 1
     return (
         f"{forward} valid instances round-trip; {tables} candidate tables scanned, "
@@ -186,19 +188,19 @@ def _product_values(choices, length):
             yield (head,) + tail
 
 
-def criterion_upoly_consistency(workers: int = 1) -> str:
+def criterion_upoly_consistency() -> str:
     count = 0
     for n in range(4):
         for d in valid_delta_matroids(n):
             ensure(
-                upoly_direct(d, workers) == upoly_recursive(d),
-                f"direct and recursive enumerators differ on {d!r}",
+                upoly_direct(d) == upoly_recursive(d),
+                lambda: f"direct and recursive enumerators differ on {d!r}",
             )
             count += 1
     for d, dist in random_delta_matroids(100, 5, seed=52001):
         ensure(
-            upoly_direct(d, workers) == upoly_recursive(d),
-            f"direct and recursive enumerators differ on random n=5 ({dist}) {d!r}",
+            upoly_direct(d) == upoly_recursive(d),
+            lambda: f"direct and recursive enumerators differ on random n=5 ({dist}) {d!r}",
         )
         count += 1
     rng = random.Random(52002)
@@ -209,53 +211,53 @@ def criterion_upoly_consistency(workers: int = 1) -> str:
         d2 = rng.choice(valid_delta_matroids(n2))
         ensure(
             upoly_direct(d1.product(d2)) == upoly_direct(d1) * upoly_direct(d2),
-            f"product identity fails for {d1!r} x {d2!r}",
+            lambda: f"product identity fails for {d1!r} x {d2!r}",
         )
         pair_count += 1
     return f"{count} instances agree across methods; product identity on {pair_count} pairs"
 
 
-def criterion_example_triangle(workers: int = 1) -> str:
+def criterion_example_triangle() -> str:
     u = MultiPoly(("u", "v"), {(1, 0): 1})
     expected = u**3 + 6 * u**2 + 6 * u
     at_minus1 = _subst_v_minus_1(upoly_direct(TRIPOD)).substitute("v", MultiPoly.constant(0, ("v",)))
-    ensure(at_minus1 == expected, f"u-slice at v=-1 is {at_minus1.text()}")
+    ensure(at_minus1 == expected, lambda: f"u-slice at v=-1 is {at_minus1.text()}")
     report = activity_zero_complex(TRIPOD)
-    ensure(report.fvector.counts == (1, 6, 6), f"complex f-vector {report.fvector.render()}")
-    ensure(not report.pure, "activity-zero complex unexpectedly pure")
+    ensure(report.fvector.counts == (1, 6, 6), lambda: f"complex f-vector {report.fvector.render()}")
+    ensure(not report.pure, lambda: "activity-zero complex unexpectedly pure")
     for b in TRIPOD.feasible_sets():
-        ensure(activity(TRIPOD, b).a >= 1, f"feasible set {{{b.render()}}} has no active index")
+        ensure(activity(TRIPOD, b).a >= 1, lambda: f"feasible set {{{b.render()}}} has no active index")
     fv = independence_fvector(TRIPOD)
-    ensure(fv.counts == (1, 6, 9, 3), f"independence f-vector {fv.render()}")
+    ensure(fv.counts == (1, 6, 9, 3), lambda: f"independence f-vector {fv.render()}")
     return "v=-1 slice, activity-zero complex (1, 6, 6, not pure), and f-vector all reproduce"
 
 
-def criterion_activity_expansion(workers: int = 1) -> str:
+def criterion_activity_expansion() -> str:
     count = 0
     for n in range(4):
         for d in valid_delta_matroids(n):
             expansion = activity_expansion(d)
             ensure(
                 expansion == _subst_v_minus_1(upoly_direct(d)),
-                f"activity expansion mismatch on {d!r}",
+                lambda: f"activity expansion mismatch on {d!r}",
             )
             ensure(
                 all(c > 0 for c in expansion.terms.values()),
-                f"negative coefficient in expansion of {d!r}",
+                lambda: f"negative coefficient in expansion of {d!r}",
             )
             count += 1
     for d, dist in random_delta_matroids(50, 5, seed=52003):
         expansion = activity_expansion(d)
         ensure(
             expansion == _subst_v_minus_1(upoly_direct(d)),
-            f"activity expansion mismatch on random n=5 ({dist}) {d!r}",
+            lambda: f"activity expansion mismatch on random n=5 ({dist}) {d!r}",
         )
-        ensure(all(c > 0 for c in expansion.terms.values()), f"negative coefficient for {d!r}")
+        ensure(all(c > 0 for c in expansion.terms.values()), lambda: f"negative coefficient for {d!r}")
         count += 1
     return f"{count} instances match the v-1 substitution with non-negative coefficients"
 
 
-def criterion_fvector_lattice(workers: int = 1) -> str:
+def criterion_fvector_lattice() -> str:
     count = 0
     for n in range(4):
         for d in valid_delta_matroids(n):
@@ -265,20 +267,20 @@ def criterion_fvector_lattice(workers: int = 1) -> str:
             for k in range(n + 1):
                 ensure(
                     coeffs[n - k] == fv[k],
-                    f"coefficient of u^{n - k} is {coeffs[n - k]}, f-vector says {fv[k]} on {d!r}",
+                    lambda: f"coefficient of u^{n - k} is {coeffs[n - k]}, f-vector says {fv[k]} on {d!r}",
                 )
-            ensure(d.lattice_point_test(), f"lattice points differ from independents on {d!r}")
+            ensure(d.lattice_point_test(), lambda: f"lattice points differ from independents on {d!r}")
             count += 1
     return f"{count} instances: u-slice coefficients and lattice points match face counts"
 
 
-def criterion_operation_identities(workers: int = 1) -> str:
+def criterion_operation_identities() -> str:
     count = 0
     for n in range(1, 4):
         sets = enumerate_admissible(n)
         index_range = list(range(1, n + 1))
         for d in valid_delta_matroids(n):
-            g = {s: d._g(s.pos, s.neg) for s in sets}
+            g = dict(d.rank_table().items())
             # projection
             for asize in range(1, n + 1):
                 for a_group in combinations(index_range, asize):
@@ -289,7 +291,8 @@ def criterion_operation_identities(workers: int = 1) -> str:
                             continue
                         ensure(
                             proj.g(remap(s)) == g[s],
-                            f"projection rank identity fails on {d!r} at A={a_group} S={{{s.render()}}}",
+                            lambda: f"projection rank identity fails on {d!r} "
+                            f"at A={a_group} S={{{s.render()}}}",
                         )
             # contraction/deletion, including the single-element lemma
             loops, coloops = d.loops_coloops()
@@ -308,7 +311,8 @@ def criterion_operation_identities(workers: int = 1) -> str:
                         continue
                     ensure(
                         minor.g(remap(s)) == g[s.union(shift)] - base,
-                        f"minor rank identity fails on {d!r} at A={a_group} B={b_group} S={{{s.render()}}}",
+                        lambda: f"minor rank identity fails on {d!r} "
+                        f"at A={a_group} B={b_group} S={{{s.render()}}}",
                     )
             for i in index_range:
                 kept, remap = _compact_map(n, {i})
@@ -319,7 +323,7 @@ def criterion_operation_identities(workers: int = 1) -> str:
                             continue
                         ensure(
                             contracted.g(remap(s)) == g[s.with_element(i)] - 1,
-                            f"contraction lemma fails on {d!r} at i={i} S={{{s.render()}}}",
+                            lambda: f"contraction lemma fails on {d!r} at i={i} S={{{s.render()}}}",
                         )
                 if i not in coloops:
                     deleted = d.minor(delete=[i])
@@ -328,7 +332,7 @@ def criterion_operation_identities(workers: int = 1) -> str:
                             continue
                         ensure(
                             deleted.g(remap(s)) == g[s.with_element(-i)] - 1,
-                            f"deletion lemma fails on {d!r} at i={i} S={{{s.render()}}}",
+                            lambda: f"deletion lemma fails on {d!r} at i={i} S={{{s.render()}}}",
                         )
             # twists over the full signed permutation group
             for w in _signed_permutations(n):
@@ -337,7 +341,7 @@ def criterion_operation_identities(workers: int = 1) -> str:
                 for s in sets:
                     ensure(
                         twisted.g(s) == g[w_inv.apply(s)],
-                        f"twist identity fails on {d!r} at w={w.image} S={{{s.render()}}}",
+                        lambda: f"twist identity fails on {d!r} at w={w.image} S={{{s.render()}}}",
                     )
             # upper matroids over every window
             for window_mask in all_full_size_masks(n):
@@ -349,9 +353,10 @@ def criterion_operation_identities(workers: int = 1) -> str:
                         t = AdmissibleSet.from_elements(n, chosen)
                         ensure(
                             2 * m.rank_of(chosen) == g[t] + t.size,
-                            f"upper-matroid rank fails on {d!r} window {{{window.render()}}} T={{{t.render()}}}",
+                            lambda: f"upper-matroid rank fails on {d!r} "
+                            f"window {{{window.render()}}} T={{{t.render()}}}",
                         )
-            ensure(greedy_check(d).passed, f"greedy property fails on {d!r}")
+            ensure(greedy_check(d).passed, lambda: f"greedy property fails on {d!r}")
             count += 1
     # products over all valid pairs with total ground size at most 3
     pairs = 0
@@ -364,7 +369,7 @@ def criterion_operation_identities(workers: int = 1) -> str:
                     s2 = AdmissibleSet(n2, s.pos >> n1, s.neg >> n1)
                     ensure(
                         prod.g(s) == d1.g(s1) + d2.g(s2),
-                        f"product rank identity fails for {d1!r} x {d2!r} at {{{s.render()}}}",
+                        lambda: f"product rank identity fails for {d1!r} x {d2!r} at {{{s.render()}}}",
                     )
                 pairs += 1
     return f"{count} instances pass all minor/twist/window identities; {pairs} products additive"
@@ -397,16 +402,16 @@ def _signed_permutations(n: int) -> tuple[SignedPermutation, ...]:
     return tuple(out)
 
 
-def criterion_h_systems(workers: int = 1) -> str:
+def criterion_h_systems() -> str:
     forward = 0
     for n in range(4):
         for d in valid_delta_matroids(n):
-            h = d.h_table(workers)
+            h = d.h_table()
             for system in ("larson", "bouchet", "allys"):
                 report = check_h_axioms(h, system)
                 ensure(
                     report.passed,
-                    f"{system} system fails on valid {d!r}: {_first(report)}",
+                    lambda: f"{system} system fails on valid {d!r}: {_first(report)}",
                 )
             forward += 1
     # exhaustive converse at n <= 2: every bouchet/allys-passing table is some h_D
@@ -427,7 +432,7 @@ def criterion_h_systems(workers: int = 1) -> str:
                 if check_h_axioms(table, system).passed:
                     ensure(
                         table.values in realized,
-                        f"{system}-passing table {table.values} is no delta-matroid's h",
+                        lambda: f"{system}-passing table {table.values} is no delta-matroid's h",
                     )
                     converse_hits[system] += 1
     realized1 = {d.h_table().values for d in valid_delta_matroids(1)}
@@ -437,7 +442,7 @@ def criterion_h_systems(workers: int = 1) -> str:
             if check_h_axioms(table, system).passed:
                 ensure(
                     table.values in realized1,
-                    f"{system}-passing table {table.values} is no delta-matroid's h",
+                    lambda: f"{system}-passing table {table.values} is no delta-matroid's h",
                 )
     return (
         f"{forward} instances pass all three systems; converse at n=2 realizes "
@@ -445,7 +450,7 @@ def criterion_h_systems(workers: int = 1) -> str:
     )
 
 
-def criterion_matroid_formulas(workers: int = 1) -> str:
+def criterion_matroid_formulas() -> str:
     checked = 0
     for n in range(1, 4):
         for r in range(n + 1):
@@ -455,12 +460,12 @@ def criterion_matroid_formulas(workers: int = 1) -> str:
                 for s in enumerate_admissible(n):
                     ensure(
                         example15_rank(m, s, mode) == d.g(s),
-                        f"closed rank formula ({mode}) fails on U({r},{n}) at {{{s.render()}}}",
+                        lambda: f"closed rank formula ({mode}) fails on U({r},{n}) at {{{s.render()}}}",
                     )
                 checked += 1
             ensure(
                 example15_upoly(m, "bases") == upoly_direct(dm_from_matroid(m, "bases")),
-                f"closed enumerator (bases) differs on U({r},{n})",
+                lambda: f"closed enumerator (bases) differs on U({r},{n})",
             )
     # the printed independents-mode formula must be reported as discrepant by the CLI
     from . import cli
@@ -473,8 +478,11 @@ def criterion_matroid_formulas(workers: int = 1) -> str:
         with redirect_stdout(buf):
             code = cli.main(["example15", str(path), "--mode", "independents", "--compare"])
         output = buf.getvalue()
-    ensure(code == 1, f"comparison command exited {code}, expected 1")
-    ensure("4 + u" in output and "2 + u" in output, f"comparison output was: {output!r}")
+    ensure(code == 1, lambda: f"comparison command exited {code}, expected 1")
+    ensure(
+        "4 + u" in output and "2 + u" in output,
+        lambda: f"comparison output was: {output!r}",
+    )
     return f"closed formulas agree on uniform matroids ({checked} modes); printed-formula discrepancy reported"
 
 
@@ -493,31 +501,31 @@ def _lorentzian_fixtures() -> list[tuple[DeltaMatroid, Matroid]]:
     return fixtures
 
 
-def criterion_envelope_lorentzian(workers: int = 1) -> str:
+def criterion_envelope_lorentzian() -> str:
     for d, envelope in _lorentzian_fixtures():
         report = enveloping_check(envelope, d)
-        ensure(report.passed, f"envelope rejected for {d!r}: {_first(report)}")
+        ensure(report.passed, lambda: f"envelope rejected for {d!r}: {_first(report)}")
         lor = is_lorentzian(indep_gen_poly(d))
-        ensure(lor.passed, f"generating polynomial not Lorentzian for {d!r}: {lor.render()}")
+        ensure(lor.passed, lambda: f"generating polynomial not Lorentzian for {d!r}: {lor.render()}")
         logconc = conjecture_check(independence_fvector(d).counts, d.n)
         ensure(
             logconc.all_hold(inequality=2),
-            f"binomial inequality fails for {d!r}: {logconc.failures()}",
+            lambda: f"binomial inequality fails for {d!r}: {logconc.failures()}",
         )
         two_var = two_var_ulc_check(d)
-        ensure(two_var.log_concave, f"normalized sequence not log-concave for {d!r}")
-        ensure(two_var.matches_binomial_inequality, f"two-variable check disagrees for {d!r}")
+        ensure(two_var.log_concave, lambda: f"normalized sequence not log-concave for {d!r}")
+        ensure(two_var.matches_binomial_inequality, lambda: f"two-variable check disagrees for {d!r}")
     negative = is_lorentzian(MultiPoly(("w1", "w2"), {(2, 0): 1, (0, 2): 1}))
-    ensure(not negative.passed, "sum of squares accepted as Lorentzian")
+    ensure(not negative.passed, lambda: "sum of squares accepted as Lorentzian")
     ensure(
         negative.hessian_witness is not None
         and negative.hessian_witness[1] == InertiaTriple(2, 0, 0),
-        f"negative control inertia was {negative.hessian_witness}",
+        lambda: f"negative control inertia was {negative.hessian_witness}",
     )
     return f"{len(_lorentzian_fixtures())} enveloped fixtures pass; sum of squares rejected with inertia (2, 0, 0)"
 
 
-def criterion_multiaffine(workers: int = 1) -> str:
+def criterion_multiaffine() -> str:
     fixtures: list[MultiPoly] = []
     rng = random.Random(52004)
     variables = ("w0", "w1", "w2", "w3")
@@ -537,28 +545,28 @@ def criterion_multiaffine(workers: int = 1) -> str:
     checked = 0
     for p in fixtures:
         before = is_lorentzian(p)
-        ensure(before.passed, f"fixture not Lorentzian to begin with: {p.text()}")
+        ensure(before.passed, lambda: f"fixture not Lorentzian to begin with: {p.text()}")
         after = is_lorentzian(p.multiaffine_part("w0"))
-        ensure(after.passed, f"multiaffine part loses the Lorentzian property: {p.text()}")
+        ensure(after.passed, lambda: f"multiaffine part loses the Lorentzian property: {p.text()}")
         checked += 1
     return f"{checked} Lorentzian fixtures keep the property under multiaffine truncation"
 
 
-def criterion_pure_o(workers: int = 1) -> str:
+def criterion_pure_o() -> str:
     count = 0
     for n in range(4):
         for d in valid_delta_matroids(n):
             report = pure_o_inequalities(independence_fvector(d))
-            ensure(report.passed, f"pure O-sequence inequality fails on {d!r}")
+            ensure(report.passed, lambda: f"pure O-sequence inequality fails on {d!r}")
             count += 1
     for d, dist in random_delta_matroids(1000, 4, seed=52005):
         report = pure_o_inequalities(independence_fvector(d))
-        ensure(report.passed, f"pure O-sequence inequality fails on random ({dist}) {d!r}")
+        ensure(report.passed, lambda: f"pure O-sequence inequality fails on random ({dist}) {d!r}")
         count += 1
     return f"{count} independence f-vectors satisfy both inequality families"
 
 
-def criterion_gf2(workers: int = 1) -> str:
+def criterion_gf2() -> str:
     count = 0
     for n in range(1, 4):
         entries_positions = [(i, j) for i in range(n) for j in range(i, n)]
@@ -569,17 +577,17 @@ def criterion_gf2(workers: int = 1) -> str:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
             d = dm_from_gf2(Gf2SymMatrix(n, tuple(rows)))
-            ensure(d.validate("exchange").ok, f"GF(2) output fails exchange validation: {rows}")
-            ensure(d.validate("polytope").ok, f"GF(2) output fails polytope validation: {rows}")
+            ensure(d.validate("exchange").ok, lambda: f"GF(2) output fails exchange validation: {rows}")
+            ensure(d.validate("polytope").ok, lambda: f"GF(2) output fails polytope validation: {rows}")
             count += 1
     poly = interlace(dm_from_gf2(Gf2SymMatrix.from_lists([[0, 1], [1, 0]])))
     expected = MultiPoly(("v",), {(1,): 2, (0,): 2})
-    ensure(poly == expected, f"interlace of the 2x2 swap matrix is {poly.text()}")
+    ensure(poly == expected, lambda: f"interlace of the 2x2 swap matrix is {poly.text()}")
     return f"{count} symmetric matrices produce valid delta-matroids; interlace check exact"
 
 
-def criterion_cli_determinism(workers: int = 1) -> str:
-    """Every CLI command (selftest aside) prints identical bytes at any worker count."""
+def criterion_cli_determinism() -> str:
+    """Every CLI command (selftest aside) prints identical bytes on two runs."""
     from . import cli
     from .formats import serialize_value
 
@@ -641,16 +649,16 @@ def criterion_cli_determinism(workers: int = 1) -> str:
 
         for argv in commands:
             outputs = []
-            for w in (1, 4):
+            for _ in range(2):
                 buf = io.StringIO()
                 with redirect_stdout(buf):
-                    code = cli.main(["--workers", str(w)] + argv)
+                    code = cli.main(argv)
                 outputs.append((code, buf.getvalue()))
             ensure(
                 outputs[0] == outputs[1],
-                f"command {' '.join(argv)} differs across worker counts",
+                lambda: f"command {' '.join(argv)} differs between two runs",
             )
-    return f"{len(commands)} commands byte-identical across worker counts 1 and 4"
+    return f"{len(commands)} commands byte-identical across two runs"
 
 
 CRITERIA = [
@@ -671,18 +679,18 @@ CRITERIA = [
 ]
 
 
-def run_criterion(slug: str, workers: int = 1) -> tuple[bool, str]:
+def run_criterion(slug: str) -> tuple[bool, str]:
     fn = dict(CRITERIA)[slug]
     try:
-        return True, fn(workers)
+        return True, fn()
     except CheckFailure as exc:
         return False, str(exc)
 
 
-def run_all(workers: int = 1, echo=print) -> bool:
+def run_all(echo=print) -> bool:
     all_ok = True
     for index, (slug, _) in enumerate(CRITERIA, start=1):
-        ok, detail = run_criterion(slug, workers)
+        ok, detail = run_criterion(slug)
         echo(f"{'PASS' if ok else 'FAIL'} {index:02d} {slug}: {detail}")
         all_ok = all_ok and ok
     echo("selftest: all criteria pass" if all_ok else "selftest: FAILURES present")

@@ -2,7 +2,7 @@
 
 Exit codes: 0 the command succeeded / the checked property holds, 1 a checked
 property fails, 2 parse or usage error, 3 a size guard tripped.  Output is a
-pure function of the inputs (and seed), independent of worker count.
+pure function of the inputs (and seed).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .deltamatroid import DeltaMatroid
 from .formats import ParseError, parse_document, serialize_value
-from .ground import AdmissibleSet, GuardLimitError, SignedPermutation
+from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, check_guard
 from .invariants import (
     activity,
     activity_expansion,
@@ -113,27 +113,27 @@ def _cmd_rank(args) -> int:
 
 def _cmd_rank_table(args) -> int:
     d = _load(args.file, "delta-matroid")
-    sys.stdout.write(serialize_value(d.rank_table(args.workers)))
+    sys.stdout.write(serialize_value(d.rank_table()))
     return 0
 
 
 def _cmd_h_table(args) -> int:
     d = _load(args.file, "delta-matroid")
-    sys.stdout.write(serialize_value(d.h_table(args.workers)))
+    sys.stdout.write(serialize_value(d.h_table()))
     return 0
 
 
 def _cmd_upoly(args) -> int:
     d = _load(args.file, "delta-matroid")
     if args.method == "compare":
-        direct = upoly_direct(d, args.workers)
+        direct = upoly_direct(d)
         recursive = upoly_recursive(d)
         if direct == recursive:
             print(f"equal: {direct.text()}")
             return 0
         print(f"DIFFER: direct {direct.text()} recursive {recursive.text()}")
         return 1
-    p = upoly_direct(d, args.workers) if args.method == "direct" else upoly_recursive(d)
+    p = upoly_direct(d) if args.method == "direct" else upoly_recursive(d)
     _print_poly(p, args.json)
     return 0
 
@@ -324,7 +324,7 @@ def _cmd_example15(args) -> int:
     return 1
 
 
-def _sweep(d: DeltaMatroid, workers: int) -> list[str]:
+def _sweep(d: DeltaMatroid) -> list[str]:
     problems = []
     exchange, polytope = d.validate("exchange"), d.validate("polytope")
     if exchange.ok != polytope.ok:
@@ -332,7 +332,7 @@ def _sweep(d: DeltaMatroid, workers: int) -> list[str]:
     if not exchange.ok:
         problems.append(f"invalid: {exchange.message}")
         return problems
-    direct = upoly_direct(d, workers)
+    direct = upoly_direct(d)
     if direct != upoly_recursive(d):
         problems.append("direct and recursive enumerators differ")
     expansion = activity_expansion(d)
@@ -354,9 +354,9 @@ def _sweep(d: DeltaMatroid, workers: int) -> list[str]:
             f"CONJECTURE VIOLATION: inequality ({c.inequality}) fails at k={c.k}: {c.lhs} < {c.rhs}"
         )
     if d.n <= 4:
-        if not check_g_axioms(d.rank_table(workers)).passed:
+        if not check_g_axioms(d.rank_table()).passed:
             problems.append("rank table fails the four axioms")
-        h = d.h_table(workers)
+        h = d.h_table()
         for system in ("larson", "bouchet", "allys"):
             if not check_h_axioms(h, system).passed:
                 problems.append(f"h table fails the {system} system")
@@ -366,9 +366,10 @@ def _sweep(d: DeltaMatroid, workers: int) -> list[str]:
 def _cmd_scan(args) -> int:
     if args.random <= 0:
         raise ParseError("--random must be positive")
+    check_guard(args.size)
     failures = 0
     for index, (d, dist) in enumerate(random_delta_matroids(args.random, args.size, args.seed), 1):
-        problems = _sweep(d, args.workers)
+        problems = _sweep(d)
         status = "ok" if not problems else "FAIL"
         print(f"[{index:04d}] {dist} n={d.n} |F|={len(d.feasible)} {status}")
         for p in problems:
@@ -384,7 +385,7 @@ def _cmd_scan(args) -> int:
 def _cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    return 0 if run_all(workers=args.workers) else 1
+    return 0 if run_all() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Delta-matroid workbench: validation, rank functions, invariants, "
         "enveloping matroids, and log-concavity checks in exact arithmetic.",
     )
-    parser.add_argument("--workers", type=int, default=1, help="thread count for table sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):

@@ -169,6 +169,27 @@ def enumerate_admissible(n: int) -> tuple[AdmissibleSet, ...]:
 
 
 @lru_cache(maxsize=None)
+def canonical_codes(n: int) -> tuple[int, ...]:
+    """Base-3 code of each set in canonical order.
+
+    The code of S is sum(state_i * 3^i) over indices i = 0..n-1, where state
+    0 leaves index i+1 out, 1 takes it unbarred and 2 takes it barred.  Rank
+    tables are computed in code order and read out through this permutation.
+    """
+    weight = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        weight[m] = weight[m ^ low] + 3 ** (low.bit_length() - 1)
+    return tuple(weight[s.pos] + 2 * weight[s.neg] for s in enumerate_admissible(n))
+
+
+@lru_cache(maxsize=None)
+def canonical_sizes(n: int) -> tuple[int, ...]:
+    """Size of each set in canonical order."""
+    return tuple(s.size for s in enumerate_admissible(n))
+
+
+@lru_cache(maxsize=None)
 def admissible_index(n: int) -> dict[tuple[int, int], int]:
     """Map (pos, neg) -> position in the canonical enumeration."""
     return {(s.pos, s.neg): i for i, s in enumerate(enumerate_admissible(n))}

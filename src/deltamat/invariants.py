@@ -9,33 +9,27 @@ index order 1 < 2 < ... < n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from ._parallel import map_ordered
 from .deltamatroid import DeltaMatroid
-from .ground import AdmissibleSet, check_guard, enumerate_admissible
+from .ground import AdmissibleSet, canonical_sizes, check_guard
 from .poly import MultiPoly
 from .rankfn import AxiomReport, Violation
 
 
-def upoly(d: DeltaMatroid, method: str = "direct", workers: int = 1) -> MultiPoly:
+def upoly(d: DeltaMatroid, method: str = "direct") -> MultiPoly:
     if method == "direct":
-        return upoly_direct(d, workers)
+        return upoly_direct(d)
     if method == "recursive":
         return upoly_recursive(d)
     raise ValueError(f"unknown method {method!r}")
 
 
-def upoly_direct(d: DeltaMatroid, workers: int = 1) -> MultiPoly:
+def upoly_direct(d: DeltaMatroid) -> MultiPoly:
     """Sum u^(n-|S|) v^((|S|-g(S))/2) over all admissible sets."""
-    check_guard(d.n)
-    sets = enumerate_admissible(d.n)
-    gs = map_ordered(lambda s: d._g(s.pos, s.neg), sets, workers)
-    counts: dict[tuple[int, int], int] = {}
-    for s, g in zip(sets, gs):
-        key = (d.n - s.size, (s.size - g) // 2)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(("u", "v"), counts)
+    pairs = Counter(zip(canonical_sizes(d.n), d.rank_table().values))
+    return MultiPoly(("u", "v"), {(d.n - size, (size - g) // 2): c for (size, g), c in pairs.items()})
 
 
 def upoly_recursive(d: DeltaMatroid, pivot: str = "min") -> MultiPoly:
@@ -75,14 +69,9 @@ def upoly_recursive(d: DeltaMatroid, pivot: str = "min") -> MultiPoly:
 
 def interlace(d: DeltaMatroid) -> MultiPoly:
     """The u = 0 slice: a polynomial in v summed over full-size sets only."""
-    check_guard(d.n)
-    counts: dict[tuple[int], int] = {}
-    full = (1 << d.n) - 1
-    for p in range(1 << d.n):
-        g = d._g(p, full & ~p)
-        key = ((d.n - g) // 2,)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(("v",), counts)
+    # canonical order sorts by size, so the 2^n full-size sets come last
+    full = Counter(d.rank_table().values[-(1 << d.n) :])
+    return MultiPoly(("v",), {((d.n - g) // 2,): c for g, c in full.items()})
 
 
 @dataclass(frozen=True)

@@ -198,9 +198,11 @@ class LorentzianReport:
             problems.append("not homogeneous")
         if not self.nonneg_coeffs:
             problems.append("negative coefficient")
-        if not self.mconvex:
+        # a non-homogeneous polynomial skips the support and Hessian checks,
+        # so their flags are False without a witness
+        if self.mconvex_witness is not None:
             problems.append(f"support not M-convex at {self.mconvex_witness}")
-        if not self.hessian_ok:
+        if self.hessian_witness is not None:
             alpha, inertia = self.hessian_witness
             problems.append(f"Hessian at derivative {alpha} has inertia {inertia.render()}")
         return "lorentzian: no (%s)" % "; ".join(problems)

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from deltamat import AdmissibleSet, DeltaMatroid
@@ -26,3 +29,19 @@ def free1() -> DeltaMatroid:
 
 def sset(n: int, *elements: int) -> AdmissibleSet:
     return AdmissibleSet.from_elements(n, elements)
+
+
+def oracle_families():
+    """Families for checking table paths against the per-set oracle.
+
+    Every nonempty family at n <= 3, then seeded random families at n = 4..7.
+    Validity is not required: g is defined for any nonempty family.
+    """
+    for n in range(4):
+        for k in range(1, (1 << n) + 1):
+            for fam in combinations(range(1 << n), k):
+                yield DeltaMatroid(n, fam)
+    rng = random.Random(3141)
+    for n, count in ((4, 40), (5, 20), (6, 8), (7, 4)):
+        for _ in range(count):
+            yield DeltaMatroid(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))

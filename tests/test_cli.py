@@ -57,6 +57,12 @@ def test_guard_limit_exit_code(tmp_path):
     assert code == 3
 
 
+def test_scan_guard_trips_before_building_instances():
+    code, out = run(["scan", "--random", "3", "--size", "17"])
+    assert code == 3
+    assert out == ""
+
+
 def test_info(dex_file):
     code, out = run(["info", dex_file])
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from deltamat.deltamatroid import DeltaMatroid, all_full_size_masks
 from deltamat.ground import AdmissibleSet, SignedPermutation, combine, enumerate_admissible
 
-from conftest import sset
+from conftest import oracle_families, sset
 
 
 def all_valid(n):
@@ -69,9 +69,12 @@ def test_rank_examples(tripod, coloop1, free1):
         tripod.g(sset(2, 1))
 
 
-def test_rank_table_parallel_agrees(tripod):
-    assert tripod.rank_table(workers=3) == tripod.rank_table(workers=1)
-    assert tripod.h_table(workers=4) == tripod.h_table()
+def test_rank_table_matches_per_set_oracle():
+    for d in oracle_families():
+        sets = enumerate_admissible(d.n)
+        assert d.rank_table().values == tuple(d._g(s.pos, s.neg) for s in sets), d
+        assert d.h_table().values == tuple((d._g(s.pos, s.neg) + s.size) // 2 for s in sets), d
+        assert d.independents() == tuple(s for s in sets if d.is_independent(s)), d
 
 
 def test_rank_function_properties():

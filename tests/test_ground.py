@@ -6,6 +6,8 @@ from deltamat.ground import (
     AdmissibleSet,
     GuardLimitError,
     SignedPermutation,
+    canonical_codes,
+    canonical_sizes,
     combine,
     dot,
     enumerate_admissible,
@@ -38,6 +40,17 @@ def test_enumerate_counts_and_order():
     assert len(set(sets3)) == 27
     keys = [s.sort_key() for s in sets3]
     assert keys == sorted(keys)
+
+
+def test_canonical_codes_decode_to_the_canonical_sets():
+    for n in range(6):
+        codes = canonical_codes(n)
+        assert sorted(codes) == list(range(3**n))
+        for s, code in zip(enumerate_admissible(n), codes):
+            digits = [code // 3**i % 3 for i in range(n)]
+            assert s.pos == sum(1 << i for i, dg in enumerate(digits) if dg == 1)
+            assert s.neg == sum(1 << i for i, dg in enumerate(digits) if dg == 2)
+        assert canonical_sizes(n) == tuple(s.size for s in enumerate_admissible(n))
 
 
 def test_guard_limit_and_override(monkeypatch):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from deltamat.deltamatroid import DeltaMatroid, all_full_size_masks
-from deltamat.ground import AdmissibleSet
+from deltamat.ground import AdmissibleSet, enumerate_admissible
 from deltamat.invariants import (
     FVector,
     activity,
@@ -21,7 +21,7 @@ from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.poly import MultiPoly, poly_u_v
 from deltamat.randgen import random_delta_matroids
 
-from conftest import sset
+from conftest import oracle_families, sset
 
 U, V = poly_u_v()
 
@@ -46,8 +46,19 @@ def test_upoly_frozen_values(tripod, coloop1, free1):
         upoly(tripod, "magic")
 
 
-def test_upoly_direct_workers_agree(tripod):
-    assert upoly_direct(tripod, workers=3) == upoly_direct(tripod)
+def test_table_invariants_match_defining_sums():
+    for d in oracle_families():
+        n = d.n
+        direct: dict[tuple[int, int], int] = {}
+        for s in enumerate_admissible(n):
+            key = (n - s.size, (s.size - d._g(s.pos, s.neg)) // 2)
+            direct[key] = direct.get(key, 0) + 1
+        assert upoly_direct(d) == MultiPoly(("u", "v"), direct), d
+        slice_: dict[tuple[int], int] = {}
+        for p in range(1 << n):
+            key = ((n - d._g(p, ((1 << n) - 1) & ~p)) // 2,)
+            slice_[key] = slice_.get(key, 0) + 1
+        assert interlace(d) == MultiPoly(("v",), slice_), d
 
 
 def test_upoly_pivot_invariance():

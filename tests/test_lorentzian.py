@@ -183,6 +183,14 @@ def test_is_lorentzian_examples(free1):
     assert is_lorentzian(indep_gen_poly(free1)).passed
     inhomogeneous = is_lorentzian(MultiPoly(("w0",), {(1,): 1, (2,): 1}))
     assert not inhomogeneous.passed and not inhomogeneous.homogeneous
+
+
+def test_render_without_hessian_witness():
+    report = is_lorentzian(MultiPoly(("x", "y"), {(2, 0): 1, (0, 1): 1}))
+    assert report.hessian_witness is None
+    assert report.render() == "lorentzian: no (not homogeneous)"
+    mixed = is_lorentzian(MultiPoly(("x", "y"), {(2, 0): -1, (0, 1): 1}))
+    assert mixed.render() == "lorentzian: no (not homogeneous; negative coefficient)"
     assert is_lorentzian(MultiPoly.zero(("w0",))).passed
     assert is_lorentzian(MultiPoly(("w0", "w1"), {(1, 0): 1, (0, 1): 2})).passed
     negative = is_lorentzian(MultiPoly(("w0",), {(2,): -1}))
