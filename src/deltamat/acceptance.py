@@ -27,6 +27,7 @@ from .invariants import (
     independence_fvector,
     interlace,
     pure_o_inequalities,
+    substitute_v_minus_1,
     upoly_direct,
     upoly_recursive,
 )
@@ -89,10 +90,6 @@ def valid_delta_matroids(n: int) -> tuple[DeltaMatroid, ...]:
             if d.validate("exchange").ok:
                 out.append(d)
     return tuple(out)
-
-
-def _subst_v_minus_1(p: MultiPoly) -> MultiPoly:
-    return p.substitute("v", MultiPoly(("v",), {(1,): 1, (0,): -1}))
 
 
 def _compact_map(n: int, removed: set[int]):
@@ -220,7 +217,7 @@ def criterion_upoly_consistency() -> str:
 def criterion_example_triangle() -> str:
     u = MultiPoly(("u", "v"), {(1, 0): 1})
     expected = u**3 + 6 * u**2 + 6 * u
-    at_minus1 = _subst_v_minus_1(upoly_direct(TRIPOD)).substitute("v", MultiPoly.constant(0, ("v",)))
+    at_minus1 = substitute_v_minus_1(upoly_direct(TRIPOD)).substitute("v", MultiPoly.constant(0, ("v",)))
     ensure(at_minus1 == expected, lambda: f"u-slice at v=-1 is {at_minus1.text()}")
     report = activity_zero_complex(TRIPOD)
     ensure(report.fvector.counts == (1, 6, 6), lambda: f"complex f-vector {report.fvector.render()}")
@@ -238,7 +235,7 @@ def criterion_activity_expansion() -> str:
         for d in valid_delta_matroids(n):
             expansion = activity_expansion(d)
             ensure(
-                expansion == _subst_v_minus_1(upoly_direct(d)),
+                expansion == substitute_v_minus_1(upoly_direct(d)),
                 lambda: f"activity expansion mismatch on {d!r}",
             )
             ensure(
@@ -249,7 +246,7 @@ def criterion_activity_expansion() -> str:
     for d, dist in random_delta_matroids(50, 5, seed=52003):
         expansion = activity_expansion(d)
         ensure(
-            expansion == _subst_v_minus_1(upoly_direct(d)),
+            expansion == substitute_v_minus_1(upoly_direct(d)),
             lambda: f"activity expansion mismatch on random n=5 ({dist}) {d!r}",
         )
         ensure(all(c > 0 for c in expansion.terms.values()), lambda: f"negative coefficient for {d!r}")

@@ -22,6 +22,7 @@ from .invariants import (
     independence_fvector,
     interlace,
     pure_o_inequalities,
+    substitute_v_minus_1,
     upoly_direct,
     upoly_recursive,
 )
@@ -64,10 +65,6 @@ def _print_poly(p: MultiPoly, as_json: bool) -> None:
         print(json.dumps(p.json_obj(), separators=(",", ":")))
     else:
         print(p.text())
-
-
-def _v_minus_1(p: MultiPoly) -> MultiPoly:
-    return p.substitute("v", MultiPoly(("v",), {(1,): 1, (0,): -1}))
 
 
 # -- handlers -------------------------------------------------------------------
@@ -336,7 +333,7 @@ def _sweep(d: DeltaMatroid) -> list[str]:
     if direct != upoly_recursive(d):
         problems.append("direct and recursive enumerators differ")
     expansion = activity_expansion(d)
-    if expansion != _v_minus_1(direct):
+    if expansion != substitute_v_minus_1(direct):
         problems.append("activity expansion does not match the v-1 substitution")
     if any(c < 0 for c in expansion.terms.values()):
         problems.append("activity expansion has a negative coefficient")

@@ -97,12 +97,11 @@ class FVector:
 
 
 def independence_fvector(d: DeltaMatroid) -> FVector:
-    """Counts of independent sets by size; always has length n + 1."""
-    sizes = [s.size for s in d.independents()]
-    counts = [0] * (d.n + 1)
-    for s in sizes:
-        counts[s] += 1
-    return FVector(tuple(counts))
+    """Counts of independent sets by size; always has length n + 1.
+
+    Every feasible set is independent and has size n, so the largest size is n.
+    """
+    return FVector.from_sizes([s.size for s in d.independents()])
 
 
 def pure_o_inequalities(f: FVector) -> AxiomReport:
@@ -171,6 +170,11 @@ def activity_expansion(d: DeltaMatroid) -> MultiPoly:
         key = (d.n - iset.size, rec.a)
         counts[key] = counts.get(key, 0) + 1
     return MultiPoly(("u", "v"), counts)
+
+
+def substitute_v_minus_1(p: MultiPoly) -> MultiPoly:
+    """Replace v by v - 1, taking the enumerator to the activity expansion."""
+    return p.substitute("v", MultiPoly(("v",), {(1,): 1, (0,): -1}))
 
 
 @dataclass(frozen=True)

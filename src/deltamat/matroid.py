@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .deltamatroid import DeltaMatroid
 from .ground import AdmissibleSet, GuardLimitError, check_guard, enumerate_admissible
 from .poly import MultiPoly, poly_u_v
-from .rankfn import AxiomReport, Violation
+from .rankfn import AxiomReport, Violation, polytope_membership
 
 
 def _elem_key(e: int) -> tuple[int, int]:
@@ -322,18 +322,6 @@ def _indicator(n: int, subset: frozenset[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _env_in_polytope(d: DeltaMatroid, g_values: dict, point: tuple) -> bool:
-    for s, gv in g_values.items():
-        if s.size == 0:
-            continue
-        inner = sum(point[i] for i in range(d.n) if s.pos >> i & 1) - sum(
-            point[i] for i in range(d.n) if s.neg >> i & 1
-        )
-        if inner > gv:
-            return False
-    return True
-
-
 def enveloping_check(m: Matroid, d: DeltaMatroid) -> AxiomReport:
     """Does the fold of the matroid base polytope equal the delta-matroid polytope?
 
@@ -349,14 +337,13 @@ def enveloping_check(m: Matroid, d: DeltaMatroid) -> AxiomReport:
     if m.rank != n:
         raise ValueError(f"enveloping candidate must have rank {n}, got {m.rank}")
     out: list[Violation] = []
-    g_values = dict(zip(enumerate_admissible(n), d.rank_table().values))
+    table = d.rank_table()
     basis_set = set(m.bases)
     for b in d.feasible_sets():
         if frozenset(b.elements()) not in basis_set:
             out.append(Violation("feasible-not-basis", (b,), 0, 1))
     for basis in m.bases:
-        point = env_project(_indicator(n, basis))
-        if not _env_in_polytope(d, g_values, point):
+        if not polytope_membership(table, env_project(_indicator(n, basis))):
             out.append(Violation("basis-folds-outside", (basis,), 0, 1))
     if not out:
         dm_indep = set(d.independents())
@@ -388,14 +375,14 @@ def enveloping_search(d: DeltaMatroid, limit: int = 200_000) -> EnvelopeSearch:
         raise GuardLimitError("envelope search is limited to ground size 3")
     required = [frozenset(b.elements()) for b in d.feasible_sets()]
     required_set = set(required)
-    g_values = dict(zip(enumerate_admissible(n), d.rank_table().values))
+    table = d.rank_table()
     elements = [i for k in range(1, n + 1) for i in (k, -k)]
     pool = []
     for combo in combinations(sorted(elements, key=_elem_key), n):
         cand = frozenset(combo)
         if cand in required_set:
             continue
-        if _env_in_polytope(d, g_values, env_project(_indicator(n, cand))):
+        if polytope_membership(table, env_project(_indicator(n, cand))):
             pool.append(cand)
     pool.sort(key=_set_key)
 

@@ -5,16 +5,21 @@ verbatim; the signed rank g has its own four-axiom system plus an evenness
 criterion reported as an informational flag.  All inequalities are evaluated
 in exact integer arithmetic; the halved term in the first h-system is
 handled by clearing denominators.
+
+Tables are read by canonical position.  Two generators, ``pair_positions``
+and ``step_positions``, name the sets each axiom compares, and each
+inequality is written once; the checkers and the exhaustive search in
+``enumerate_h_tables`` both read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .deltamatroid import DeltaMatroid, RankTable
-from .ground import AdmissibleSet, combine, enumerate_admissible
+from .ground import AdmissibleSet, admissible_index, canonical_sizes, enumerate_admissible
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
 
@@ -50,6 +55,75 @@ class AxiomReport:
         return cls(not violations, tuple(violations), even)
 
 
+# c·(v[s] + v[t]) >= c·(v[meet] + v[join]) + w·overlap, as (axiom, c, w, disjoint);
+# a disjoint axiom only reads pairs with overlap 0, whose join is the plain union.
+_PAIR_AXIOMS = {
+    "g": ("bisubmodularity", 1, 0, False),
+    "larson": ("larson-bisubmodularity", 2, 1, False),
+    "bouchet": ("bouchet-submodularity", 1, 0, True),
+    "allys": ("allys-bisubmodularity", 1, 1, False),
+}
+
+
+def pair_positions(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(i, j, meet, join, overlap) for every ordered pair of sets, by canonical position.
+
+    ``meet`` and ``join`` are the positions of ``ground.combine`` of the sets
+    at i and j, and ``overlap`` counts the indices the two take with opposite
+    signs, which the join drops.
+    """
+    index = admissible_index(n)  # keys in canonical order
+    for i, (spos, sneg) in enumerate(index):
+        for j, (tpos, tneg) in enumerate(index):
+            upos, uneg = spos | tpos, sneg | tneg
+            conflict = upos & uneg
+            meet = index[spos & tpos, sneg & tneg]
+            yield i, j, meet, index[upos ^ conflict, uneg ^ conflict], conflict.bit_count()
+
+
+def step_positions(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(i, k, plus, minus) for every set and every index k it leaves out.
+
+    ``plus`` and ``minus`` are the positions of the set with k and with -k added.
+    """
+    index = admissible_index(n)  # keys in canonical order
+    for i, (pos, neg) in enumerate(index):
+        for k in range(1, n + 1):
+            bit = 1 << (k - 1)
+            if not (pos | neg) & bit:
+                yield i, k, index[pos | bit, neg], index[pos, neg | bit]
+
+
+def _pair_sides(v, c: int, w: int, i: int, j: int, meet: int, join: int, overlap: int) -> tuple[int, int]:
+    """Both sides of the pairwise axiom with constants c and w (see _PAIR_AXIOMS)."""
+    return c * (v[i] + v[j]), c * (v[meet] + v[join]) + w * overlap
+
+
+def _pair_step_sides(v, i: int, plus: int, minus: int) -> tuple[int, int]:
+    """Both sides of the bouchet pair step h(S + k) + h(S - k) >= 2 h(S) + 1."""
+    return v[plus] + v[minus], 2 * v[i] + 1
+
+
+def _unit_step(v, i: int) -> range:
+    """The values a set one element above the set at position i may take."""
+    return range(v[i], v[i] + 2)
+
+
+def _pair_violations(table: RankTable, system: str) -> list[Violation]:
+    axiom, c, w, disjoint = _PAIR_AXIOMS[system]
+    sets = enumerate_admissible(table.n)
+    out = []
+    for pair in pair_positions(table.n):
+        if disjoint and pair[4]:
+            continue
+        lhs, rhs = _pair_sides(table.values, c, w, *pair)
+        if lhs < rhs:
+            if c > 1:  # report in the table's units, e.g. halves for larson
+                lhs, rhs = Fraction(lhs, c), Fraction(rhs, c)
+            out.append(Violation(axiom, (sets[pair[0]], sets[pair[1]]), lhs, rhs))
+    return out
+
+
 def check_g_axioms(g: RankTable) -> AxiomReport:
     """Normalization, singleton boundedness, bisubmodularity, and parity.
 
@@ -58,49 +132,21 @@ def check_g_axioms(g: RankTable) -> AxiomReport:
     does not affect ``passed``.
     """
     sets = enumerate_admissible(g.n)
-    val = dict(zip(sets, g.values))
+    v = g.values
     out: list[Violation] = []
-    empty = AdmissibleSet(g.n)
-    if val[empty] != 0:
-        out.append(Violation("normalization", (empty,), val[empty], 0))
-    for s in sets:
-        if s.size == 1 and abs(val[s]) > 1:
-            out.append(Violation("boundedness", (s,), 1, abs(val[s])))
-        if (val[s] - s.size) % 2:
-            out.append(Violation("parity", (s,), val[s], s.size))
-    out.extend(_bisubmodular_violations(val, sets, ordered=True))
-    return AxiomReport.from_violations(out, even=_even_criterion(val, g.n))
-
-
-def _bisubmodular_violations(val, sets, ordered: bool, label: str = "bisubmodularity"):
-    out = []
-    for i, s in enumerate(sets):
-        others = sets if ordered else sets[i:]
-        for t in others:
-            meet, join = combine(s, t)
-            lhs = val[s] + val[t]
-            rhs = val[meet] + val[join]
-            if lhs < rhs:
-                out.append(Violation(label, (s, t), lhs, rhs))
-    return out
-
-
-def bisubmodular_ok_symmetric(g: RankTable) -> bool:
-    """Fast path over unordered pairs; must agree with the ordered oracle."""
-    sets = enumerate_admissible(g.n)
-    val = dict(zip(sets, g.values))
-    return not _bisubmodular_violations(val, sets, ordered=False)
-
-
-def _even_criterion(val, n: int) -> bool:
-    for s in enumerate_admissible(n):
-        if s.size != n - 1:
-            continue
-        untouched = [i for i in range(1, n + 1) if not (s.underline >> (i - 1)) & 1]
-        i = untouched[0]
-        if 2 * val[s] != val[s.with_element(i)] + val[s.with_element(-i)]:
-            return False
-    return True
+    if v[0] != 0:
+        out.append(Violation("normalization", (sets[0],), v[0], 0))
+    for s, value in zip(sets, v):
+        if s.size == 1 and abs(value) > 1:
+            out.append(Violation("boundedness", (s,), 1, abs(value)))
+        if (value - s.size) % 2:
+            out.append(Violation("parity", (s,), value, s.size))
+    out.extend(_pair_violations(g, "g"))
+    sizes = canonical_sizes(g.n)
+    even = all(
+        2 * v[i] == v[plus] + v[minus] for i, _, plus, minus in step_positions(g.n) if sizes[i] == g.n - 1
+    )
+    return AxiomReport.from_violations(out, even=even)
 
 
 def delta_from_rank(g: RankTable) -> DeltaMatroid:
@@ -118,70 +164,26 @@ def check_h_axioms(h: RankTable, system: str) -> AxiomReport:
     if system not in H_SYSTEMS:
         raise ValueError(f"unknown h-axiom system {system!r}; pick one of {H_SYSTEMS}")
     sets = enumerate_admissible(h.n)
-    val = dict(zip(sets, h.values))
+    v = h.values
     out: list[Violation] = []
-    empty = AdmissibleSet(h.n)
-    if val[empty] != 0:
-        out.append(Violation(f"{system}-normalization", (empty,), val[empty], 0))
-
+    if v[0] != 0:
+        out.append(Violation(f"{system}-normalization", (sets[0],), v[0], 0))
     if system == "larson":
-        for s in sets:
-            if s.size == 1 and val[s] not in (0, 1):
-                out.append(Violation("larson-boundedness", (s,), val[s], 0))
-        for s in sets:
-            for t in sets:
-                meet, join = combine(s, t)
-                overlap = (s.pos & t.neg).bit_count() + (s.neg & t.pos).bit_count()
-                lhs = 2 * val[s] + 2 * val[t]
-                rhs = 2 * val[meet] + 2 * val[join] + overlap
-                if lhs < rhs:
-                    out.append(Violation("larson-bisubmodularity", (s, t), Fraction(lhs, 2), Fraction(rhs, 2)))
-        return AxiomReport.from_violations(out)
-
-    # unit steps are shared by the remaining two systems
-    for s in sets:
-        for a in _admissible_extensions(s):
-            bigger = s.with_element(a)
-            if not val[s] <= val[bigger] <= val[s] + 1:
-                out.append(Violation(f"{system}-unit-step", (s, bigger), val[bigger], val[s]))
-
+        for s, value in zip(sets, v):
+            if s.size == 1 and value not in (0, 1):
+                out.append(Violation("larson-boundedness", (s,), value, 0))
+    else:
+        for i, _, plus, minus in step_positions(h.n):
+            for up in (plus, minus):
+                if v[up] not in _unit_step(v, i):
+                    out.append(Violation(f"{system}-unit-step", (sets[i], sets[up]), v[up], v[i]))
+    out.extend(_pair_violations(h, system))
     if system == "bouchet":
-        for s in sets:
-            for t in sets:
-                if (s.pos | t.pos) & (s.neg | t.neg):
-                    continue  # plain union is inadmissible
-                union = s.union(t)
-                meet = AdmissibleSet(s.n, s.pos & t.pos, s.neg & t.neg)
-                if val[s] + val[t] < val[meet] + val[union]:
-                    out.append(
-                        Violation("bouchet-submodularity", (s, t), val[s] + val[t], val[meet] + val[union])
-                    )
-        for s in sets:
-            for i in range(1, h.n + 1):
-                if (s.underline >> (i - 1)) & 1:
-                    continue
-                lhs = val[s.with_element(i)] + val[s.with_element(-i)]
-                if lhs < 2 * val[s] + 1:
-                    out.append(Violation("bouchet-pair-step", (s,), lhs, 2 * val[s] + 1))
-        return AxiomReport.from_violations(out)
-
-    for s in sets:
-        for t in sets:
-            meet, join = combine(s, t)
-            overlap = (s.pos & t.neg).bit_count() + (s.neg & t.pos).bit_count()
-            lhs = val[s] + val[t]
-            rhs = val[meet] + val[join] + overlap
+        for i, _, plus, minus in step_positions(h.n):
+            lhs, rhs = _pair_step_sides(v, i, plus, minus)
             if lhs < rhs:
-                out.append(Violation("allys-bisubmodularity", (s, t), lhs, rhs))
+                out.append(Violation("bouchet-pair-step", (sets[i],), lhs, rhs))
     return AxiomReport.from_violations(out)
-
-
-def _admissible_extensions(s: AdmissibleSet) -> list[int]:
-    out = []
-    for i in range(1, s.n + 1):
-        if not (s.underline >> (i - 1)) & 1:
-            out.extend((i, -i))
-    return out
 
 
 def enumerate_h_tables(n: int, system: str) -> list[RankTable]:
@@ -195,73 +197,31 @@ def enumerate_h_tables(n: int, system: str) -> list[RankTable]:
     """
     if system not in ("bouchet", "allys"):
         raise ValueError("exhaustive enumeration supports the bouchet and allys systems")
-    sets = enumerate_admissible(n)
-    index = {s: i for i, s in enumerate(sets)}
-    subs = [
-        [
-            index[AdmissibleSet.from_elements(n, [x for x in s.elements() if x != e])]
-            for e in s.elements()
-        ]
-        for s in sets
-    ]
-    constraints_by_last: list[list[tuple]] = [[] for _ in sets]
+    count = 3**n
+    below: list[list[int]] = [[] for _ in range(count)]
+    checks_by_last: list[list[tuple]] = [[] for _ in range(count)]
+    for i, _, plus, minus in step_positions(n):
+        below[plus].append(i)
+        below[minus].append(i)
+        if system == "bouchet":
+            checks_by_last[max(plus, minus)].append((_pair_step_sides, (i, plus, minus)))
+    _, c, w, disjoint = _PAIR_AXIOMS[system]
+    for i, j, meet, join, overlap in pair_positions(n):
+        if not (disjoint and overlap):
+            checks_by_last[max(i, j, meet, join)].append((_pair_sides, (c, w, i, j, meet, join, overlap)))
 
-    def register(kind: str, indices: tuple[int, ...], data: tuple[int, ...] = ()) -> None:
-        constraints_by_last[max(indices)].append((kind,) + indices + data)
-
-    if system == "bouchet":
-        for i, s in enumerate(sets):
-            for k in range(1, n + 1):
-                if not (s.underline >> (k - 1)) & 1:
-                    register("pair", (index[s.with_element(k)], index[s.with_element(-k)], i))
-        for s in sets:
-            for t in sets:
-                if (s.pos | t.pos) & (s.neg | t.neg):
-                    continue
-                union = s.union(t)
-                meet = AdmissibleSet(n, s.pos & t.pos, s.neg & t.neg)
-                register("sub", (index[s], index[t], index[meet], index[union]))
-    else:
-        for s in sets:
-            for t in sets:
-                meet, join = combine(s, t)
-                overlap = (s.pos & t.neg).bit_count() + (s.neg & t.pos).bit_count()
-                register("skew", (index[s], index[t], index[meet], index[join]), (overlap,))
-
-    values: list[int | None] = [None] * len(sets)
-    values[0] = 0
+    values = [0] * count
     out: list[RankTable] = []
 
-    def admissible_here(i: int) -> bool:
-        for item in constraints_by_last[i]:
-            kind = item[0]
-            if kind == "pair":
-                a, b, base = item[1:]
-                if values[a] + values[b] < 2 * values[base] + 1:
-                    return False
-            elif kind == "sub":
-                a, b, m, u = item[1:]
-                if values[a] + values[b] < values[m] + values[u]:
-                    return False
-            else:
-                a, b, m, j, overlap = item[1:]
-                if values[a] + values[b] < values[m] + values[j] + overlap:
-                    return False
-        return True
-
-    def walk(i: int) -> None:
-        if i == len(sets):
+    def walk(p: int) -> None:
+        if p == count:
             out.append(RankTable(n, tuple(values)))
             return
-        lo, hi = 0, sets[i].size
-        for j in subs[i]:
-            lo = max(lo, values[j])
-            hi = min(hi, values[j] + 1)
-        for v in range(lo, hi + 1):
-            values[i] = v
-            if admissible_here(i):
-                walk(i + 1)
-        values[i] = None
+        steps = [_unit_step(values, i) for i in below[p]]
+        for value in range(max(r.start for r in steps), min(r.stop for r in steps)):
+            values[p] = value
+            if all(lhs >= rhs for lhs, rhs in (sides(values, *args) for sides, args in checks_by_last[p])):
+                walk(p + 1)
 
     walk(1)
     return out

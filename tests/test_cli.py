@@ -5,7 +5,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from deltamat import cli
-from deltamat.formats import parse_document
+from deltamat.deltamatroid import RankTable
+from deltamat.formats import parse_document, serialize_value
 
 DEX = "n 3\nfeasible 1 -2 -3\nfeasible -1 2 -3\nfeasible -1 -2 3\n"
 BAD = "n 3\nfeasible 1 2 3\nfeasible -1 -2 -3\n"
@@ -160,6 +161,139 @@ def test_axioms_commands(dex_file, tmp_path):
     broken.write_text("ranktable 1\n: 0\n1: 2\n-1: 0\n")
     code, out = run(["axioms-g", str(broken)])
     assert code == 1 and out.startswith("FAIL:")
+
+
+# Spoiled tables whose first five violations pin the order, witnesses and
+# values that axioms-g and axioms-h print; each fails with at least five.
+SPOILED_TABLES = {
+    "A": (2, (0, 1, 1, 1, 3, 2, 2, -1, 2)),
+    "B": (2, (0, 0, 1, 1, 1, 1, 2, 2, 0)),
+    "C": (3, (1, 1, 2, 1, 1, 1, 1, 0, 2, 0, 2, 2, 2, 2, 2, 0, 2, 2, 2, -1, 1, 1, 3, 1, 3, 3, 1)),
+    "Z": (3, (0,) * 27),
+}
+SPOILED_OUTPUT = {
+    ("A", "axioms-g"): (
+        "FAIL: boundedness at {-2}: 1 < 3\n"
+        "FAIL: parity at {-1 2}: -1 < 2\n"
+        "FAIL: bisubmodularity at {1}, {-1 2}: 0 < 1\n"
+        "FAIL: bisubmodularity at {1 2}, {-1 2}: 1 < 2\n"
+        "FAIL: bisubmodularity at {1 -2}, {-1 -2}: 4 < 6\n"
+    ),
+    ("A", "larson"): (
+        "FAIL: larson-boundedness at {-2}: 3 < 0\n"
+        "FAIL: larson-bisubmodularity at {1}, {-1 2}: 0 < 3/2\n"
+        "FAIL: larson-bisubmodularity at {1}, {-1 -2}: 3 < 7/2\n"
+        "FAIL: larson-bisubmodularity at {-1}, {1 -2}: 3 < 7/2\n"
+        "FAIL: larson-bisubmodularity at {1 2}, {-1 2}: 1 < 5/2\n"
+    ),
+    ("A", "bouchet"): (
+        "FAIL: bouchet-unit-step at {}, {-2}: 3 < 0\n"
+        "FAIL: bouchet-unit-step at {-1}, {-1 2}: -1 < 1\n"
+        "FAIL: bouchet-unit-step at {2}, {-1 2}: -1 < 1\n"
+        "FAIL: bouchet-unit-step at {-2}, {1 -2}: 2 < 3\n"
+        "FAIL: bouchet-unit-step at {-2}, {-1 -2}: 2 < 3\n"
+    ),
+    ("A", "allys"): (
+        "FAIL: allys-unit-step at {}, {-2}: 3 < 0\n"
+        "FAIL: allys-unit-step at {-1}, {-1 2}: -1 < 1\n"
+        "FAIL: allys-unit-step at {2}, {-1 2}: -1 < 1\n"
+        "FAIL: allys-unit-step at {-2}, {1 -2}: 2 < 3\n"
+        "FAIL: allys-unit-step at {-2}, {-1 -2}: 2 < 3\n"
+    ),
+    ("B", "axioms-g"): (
+        "FAIL: parity at {1}: 0 < 1\n"
+        "FAIL: parity at {1 2}: 1 < 2\n"
+        "FAIL: bisubmodularity at {1}, {-2}: 1 < 2\n"
+        "FAIL: bisubmodularity at {1}, {-1 -2}: 0 < 1\n"
+        "FAIL: bisubmodularity at {-2}, {1}: 1 < 2\n"
+    ),
+    ("B", "larson"): (
+        "FAIL: larson-bisubmodularity at {1}, {-2}: 1 < 2\n"
+        "FAIL: larson-bisubmodularity at {1}, {-1 -2}: 0 < 3/2\n"
+        "FAIL: larson-bisubmodularity at {2}, {-1 -2}: 1 < 3/2\n"
+        "FAIL: larson-bisubmodularity at {-2}, {1}: 1 < 2\n"
+        "FAIL: larson-bisubmodularity at {1 -2}, {-1 -2}: 2 < 5/2\n"
+    ),
+    ("B", "bouchet"): (
+        "FAIL: bouchet-unit-step at {1}, {1 -2}: 2 < 0\n"
+        "FAIL: bouchet-unit-step at {-1}, {-1 -2}: 0 < 1\n"
+        "FAIL: bouchet-unit-step at {-2}, {-1 -2}: 0 < 1\n"
+        "FAIL: bouchet-submodularity at {1}, {-2}: 1 < 2\n"
+        "FAIL: bouchet-submodularity at {-2}, {1}: 1 < 2\n"
+    ),
+    ("B", "allys"): (
+        "FAIL: allys-unit-step at {1}, {1 -2}: 2 < 0\n"
+        "FAIL: allys-unit-step at {-1}, {-1 -2}: 0 < 1\n"
+        "FAIL: allys-unit-step at {-2}, {-1 -2}: 0 < 1\n"
+        "FAIL: allys-bisubmodularity at {1}, {-2}: 1 < 2\n"
+        "FAIL: allys-bisubmodularity at {1}, {-1 -2}: 0 < 2\n"
+    ),
+    ("C", "axioms-g"): (
+        "FAIL: normalization at {}: 1 < 0\n"
+        "FAIL: parity at {}: 1 < 0\n"
+        "FAIL: boundedness at {-1}: 1 < 2\n"
+        "FAIL: parity at {-1}: 2 < 1\n"
+        "FAIL: bisubmodularity at {1}, {-2}: 2 < 3\n"
+    ),
+    ("C", "larson"): (
+        "FAIL: larson-normalization at {}: 1 < 0\n"
+        "FAIL: larson-boundedness at {-1}: 2 < 0\n"
+        "FAIL: larson-bisubmodularity at {1}, {-2}: 2 < 3\n"
+        "FAIL: larson-bisubmodularity at {1}, {-3}: 2 < 3\n"
+        "FAIL: larson-bisubmodularity at {1}, {-2 -3}: 3 < 4\n"
+    ),
+    ("C", "bouchet"): (
+        "FAIL: bouchet-normalization at {}: 1 < 0\n"
+        "FAIL: bouchet-unit-step at {1}, {1 2}: 0 < 1\n"
+        "FAIL: bouchet-unit-step at {1}, {1 3}: 0 < 1\n"
+        "FAIL: bouchet-unit-step at {2}, {1 2}: 0 < 1\n"
+        "FAIL: bouchet-unit-step at {2}, {2 3}: 0 < 1\n"
+    ),
+    ("C", "allys"): (
+        "FAIL: allys-normalization at {}: 1 < 0\n"
+        "FAIL: allys-unit-step at {1}, {1 2}: 0 < 1\n"
+        "FAIL: allys-unit-step at {1}, {1 3}: 0 < 1\n"
+        "FAIL: allys-unit-step at {2}, {1 2}: 0 < 1\n"
+        "FAIL: allys-unit-step at {2}, {2 3}: 0 < 1\n"
+    ),
+    ("Z", "axioms-g"): (
+        "FAIL: parity at {1}: 0 < 1\n"
+        "FAIL: parity at {-1}: 0 < 1\n"
+        "FAIL: parity at {2}: 0 < 1\n"
+        "FAIL: parity at {-2}: 0 < 1\n"
+        "FAIL: parity at {3}: 0 < 1\n"
+    ),
+    ("Z", "larson"): (
+        "FAIL: larson-bisubmodularity at {1}, {-1}: 0 < 1/2\n"
+        "FAIL: larson-bisubmodularity at {1}, {-1 2}: 0 < 1/2\n"
+        "FAIL: larson-bisubmodularity at {1}, {-1 -2}: 0 < 1/2\n"
+        "FAIL: larson-bisubmodularity at {1}, {-1 3}: 0 < 1/2\n"
+        "FAIL: larson-bisubmodularity at {1}, {-1 -3}: 0 < 1/2\n"
+    ),
+    ("Z", "bouchet"): (
+        "FAIL: bouchet-pair-step at {}: 0 < 1\n"
+        "FAIL: bouchet-pair-step at {}: 0 < 1\n"
+        "FAIL: bouchet-pair-step at {}: 0 < 1\n"
+        "FAIL: bouchet-pair-step at {1}: 0 < 1\n"
+        "FAIL: bouchet-pair-step at {1}: 0 < 1\n"
+    ),
+    ("Z", "allys"): (
+        "FAIL: allys-bisubmodularity at {1}, {-1}: 0 < 1\n"
+        "FAIL: allys-bisubmodularity at {1}, {-1 2}: 0 < 1\n"
+        "FAIL: allys-bisubmodularity at {1}, {-1 -2}: 0 < 1\n"
+        "FAIL: allys-bisubmodularity at {1}, {-1 3}: 0 < 1\n"
+        "FAIL: allys-bisubmodularity at {1}, {-1 -3}: 0 < 1\n"
+    ),
+}
+
+
+def test_axioms_output_on_spoiled_tables(tmp_path):
+    for name, (n, values) in SPOILED_TABLES.items():
+        rt = tmp_path / f"{name}.rt"
+        rt.write_text(serialize_value(RankTable(n, values)))
+        for system in ("axioms-g", "larson", "bouchet", "allys"):
+            argv = ["axioms-g", str(rt)] if system == "axioms-g" else ["axioms-h", str(rt), "--system", system]
+            assert run(argv) == (1, SPOILED_OUTPUT[name, system]), (name, system)
 
 
 def test_envelope(tmp_path, dex_file):

@@ -1,21 +1,39 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from deltamat.deltamatroid import DeltaMatroid, RankTable, all_full_size_masks
-from deltamat.ground import enumerate_admissible
+from deltamat.deltamatroid import RankTable
+from deltamat.ground import combine, enumerate_admissible
 from deltamat.rankfn import (
-    bisubmodular_ok_symmetric,
     check_g_axioms,
     check_h_axioms,
     delta_from_rank,
     enumerate_h_tables,
     greedy_check,
+    pair_positions,
     polytope_membership,
+    step_positions,
 )
 
 from conftest import sset
+
+
+def test_position_kernels_match_set_operations():
+    for n in range(5):
+        sets = enumerate_admissible(n)
+        pairs = [(sets[i], sets[j], sets[m], sets[u], o) for i, j, m, u, o in pair_positions(n)]
+        assert pairs == [
+            (s, t, *combine(s, t), (s.pos & t.neg).bit_count() + (s.neg & t.pos).bit_count())
+            for s in sets
+            for t in sets
+        ]
+        steps = [(sets[i], k, sets[plus], sets[minus]) for i, k, plus, minus in step_positions(n)]
+        assert steps == [
+            (s, k, s.with_element(k), s.with_element(-k))
+            for s in sets
+            for k in range(1, n + 1)
+            if k not in map(abs, s.elements())
+        ]
 
 
 def test_g_axioms_examples(free1):
@@ -77,22 +95,6 @@ def test_h_axiom_witnesses_identify_the_system():
     flat = RankTable(1, (0, 0, 0))
     rep = check_h_axioms(flat, "bouchet")
     assert any(v.axiom == "bouchet-pair-step" for v in rep.violations)
-
-
-def test_bisubmodular_fast_path_agrees():
-    masks = all_full_size_masks(2)
-    for k in range(1, 5):
-        for fam in combinations(masks, k):
-            table = DeltaMatroid(2, fam).rank_table()
-            ordered_ok = not [
-                v for v in check_g_axioms(table).violations if v.axiom == "bisubmodularity"
-            ]
-            assert bisubmodular_ok_symmetric(table) == ordered_ok
-    # and on a table that is not a rank function at all
-    skew = RankTable(1, (0, 1, -1))
-    assert bisubmodular_ok_symmetric(skew) == (
-        not [v for v in check_g_axioms(skew).violations if v.axiom == "bisubmodularity"]
-    )
 
 
 def test_polytope_membership(tripod, coloop1, free1):
