@@ -10,7 +10,9 @@ Validity is *not* enforced on construction: invalid families are useful as
 negative fixtures.  Two validators are provided and must agree: a symmetric
 exchange check on the unbarred parts (fast path) and a polytopal check that
 every hull edge between feasible indicator vectors moves at most two
-coordinates, with edges decided by exact rational LP feasibility.
+coordinates.  A pair [a, b] is an edge exactly when b - a lies outside the
+cone spanned by the directions from a to the other feasible vectors, which
+an exact standard-form LP decides (`lp.pair_is_edge`).
 """
 
 from __future__ import annotations

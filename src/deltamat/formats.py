@@ -193,7 +193,3 @@ def serialize_value(value) -> str:
             lines.append(f"{s.render()}: {v}".lstrip())
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def serialize_document(doc: InputDocument) -> str:
-    return serialize_value(doc.value)

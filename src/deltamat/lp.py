@@ -1,96 +1,59 @@
-"""Exact rational linear-program feasibility for small systems.
+"""Exact standard-form LP feasibility and the polytope edge test.
 
-A dense phase-one simplex with Bland's pivoting rule, which guarantees
-termination.  Rows are stored as integer vectors with one positive
-denominator each, so pivoting is exact integer arithmetic with a single gcd
-reduction per row per pivot.  The only client is polytope edge detection: a
-pair of vertices spans an edge of the hull exactly when some linear
-functional is maximized on the pair alone, and by scaling such a functional
-can be taken to win by a margin of 1 against every other vertex.
+`feasible` decides whether some x >= 0 solves sum_j x_j * columns[j] = rhs
+over the integers, by a dense phase-one simplex with Bland's rule (Bland
+1977), which guarantees termination.  The sign, ratio and zero tests of a
+pivot step are invariant under positive row scaling, so each tableau row is
+kept only up to a positive factor: an integer vector divided by its gcd, with
+no denominators.  The only client is polytope edge detection, `pair_is_edge`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-Row = tuple[Sequence[Fraction | int], Fraction | int]
 
-
-def _int_row(coeffs: Sequence[Fraction | int], rhs: Fraction | int) -> list[int]:
-    """Clear denominators, returning integer [coeffs..., rhs]."""
-    values = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    return [int(v * scale) for v in values]
-
-
-def _reduce(row: list[int], denom: int) -> tuple[list[int], int]:
-    g = denom
+def _reduce(row: list[int]) -> list[int]:
+    """Divide the row by the gcd of its entries, a positive factor."""
+    g = 0
     for x in row:
         g = gcd(g, x)
         if g == 1:
-            return row, denom
-    return [x // g for x in row], denom // g
+            return row
+    return [x // g for x in row] if g else row
 
 
-def feasible(
-    n_vars: int,
-    eq: Sequence[Row] = (),
-    ge: Sequence[Row] = (),
-) -> bool:
-    """Decide whether {x : eq rows hold with equality, ge rows with >=} is nonempty.
+def feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
+    """Is there an x >= 0 with sum_j x_j * columns[j] == rhs?
 
-    Variables are free; internally each is split into a difference of two
-    nonnegative variables and a phase-one simplex minimizes the total
-    artificial infeasibility.
+    Every column has one integer entry per entry of `rhs`.  A phase-one
+    simplex minimizes the sum of one artificial variable per row; the system
+    is feasible exactly when that minimum is zero.
     """
-    raw = [(_int_row(a, b), True) for a, b in eq]
-    raw += [(_int_row(a, b), False) for a, b in ge]
-    m = len(raw)
-    if m == 0:
-        return True
-    n_ge = sum(1 for _, is_eq in raw if not is_eq)
+    m, k = len(rhs), len(columns)
+    if any(len(col) != m for col in columns):
+        raise ValueError("column has wrong arity")
 
-    # columns: x+ (n), x- (n), slacks (n_ge), artificials (m), rhs
-    n_cols = 2 * n_vars + n_ge + m
+    # columns: x (k), artificials (m), rhs; a row is negated when its
+    # right-hand side is negative, so the artificials start feasible
     rows: list[list[int]] = []
-    denoms: list[int] = []
-    slack_at = 0
-    for r, (data, is_eq) in enumerate(raw):
-        if len(data) != n_vars + 1:
-            raise ValueError("coefficient row has wrong arity")
-        row = [0] * (n_cols + 1)
-        for j in range(n_vars):
-            row[j] = data[j]
-            row[n_vars + j] = -data[j]
-        if not is_eq:
-            row[2 * n_vars + slack_at] = -1
-            slack_at += 1
-        row[-1] = data[-1]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[2 * n_vars + n_ge + r] = 1
+    for r, b in enumerate(rhs):
+        sign = -1 if b < 0 else 1
+        row = [sign * col[r] for col in columns] + [0] * m + [sign * b]
+        row[k + r] = 1
         rows.append(row)
-        denoms.append(1)
+    basis = [k + r for r in range(m)]
 
-    basis = [2 * n_vars + n_ge + r for r in range(m)]
-    artificial_start = 2 * n_vars + n_ge
-
-    # reduced-cost row for the phase-one objective (sum of artificials);
-    # all initial basic columns are artificial with unit cost
-    zrow = [0] * (n_cols + 1)
-    zdenom = 1
-    for j in range(artificial_start):
-        zrow[j] = -sum(r[j] for r in rows)
-    zrow[-1] = -sum(r[-1] for r in rows)
+    # reduced-cost row of the phase-one objective (sum of artificials); all
+    # initial basic columns are artificial with unit cost
+    zrow = [-sum(row[j] for row in rows) for j in range(k)] + [0] * m
+    zrow.append(-sum(row[-1] for row in rows))
 
     while True:
-        entering = next((j for j in range(n_cols) if zrow[j] < 0), -1)
+        entering = next((j for j in range(k + m) if zrow[j] < 0), -1)
         if entering < 0:
-            return all(rows[i][-1] == 0 for i in range(m) if basis[i] >= artificial_start)
+            return all(rows[i][-1] == 0 for i in range(m) if basis[i] >= k)
         leaving = -1
         best_num = best_den = 0  # ratio best_num / best_den, denominators positive
         for i in range(m):
@@ -111,15 +74,12 @@ def feasible(
         piv_row = rows[leaving]
         piv = piv_row[entering]  # > 0
         for i in range(m):
-            if i != leaving and rows[i][entering]:
-                f = rows[i][entering]
-                rows[i] = [x * piv - f * y for x, y in zip(rows[i], piv_row)]
-                rows[i], denoms[i] = _reduce(rows[i], denoms[i] * piv)
-        if zrow[entering]:
-            f = zrow[entering]
-            zrow = [x * piv - f * y for x, y in zip(zrow, piv_row)]
-            zrow, zdenom = _reduce(zrow, zdenom * piv)
-        rows[leaving], denoms[leaving] = _reduce(piv_row, piv)
+            f = rows[i][entering]
+            if i != leaving and f:
+                rows[i] = _reduce([x * piv - f * y for x, y in zip(rows[i], piv_row)])
+        f = zrow[entering]
+        if f:
+            zrow = _reduce([x * piv - f * y for x, y in zip(zrow, piv_row)])
         basis[leaving] = entering
 
 
@@ -127,15 +87,11 @@ def pair_is_edge(points: Sequence[Sequence[int]], i: int, j: int) -> bool:
     """Is the segment between points i and j an edge of their convex hull?
 
     All points must be distinct vertices of the hull (true for cube vertices,
-    which is the only use here).  Decided exactly: feasibility of a functional
-    c with <c, p_i> = <c, p_j> and <c, p_i> >= <c, p_k> + 1 for every other k.
+    which is the only use here).  With a = points[i] and b = points[j], the
+    tangent cone at the vertex a is pointed, and no three cube vertices lie
+    on one line, so [a, b] is an edge exactly when b - a is not a nonnegative
+    combination of the directions p - a to the other points.
     """
-    pi, pj = points[i], points[j]
-    dim = len(pi)
-    eq = [([a - b for a, b in zip(pi, pj)], 0)]
-    ge = []
-    for k, pk in enumerate(points):
-        if k in (i, j):
-            continue
-        ge.append(([a - b for a, b in zip(pi, pk)], 1))
-    return feasible(dim, eq, ge)
+    a = points[i]
+    others = [[x - y for x, y in zip(p, a)] for k, p in enumerate(points) if k not in (i, j)]
+    return not feasible(others, [x - y for x, y in zip(points[j], a)])

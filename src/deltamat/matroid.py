@@ -115,12 +115,12 @@ class Matroid:
 def validate_matroid(m: Matroid) -> AxiomReport:
     """Basis exchange: for x in B1 - B2 some y in B2 - B1 rebalances B1."""
     out: list[Violation] = []
+    bases = set(m.bases)
     for b1 in m.bases:
         for b2 in m.bases:
             for x in sorted(b1 - b2, key=_elem_key):
-                if not any(((b1 - {x}) | {y}) in m.bases for y in b2 - b1):
+                if not any(((b1 - {x}) | {y}) in bases for y in b2 - b1):
                     out.append(Violation("basis-exchange", (b1, b2), x, 0))
-    # the bases tuple is a set, so membership above is linear; fine at desk scale
     return AxiomReport.from_violations(out)
 
 
@@ -161,6 +161,7 @@ def dm_from_matroid(m: Matroid, mode: str) -> DeltaMatroid:
     if mode == "bases":
         masks = [_mask(b) for b in m.bases]
     elif mode == "independents":
+        check_guard(n)
         masks = [_mask(i) for i in m.independent_sets()]
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -281,6 +282,7 @@ class Gf2SymMatrix:
 
 def dm_from_gf2(a: Gf2SymMatrix) -> DeltaMatroid:
     """Feasible sets are X + bar(complement) for X with A[X] nonsingular."""
+    check_guard(a.n)
     masks = []
     for mask in range(1 << a.n):
         xs = [i for i in range(1, a.n + 1) if mask >> (i - 1) & 1]

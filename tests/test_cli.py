@@ -64,6 +64,19 @@ def test_scan_guard_trips_before_building_instances():
     assert out == ""
 
 
+def test_constructions_guard_before_enumerating(tmp_path, capsys):
+    # from-gf2 reads 2^n principal minors and from-matroid --mode independents
+    # lists every subset of a basis: both must trip the guard before the work
+    zero = tmp_path / "zero.gf2"
+    zero.write_text("gf2 17\n" + ("0 " * 16 + "0\n") * 17)
+    free = tmp_path / "free.matroid"
+    free.write_text("ground plain 17\nbasis " + " ".join(str(i) for i in range(1, 18)) + "\n")
+    for argv in (["from-gf2", str(zero)], ["from-matroid", str(free), "--mode", "independents"]):
+        code, out = run(argv)
+        assert code == 3 and out == ""
+        assert "exceeds the guard limit" in capsys.readouterr().err
+
+
 def test_info(dex_file):
     code, out = run(["info", dex_file])
     assert code == 0

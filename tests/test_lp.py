@@ -10,48 +10,62 @@ from deltamat.lp import feasible, pair_is_edge
 
 
 def test_feasibility_hand_cases():
-    # 1 <= x <= 2
-    assert feasible(1, ge=[([1], 1), ([-1], -2)])
-    # x >= 1 and x <= 0
-    assert not feasible(1, ge=[([1], 1), ([-1], 0)])
-    # x + y = 1, x >= 2, y >= 0
-    assert not feasible(2, eq=[([1, 1], 1)], ge=[([1, 0], 2), ([0, 1], 0)])
-    # x + y = 1, x >= 0, y >= 0
-    assert feasible(2, eq=[([1, 1], 1)], ge=[([1, 0], 0), ([0, 1], 0)])
-    # fractional data
-    assert feasible(1, ge=[([Fraction(1, 3)], Fraction(1, 6))])
-    assert feasible(0, ge=[])
-    # equality-only, forced negative value
-    assert feasible(1, eq=[([2], -3)])
+    # x = 1, x >= 0
+    assert feasible([[1]], [1])
+    # x = -1, x >= 0
+    assert not feasible([[1]], [-1])
+    # x - y = -3: a free variable as a difference of two nonnegative ones
+    assert feasible([[1], [-1]], [-3])
+    # x + y = 1 and x - y = 3 force y = -1
+    assert not feasible([[1, 1], [1, -1]], [1, 3])
+    # x + y = 1 and x - y = 1 give x = 1, y = 0
+    assert feasible([[1, 1], [1, -1]], [1, 1])
+    # no rows, and no columns
+    assert feasible([[], []], [])
+    assert feasible([], [0, 0])
+    assert not feasible([], [0, 1])
+    # a zero column cannot reach a nonzero right-hand side
+    assert not feasible([[0, 0], [0, 0]], [0, 1])
+    # a redundant row, and a degenerate start
+    assert feasible([[1, 2], [1, 2]], [3, 6])
+    assert not feasible([[1, 2], [1, 2]], [3, 5])
+    assert feasible([[1, 0, 1], [0, 1, -1], [1, 1, 0]], [0, 0, 0])
 
 
 def test_feasibility_planted_instances():
+    # b = A x0 with x0 >= 0 is feasible by construction
     rng = random.Random(4242)
     for _ in range(120):
-        d = rng.randint(1, 4)
-        x0 = [rng.randint(-3, 3) for _ in range(d)]
-        rows = []
-        for _ in range(rng.randint(1, 6)):
-            a = [rng.randint(-3, 3) for _ in range(d)]
-            slack = rng.randint(0, 3)
-            rows.append((a, sum(ai * xi for ai, xi in zip(a, x0)) - slack))
-        assert feasible(d, ge=rows)
+        m = rng.randint(1, 4)
+        k = rng.randint(1, 6)
+        columns = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        x0 = [rng.randint(0, 3) for _ in range(k)]
+        rhs = [sum(x * col[r] for x, col in zip(x0, columns)) for r in range(m)]
+        assert feasible(columns, rhs)
 
 
 def test_feasibility_farkas_instances():
-    # sum of positively-weighted rows is the zero functional but the same
-    # combination of right-hand sides is positive: infeasible by construction
+    # a y with y.A >= 0 and y.b < 0 certifies infeasibility (Farkas)
     rng = random.Random(999)
     for _ in range(120):
-        d = rng.randint(1, 4)
-        k = rng.randint(1, 4)
-        rows = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)]
-        weights = [rng.randint(1, 3) for _ in range(k)]
-        last = [-sum(w * row[i] for w, row in zip(weights, rows)) for i in range(d)]
-        rhs = [rng.randint(-2, 2) for _ in range(k)]
-        last_rhs = 1 - sum(w * b for w, b in zip(weights, rhs))
-        system = [(row, b) for row, b in zip(rows, rhs)] + [(last, last_rhs)]
-        assert not feasible(d, ge=system)
+        m = rng.randint(1, 4)
+        k = rng.randint(0, 5)
+        y = [0] * m
+        while not any(y):
+            y = [rng.randint(-3, 3) for _ in range(m)]
+
+        def dot_y(v):
+            return sum(a * b for a, b in zip(y, v))
+
+        columns = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(k)]
+        columns = [col if dot_y(col) >= 0 else [-x for x in col] for col in columns]
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+        if dot_y(rhs) > 0:
+            rhs = [-x for x in rhs]
+        if dot_y(rhs) == 0:
+            rhs = [b - c for b, c in zip(rhs, y)]
+        assert dot_y(rhs) < 0
+        assert not feasible(columns, rhs)
 
 
 def _solve_exact(columns, rhs):
@@ -76,6 +90,28 @@ def _solve_exact(columns, rhs):
     if any(a[r][-1] != 0 for r in range(row, m)):
         return None
     return [a[i][-1] for i in range(k)]
+
+
+def test_feasibility_matches_basic_solution_oracle():
+    # by Caratheodory, b is in the cone of the columns exactly when some
+    # linearly independent set of columns (possibly empty) reaches b with
+    # nonnegative weights
+    rng = random.Random(2718)
+    for trial in range(400):
+        m = rng.randint(1, 3)
+        k = rng.randint(0, 5)
+        columns = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
+        for col in columns:
+            if rng.random() < 0.15:
+                col[:] = [0] * m
+        rhs = [0] * m if trial % 10 == 0 else [rng.randint(-2, 2) for _ in range(m)]
+        expected = False
+        for size in range(min(m, k) + 1):
+            for support in combinations(range(k), size):
+                sol = _solve_exact([columns[s] for s in support], rhs)
+                if sol is not None and all(x >= 0 for x in sol):
+                    expected = True
+        assert feasible(columns, rhs) == expected, (columns, rhs)
 
 
 def edge_oracle(points, i, j):
