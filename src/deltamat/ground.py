@@ -184,6 +184,19 @@ def canonical_codes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def canonical_positions(n: int) -> tuple[int, ...]:
+    """Canonical position of each set, indexed by its base-3 code.
+
+    The inverse of ``canonical_codes``: adding k·3^i to the code of a set
+    that leaves index i+1 out adds i+1 (k = 1) or its bar (k = 2).
+    """
+    position = [0] * 3**n
+    for p, code in enumerate(canonical_codes(n)):
+        position[code] = p
+    return tuple(position)
+
+
+@lru_cache(maxsize=None)
 def canonical_sizes(n: int) -> tuple[int, ...]:
     """Size of each set in canonical order."""
     return tuple(s.size for s in enumerate_admissible(n))

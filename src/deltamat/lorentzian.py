@@ -2,7 +2,9 @@
 
 A homogeneous polynomial with nonnegative coefficients is Lorentzian when its
 support is M-convex and every Hessian obtained by taking degree-minus-two
-partial derivatives has at most one positive eigenvalue.  Inertia is computed
+partial derivatives has at most one positive eigenvalue.  Only derivatives
+that lie under some support term have a non-zero Hessian, so only those are
+built, in the lexicographic order of the full sweep.  Inertia is computed
 exactly by symmetric congruence reduction (Sylvester's law), so there are no
 eigenvalue solvers and no tolerances anywhere.  Degenerate quadratics are
 allowed because coefficient-wise limits of strictly Lorentzian polynomials
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import Sequence
 
@@ -139,12 +142,32 @@ def hessian_inertia(matrix: Sequence[Sequence]) -> InertiaTriple:
 
 
 def _compositions(total: int, parts: int):
+    """Every exponent vector of the given total, in lexicographic order (the full sweep)."""
     if parts == 1:
         yield (total,)
         return
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def _hessian_points(p: MultiPoly) -> list[tuple[int, ...]]:
+    """The alpha whose Hessian can be non-zero, in lexicographic order.
+
+    The Hessian of the alpha-fold derivative reads only the terms two degrees
+    above alpha, so alpha must be exps - e_i - e_j for a support term exps
+    and some i <= j.  Every other alpha of degree deg - 2 gives the zero
+    matrix, whose inertia (0, 0, k) cannot fail.
+    """
+    points = set()
+    for exps in p.terms:
+        for i, j in combinations_with_replacement(range(len(exps)), 2):
+            alpha = list(exps)
+            alpha[i] -= 1
+            alpha[j] -= 1
+            if alpha[i] >= 0 and alpha[j] >= 0:
+                points.add(tuple(alpha))
+    return sorted(points)
 
 
 def _falling(n: int, k: int) -> int:
@@ -221,7 +244,7 @@ def is_lorentzian(p: MultiPoly) -> LorentzianReport:
     hessian_ok = True
     hessian_witness = None
     if deg >= 2:
-        for alpha in _compositions(deg - 2, len(p.variables)):
+        for alpha in _hessian_points(p):
             inertia = hessian_inertia(derivative_hessian(p, alpha))
             if inertia.positive > 1:
                 hessian_ok = False

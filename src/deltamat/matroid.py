@@ -113,14 +113,26 @@ class Matroid:
 
 
 def validate_matroid(m: Matroid) -> AxiomReport:
-    """Basis exchange: for x in B1 - B2 some y in B2 - B1 rebalances B1."""
+    """Basis exchange: for x in B1 - B2 some y in B2 - B1 rebalances B1.
+
+    Bases are read as bitmasks over the ground tuple.  The ground is sorted
+    by element order, so the failing x of a pair come out in that order.
+    """
     out: list[Violation] = []
-    bases = set(m.bases)
-    for b1 in m.bases:
-        for b2 in m.bases:
-            for x in sorted(b1 - b2, key=_elem_key):
-                if not any(((b1 - {x}) | {y}) in bases for y in b2 - b1):
-                    out.append(Violation("basis-exchange", (b1, b2), x, 0))
+    bit = {e: 1 << k for k, e in enumerate(m.ground)}
+    masks = [sum(bit[e] for e in b) for b in m.bases]
+    bases = set(masks)
+    width = len(m.ground)
+    for b1, m1 in zip(m.bases, masks):
+        inside = [k for k in range(width) if m1 >> k & 1]
+        outside = [k for k in range(width) if not m1 >> k & 1]
+        # repairs[k]: the y whose swap for ground[k] turns b1 into a basis
+        repairs = {k: sum(1 << y for y in outside if ((m1 ^ 1 << k) | 1 << y) in bases) for k in inside}
+        for b2, m2 in zip(m.bases, masks):
+            lost, gained = m1 & ~m2, m2 & ~m1
+            for k in inside:
+                if lost >> k & 1 and not repairs[k] & gained:
+                    out.append(Violation("basis-exchange", (b1, b2), m.ground[k], 0))
     return AxiomReport.from_violations(out)
 
 

@@ -1,15 +1,40 @@
 """Axiom systems for delta-matroid rank functions and polytope membership.
 
-Three equivalent characterizations of the shifted rank h are checked
-verbatim; the signed rank g has its own four-axiom system plus an evenness
-criterion reported as an informational flag.  All inequalities are evaluated
-in exact integer arithmetic; the halved term in the first h-system is
-handled by clearing denominators.
+Three equivalent characterizations of the shifted rank h are checked; the
+signed rank g has its own four-axiom system plus an evenness criterion
+reported as an informational flag.  All inequalities are evaluated in exact
+integer arithmetic; the halved term in the first h-system is handled by
+clearing denominators.
 
-Tables are read by canonical position.  Two generators, ``pair_positions``
-and ``step_positions``, name the sets each axiom compares, and each
-inequality is written once; the checkers and the exhaustive search in
-``enumerate_h_tables`` both read them.
+Tables are read by canonical position.  Three generators, ``pair_positions``,
+``step_positions`` and ``diamond_positions``, name the sets each axiom
+compares, and each inequality is written once; the checkers and the
+exhaustive search in ``enumerate_h_tables`` all read them.
+
+Every pairwise axiom has the form
+
+    c·(v[S] + v[T]) >= c·(v[meet] + v[join]) + w·overlap
+
+(``_PAIR_AXIOMS``).  Since |S| + |T| = |meet| + |join| + 2·overlap, it holds
+on a pair exactly when the table f = 2c·v - w·|S| satisfies the plain
+bisubmodular inequality f(S) + f(T) >= f(meet) + f(join) on that pair.  So
+the g system, allys (f = 2h - |S|) and larson (f = 4h - |S|, the halved
+overlap cleared) are all bisubmodularity of some f, and bouchet, which reads
+only pairs with overlap 0, is submodularity of h in each orthant.  By Ando,
+Fujishige and Naitoh ("A characterization of bisubmodular functions",
+Discrete Math. 148, 1996) f is bisubmodular exactly when two local
+conditions hold:
+
+- the step f(X+i) + f(X-i) >= 2 f(X) for every index i outside X, which is
+  the pair (X+i, X-i) with meet and join X and overlap 1;
+- the diamond f(X+σi) + f(X+τj) >= f(X+σi+τj) + f(X) for i != j outside X
+  and all signs σ, τ, which is the pair (X+σi, X+τj) with meet X, join
+  X+σi+τj and overlap 0; the diamonds alone are submodularity in each
+  orthant.
+
+These O(n²·3^n) local pairs (``_local_pairs``; bouchet skips the steps)
+decide every pair axiom.  Only a table that fails them is scanned over all
+9^n ordered pairs, which lists its violations in full and in order.
 """
 
 from __future__ import annotations
@@ -19,7 +44,14 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .deltamatroid import DeltaMatroid, RankTable
-from .ground import AdmissibleSet, admissible_index, canonical_sizes, enumerate_admissible
+from .ground import (
+    AdmissibleSet,
+    admissible_index,
+    canonical_codes,
+    canonical_positions,
+    canonical_sizes,
+    enumerate_admissible,
+)
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
 
@@ -86,12 +118,44 @@ def step_positions(n: int) -> Iterator[tuple[int, int, int, int]]:
 
     ``plus`` and ``minus`` are the positions of the set with k and with -k added.
     """
-    index = admissible_index(n)  # keys in canonical order
-    for i, (pos, neg) in enumerate(index):
-        for k in range(1, n + 1):
-            bit = 1 << (k - 1)
-            if not (pos | neg) & bit:
-                yield i, k, index[pos | bit, neg], index[pos, neg | bit]
+    codes, position = canonical_codes(n), canonical_positions(n)
+    units = [3**e for e in range(n)]
+    for i, code in enumerate(codes):
+        for k, unit in enumerate(units, start=1):
+            if not code // unit % 3:
+                yield i, k, position[code + unit], position[code + 2 * unit]
+
+
+def diamond_positions(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(i, j, X, join, 0) for the sets X + σa and X + τb, indices a < b outside X.
+
+    Yields in the format of ``pair_positions``: the meet of the two sets is X,
+    their join is X + σa + τb and they do not overlap.  Each unordered pair
+    appears once, for each X and each choice of the signs σ and τ.
+    """
+    codes, position = canonical_codes(n), canonical_positions(n)
+    units = [3**e for e in range(n)]
+    for x, code in enumerate(codes):
+        free = [unit for unit in units if not code // unit % 3]
+        for p, a in enumerate(free):
+            for b in free[p + 1 :]:
+                for xa in (code + a, code + 2 * a):
+                    i = position[xa]
+                    yield i, position[code + b], x, position[xa + b], 0
+                    yield i, position[code + 2 * b], x, position[xa + 2 * b], 0
+
+
+def _step_pairs(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Each step (X+k, X-k) as a pair: its meet and join are X, its overlap is 1."""
+    for i, _, plus, minus in step_positions(n):
+        yield plus, minus, i, i, 1
+
+
+def _local_pairs(n: int, disjoint: bool) -> Iterator[tuple[int, int, int, int, int]]:
+    """The pairs whose inequalities decide a pair axiom (see the module docstring)."""
+    if not disjoint:
+        yield from _step_pairs(n)
+    yield from diamond_positions(n)
 
 
 def _pair_sides(v, c: int, w: int, i: int, j: int, meet: int, join: int, overlap: int) -> tuple[int, int]:
@@ -99,9 +163,8 @@ def _pair_sides(v, c: int, w: int, i: int, j: int, meet: int, join: int, overlap
     return c * (v[i] + v[j]), c * (v[meet] + v[join]) + w * overlap
 
 
-def _pair_step_sides(v, i: int, plus: int, minus: int) -> tuple[int, int]:
-    """Both sides of the bouchet pair step h(S + k) + h(S - k) >= 2 h(S) + 1."""
-    return v[plus] + v[minus], 2 * v[i] + 1
+# (c, w) of the bouchet pair step h(X+k) + h(X-k) >= 2 h(X) + 1 on a step pair
+_PAIR_STEP = (1, 1)
 
 
 def _unit_step(v, i: int) -> range:
@@ -109,14 +172,24 @@ def _unit_step(v, i: int) -> range:
     return range(v[i], v[i] + 2)
 
 
+def _locally_ok(table: RankTable, system: str) -> bool:
+    """Does the table pass its pair axiom on the local pairs, hence on every pair?"""
+    _, c, w, disjoint = _PAIR_AXIOMS[system]
+    v = table.values
+    sides = (_pair_sides(v, c, w, *pair) for pair in _local_pairs(table.n, disjoint))
+    return all(lhs >= rhs for lhs, rhs in sides)
+
+
 def _pair_violations(table: RankTable, system: str) -> list[Violation]:
+    """Every ordered pair that fails the pair axiom, in canonical order."""
     axiom, c, w, disjoint = _PAIR_AXIOMS[system]
+    v = table.values
     sets = enumerate_admissible(table.n)
     out = []
     for pair in pair_positions(table.n):
         if disjoint and pair[4]:
             continue
-        lhs, rhs = _pair_sides(table.values, c, w, *pair)
+        lhs, rhs = _pair_sides(v, c, w, *pair)
         if lhs < rhs:
             if c > 1:  # report in the table's units, e.g. halves for larson
                 lhs, rhs = Fraction(lhs, c), Fraction(rhs, c)
@@ -141,7 +214,8 @@ def check_g_axioms(g: RankTable) -> AxiomReport:
             out.append(Violation("boundedness", (s,), 1, abs(value)))
         if (value - s.size) % 2:
             out.append(Violation("parity", (s,), value, s.size))
-    out.extend(_pair_violations(g, "g"))
+    if not _locally_ok(g, "g"):
+        out.extend(_pair_violations(g, "g"))
     sizes = canonical_sizes(g.n)
     even = all(
         2 * v[i] == v[plus] + v[minus] for i, _, plus, minus in step_positions(g.n) if sizes[i] == g.n - 1
@@ -177,12 +251,13 @@ def check_h_axioms(h: RankTable, system: str) -> AxiomReport:
             for up in (plus, minus):
                 if v[up] not in _unit_step(v, i):
                     out.append(Violation(f"{system}-unit-step", (sets[i], sets[up]), v[up], v[i]))
-    out.extend(_pair_violations(h, system))
+    if not _locally_ok(h, system):
+        out.extend(_pair_violations(h, system))
     if system == "bouchet":
-        for i, _, plus, minus in step_positions(h.n):
-            lhs, rhs = _pair_step_sides(v, i, plus, minus)
+        for pair in _step_pairs(h.n):
+            lhs, rhs = _pair_sides(v, *_PAIR_STEP, *pair)
             if lhs < rhs:
-                out.append(Violation("bouchet-pair-step", (sets[i],), lhs, rhs))
+                out.append(Violation("bouchet-pair-step", (sets[pair[2]],), lhs, rhs))
     return AxiomReport.from_violations(out)
 
 
@@ -192,23 +267,26 @@ def enumerate_h_tables(n: int, system: str) -> list[RankTable]:
     Unit steps confine each value to a two-point interval determined by the
     already-assigned subsets, and every remaining inequality is checked the
     moment its last participant gets a value, so the search tree stays close
-    to the solution count.  Used to test that every passing table is the
-    shifted rank of some delta-matroid.
+    to the solution count.  The pair axiom enters through its local pairs
+    only; they accept the same complete tables as the full pair set, and
+    values are tried in increasing order, so the output is the same sorted
+    list.  Used to test that every passing table is the shifted rank of some
+    delta-matroid.
     """
     if system not in ("bouchet", "allys"):
         raise ValueError("exhaustive enumeration supports the bouchet and allys systems")
     count = 3**n
     below: list[list[int]] = [[] for _ in range(count)]
-    checks_by_last: list[list[tuple]] = [[] for _ in range(count)]
     for i, _, plus, minus in step_positions(n):
         below[plus].append(i)
         below[minus].append(i)
-        if system == "bouchet":
-            checks_by_last[max(plus, minus)].append((_pair_step_sides, (i, plus, minus)))
     _, c, w, disjoint = _PAIR_AXIOMS[system]
-    for i, j, meet, join, overlap in pair_positions(n):
-        if not (disjoint and overlap):
-            checks_by_last[max(i, j, meet, join)].append((_pair_sides, (c, w, i, j, meet, join, overlap)))
+    checks = [(c, w, *pair) for pair in _local_pairs(n, disjoint)]
+    if system == "bouchet":
+        checks += [(*_PAIR_STEP, *pair) for pair in _step_pairs(n)]
+    checks_by_last: list[list[tuple]] = [[] for _ in range(count)]
+    for check in checks:
+        checks_by_last[max(check[2:6])].append(check)
 
     values = [0] * count
     out: list[RankTable] = []
@@ -220,7 +298,7 @@ def enumerate_h_tables(n: int, system: str) -> list[RankTable]:
         steps = [_unit_step(values, i) for i in below[p]]
         for value in range(max(r.start for r in steps), min(r.stop for r in steps)):
             values[p] = value
-            if all(lhs >= rhs for lhs, rhs in (sides(values, *args) for sides, args in checks_by_last[p])):
+            if all(lhs >= rhs for lhs, rhs in (_pair_sides(values, *check) for check in checks_by_last[p])):
                 walk(p + 1)
 
     walk(1)

@@ -8,6 +8,7 @@ import pytest
 from deltamat.deltamatroid import DeltaMatroid
 from deltamat.lorentzian import (
     InertiaTriple,
+    _compositions,
     conjecture_check,
     derivative_hessian,
     efls_gen_poly,
@@ -183,6 +184,38 @@ def test_is_lorentzian_examples(free1):
     assert is_lorentzian(indep_gen_poly(free1)).passed
     inhomogeneous = is_lorentzian(MultiPoly(("w0",), {(1,): 1, (2,): 1}))
     assert not inhomogeneous.passed and not inhomogeneous.homogeneous
+
+
+def _full_sweep_witness(p):
+    """The first failing Hessian over every derivative of degree deg - 2, or None."""
+    for alpha in _compositions(p.degree() - 2, len(p.variables)):
+        inertia = hessian_inertia(derivative_hessian(p, alpha))
+        if inertia.positive > 1:
+            return alpha, inertia
+    return None
+
+
+def test_sparse_hessian_sweep_matches_full_sweep():
+    from deltamat.randgen import random_delta_matroids, random_family
+
+    rng = random.Random(4242)
+    polys = []
+    for n in (2, 3, 4):
+        dms = [d for d, _ in random_delta_matroids(6, n, seed=70 + n)]
+        dms += [random_family(rng, n) for _ in range(6)]
+        polys += [gen(d) for d in dms for gen in (indep_gen_poly, efls_gen_poly)]
+    for _ in range(120):
+        width, degree = rng.randint(2, 4), rng.randint(2, 4)
+        points = list(_compositions(degree, width))
+        support = rng.sample(points, rng.randint(1, min(6, len(points))))
+        polys.append(MultiPoly(w_vars(width - 1), {e: rng.randint(1, 5) for e in support}))
+    failing = 0
+    for p in polys:
+        report = is_lorentzian(p)
+        witness = _full_sweep_witness(p)
+        assert (report.hessian_ok, report.hessian_witness) == (witness is None, witness), p
+        failing += witness is not None
+    assert failing >= 30 and len(polys) - failing >= 30
 
 
 def test_render_without_hessian_witness():

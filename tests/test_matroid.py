@@ -22,6 +22,7 @@ from deltamat.matroid import (
     validate_matroid,
 )
 from deltamat.poly import MultiPoly, poly_u_v
+from deltamat.rankfn import Violation
 
 from conftest import sset
 
@@ -46,6 +47,38 @@ def test_matroid_construction_and_validation():
         Matroid.plain(2, [[1], [1, 2]])
     with pytest.raises(ValueError):
         Matroid.plain(2, [[3]])
+
+
+def _exchange_oracle(m):
+    """Basis exchange on frozensets, every ordered pair, x in element order."""
+    out = []
+    bases = set(m.bases)
+    for b1 in m.bases:
+        for b2 in m.bases:
+            for x in sorted(b1 - b2, key=lambda e: (abs(e), 0 if e > 0 else 1)):
+                if not any(((b1 - {x}) | {y}) in bases for y in b2 - b1):
+                    out.append(Violation("basis-exchange", (b1, b2), x, 0))
+    return out
+
+
+def test_validate_matroid_matches_exchange_oracle():
+    rng = random.Random(5150)
+    candidates = [Matroid.uniform(2, 4), Matroid.pair_partition(3)]
+    for _ in range(150):
+        if rng.random() < 0.5:
+            size = rng.randint(4, 5)
+            ground, make = range(1, size + 1), Matroid.plain
+        else:
+            size = rng.randint(2, 3)
+            ground, make = [i for k in range(1, size + 1) for i in (k, -k)], Matroid.signed
+        subsets = list(combinations(ground, len(ground) // 2))
+        candidates.append(make(size, rng.sample(subsets, rng.randint(1, len(subsets)))))
+    verdicts = []
+    for m in candidates:
+        report = validate_matroid(m)
+        assert list(report.violations) == _exchange_oracle(m), m
+        verdicts.append(report.passed)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
 
 def test_rank_of():

@@ -1,13 +1,20 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from deltamat.deltamatroid import RankTable
+from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.ground import combine, enumerate_admissible
+from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.rankfn import (
+    H_SYSTEMS,
+    _locally_ok,
+    _pair_violations,
     check_g_axioms,
     check_h_axioms,
     delta_from_rank,
+    diamond_positions,
     enumerate_h_tables,
     greedy_check,
     pair_positions,
@@ -15,7 +22,7 @@ from deltamat.rankfn import (
     step_positions,
 )
 
-from conftest import sset
+from conftest import oracle_families, sset
 
 
 def test_position_kernels_match_set_operations():
@@ -34,6 +41,83 @@ def test_position_kernels_match_set_operations():
             for k in range(1, n + 1)
             if k not in map(abs, s.elements())
         ]
+        diamonds = [(sets[i], sets[j], sets[m], sets[u], o) for i, j, m, u, o in diamond_positions(n)]
+        expected = []
+        for s in sets:
+            free = [k for k in range(1, n + 1) if k not in map(abs, s.elements())]
+            for a, b in combinations(free, 2):
+                for t in (s.with_element(a), s.with_element(-a)):
+                    for u in (s.with_element(b), s.with_element(-b)):
+                        assert combine(t, u) == (s, t.union(u))
+                        expected.append((t, u, s, t.union(u), 0))
+        assert diamonds == expected
+
+
+def _random_tables(rng, n, count):
+    return [RankTable(n, tuple(rng.randint(-n, n) for _ in range(3**n))) for _ in range(count)]
+
+
+def _perturbed(rng, table):
+    values = list(table.values)
+    for _ in range(rng.randint(1, 2)):
+        values[rng.randrange(len(values))] += rng.choice((-2, -1, 1, 2))
+    return RankTable(table.n, tuple(values))
+
+
+def test_local_axioms_match_pair_scan():
+    # the local pairs decide each pair axiom exactly as the scan over all
+    # 9^n ordered pairs does, on rank tables, near misses and noise
+    rng = random.Random(2718)
+    tables = []
+    for d in oracle_families():
+        if d.n > 4:
+            break
+        for table in (d.rank_table(), d.h_table()):
+            tables += [table, _perturbed(rng, table)]
+    for n in range(5):
+        tables += _random_tables(rng, n, 10)
+    passed = failed = 0
+    for table in tables:
+        for system in ("g",) + H_SYSTEMS:
+            local = _locally_ok(table, system)
+            assert local == (not _pair_violations(table, system)), (table, system)
+            passed += local
+            failed += not local
+    assert passed > 1000 and failed > 1000
+
+
+def _seeded_families(rng, n, count):
+    # gf2 outputs are valid, dropping or adding a feasible set mostly spoils
+    # them, and uniform families are mostly invalid
+    out = []
+    for _ in range(count):
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        d = dm_from_gf2(Gf2SymMatrix(n, tuple(rows)))
+        out.append(d)
+        spoiled = set(d.feasible) ^ {rng.randrange(1 << n)}
+        out.append(DeltaMatroid(n, spoiled or d.feasible))
+        out.append(DeltaMatroid(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))))
+    return out
+
+
+def test_rank_axioms_decide_validity():
+    # the paper's theorem: F is a delta-matroid exactly when g_F passes the g axioms
+    families = [d for d in oracle_families() if d.n <= 3]
+    rng = random.Random(1618)
+    for n, count in ((4, 6), (5, 3), (6, 1)):
+        families += _seeded_families(rng, n, count)
+    verdicts = set()
+    for d in families:
+        valid = d.validate("exchange").ok
+        assert check_g_axioms(d.rank_table()).passed == valid, d
+        verdicts.add((d.n, valid))
+    # every family at n <= 2 is a delta-matroid
+    assert {(n, v) for n in range(3, 7) for v in (True, False)} <= verdicts
 
 
 def test_g_axioms_examples(free1):
