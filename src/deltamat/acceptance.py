@@ -14,7 +14,7 @@ import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 from typing import Callable
 
@@ -154,8 +154,8 @@ def criterion_rank_axioms() -> str:
     pairs = [i for i, s in enumerate(sets2) if s.size == 2]
     reconstructed = 0
     tables = 0
-    for singleton_vals in _product_values((-1, 1), len(singles)):
-        for pair_vals in _product_values((-2, 0, 2), len(pairs)):
+    for singleton_vals in product((-1, 1), repeat=len(singles)):
+        for pair_vals in product((-2, 0, 2), repeat=len(pairs)):
             values = [0] * len(sets2)
             for i, v in zip(singles, singleton_vals):
                 values[i] = v
@@ -174,15 +174,6 @@ def criterion_rank_axioms() -> str:
         f"{forward} valid instances round-trip; {tables} candidate tables scanned, "
         f"{reconstructed} axiom-passing tables all reconstruct"
     )
-
-
-def _product_values(choices, length):
-    if length == 0:
-        yield ()
-        return
-    for head in choices:
-        for tail in _product_values(choices, length - 1):
-            yield (head,) + tail
 
 
 def criterion_upoly_consistency() -> str:
@@ -417,8 +408,8 @@ def criterion_h_systems() -> str:
     singles = [i for i, s in enumerate(sets2) if s.size == 1]
     pairs = [i for i, s in enumerate(sets2) if s.size == 2]
     converse_hits = {"bouchet": 0, "allys": 0}
-    for singleton_vals in _product_values((0, 1), len(singles)):
-        for pair_vals in _product_values((0, 1, 2), len(pairs)):
+    for singleton_vals in product((0, 1), repeat=len(singles)):
+        for pair_vals in product((0, 1, 2), repeat=len(pairs)):
             values = [0] * len(sets2)
             for i, v in zip(singles, singleton_vals):
                 values[i] = v

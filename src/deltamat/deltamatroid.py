@@ -24,11 +24,10 @@ from . import lp
 from .ground import (
     AdmissibleSet,
     SignedPermutation,
-    admissible_index,
     canonical_codes,
+    canonical_positions,
     canonical_sizes,
     check_guard,
-    dot,
     enumerate_admissible,
 )
 
@@ -56,11 +55,6 @@ class RankTable:
     def __post_init__(self) -> None:
         if len(self.values) != 3**self.n:
             raise ValueError(f"table needs 3^{self.n} = {3 ** self.n} values, got {len(self.values)}")
-
-    def value(self, s: AdmissibleSet) -> int:
-        if s.n != self.n:
-            raise ValueError("set belongs to a different ground size")
-        return self.values[admissible_index(self.n)[(s.pos, s.neg)]]
 
     def items(self):
         return zip(enumerate_admissible(self.n), self.values)
@@ -293,46 +287,51 @@ class DeltaMatroid:
     def lattice_point_test(self) -> bool:
         """Do the lattice points of the half-sum polytope match the independent sets?
 
-        The candidate points are the signed indicators e_S; membership is the
-        system <e_T, e_S> <= h(T) over all nonempty admissible T.
+        e_S is inside when max over T of <e_T, e_S> - h(T) is <= 0 (the empty T
+        adds 0 <= 0).  The dot product splits by coordinate, so one max-plus
+        pass per coordinate over -h by code gives that maximum for every S in
+        O(n 3^n).  For any nonempty family the answer is yes when g is right:
+        T = S forces h(S) = |S|, and an S inside a feasible B meets every T in
+        at most h(T) elements.  So a no means a wrong rank table.
         """
-        check_guard(self.n)
-        h = self.h_table()
-        nonempty = [t for t in enumerate_admissible(self.n) if t.size > 0]
-        hvals = [h.value(t) for t in nonempty]
-        inside = {
-            s
-            for s in enumerate_admissible(self.n)
-            if all(dot(t, s) <= hv for t, hv in zip(nonempty, hvals))
-        }
-        return inside == set(self.independents())
+        n = self.n
+        g, sizes = self.rank_table().values, canonical_sizes(n)
+        vals = [-((g[p] + sizes[p]) // 2) for p in canonical_positions(n)]
+        for _ in range(n):
+            absent, plus, minus = vals[0::3], vals[1::3], vals[2::3]
+            vals = list(map(max, absent * 3, _signs(minus, plus)))
+        return all((vals[c] <= 0) == (gv == sz) for c, gv, sz in zip(canonical_codes(n), g, sizes))
+
+
+def _signs(lo: list[int], hi: list[int]) -> list[int]:
+    """One max-plus coordinate: from the blocks of its two signs to the three states.
+
+    With ``lo`` at the barred sign and ``hi`` at the unbarred one, absent
+    scores max(lo, hi), +i max(lo - 1, hi + 1) and -i max(lo + 1, hi - 1).
+    """
+    out = list(map(max, lo, hi))
+    out += [a - 1 if a > b + 2 else b + 1 for a, b in zip(lo, hi)]
+    out += [a + 1 if a + 2 > b else b - 1 for a, b in zip(lo, hi)]
+    return out
 
 
 def signed_rank_by_code(n: int, feasible: Iterable[int]) -> list[int]:
     """g(S) for all 3^n admissible sets, indexed by base-3 code, in O(n 3^n).
 
-    A Yates-style max-plus transform: start from 0 on the feasible masks and
-    a sentinel below -2n elsewhere, then turn one coordinate at a time from
-    a sign (lo = barred, hi = unbarred) into a state of S at that index:
-    absent gives max(lo, hi), +i gives max(lo - 1, hi + 1) and -i gives
-    max(lo + 1, hi - 1).  The sentinel never wins: a start at -2n - 1 gains
-    at most n, and every S scores at least -n against a feasible set.  See
+    A max-plus form of Yates' transform: start from 0 on the feasible masks
+    and a sentinel below -2n elsewhere, then turn one coordinate at a time
+    from a sign into a state of S (``_signs``).  Each pass splits off the
+    lowest remaining bit with strided slices and puts the new state on top,
+    so after n passes the entries are in code order (Good's shuffle form of
+    the transform).  The sentinel never wins: a start at -2n - 1 gains at
+    most n, and every S scores at least -n against a feasible set.  See
     ``canonical_codes`` for the codes.
     """
     vals = [-2 * n - 1] * (1 << n)
     for p in feasible:
         vals[p] = 0
-    width = 1  # 3^k after k coordinates
     for _ in range(n):
-        out: list[int] = []
-        for start in range(0, len(vals), 2 * width):
-            lo = vals[start : start + width]
-            hi = vals[start + width : start + 2 * width]
-            out += map(max, lo, hi)
-            out += [a - 1 if a > b + 2 else b + 1 for a, b in zip(lo, hi)]
-            out += [a + 1 if a + 2 > b else b - 1 for a, b in zip(lo, hi)]
-        vals = out
-        width *= 3
+        vals = _signs(vals[0::2], vals[1::2])
     return vals
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, repeat
+from math import comb
 from typing import Iterable
 
 DEFAULT_GUARD_LIMIT = 16
@@ -152,35 +153,23 @@ def dot(s: AdmissibleSet, t: AdmissibleSet) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_admissible(n: int) -> tuple[AdmissibleSet, ...]:
-    """All 3^n admissible sets in canonical order (size, then signed lex)."""
-    check_guard(n)
-    sets = []
-    for states in product((0, 1, 2), repeat=n):
-        pos = neg = 0
-        for i, st in enumerate(states):
-            if st == 1:
-                pos |= 1 << i
-            elif st == 2:
-                neg |= 1 << i
-        sets.append(AdmissibleSet(n, pos, neg))
-    sets.sort(key=AdmissibleSet.sort_key)
-    return tuple(sets)
-
-
-@lru_cache(maxsize=None)
 def canonical_codes(n: int) -> tuple[int, ...]:
-    """Base-3 code of each set in canonical order.
+    """Base-3 code of each set in canonical order (size, then signed lex).
 
     The code of S is sum(state_i * 3^i) over indices i = 0..n-1, where state
-    0 leaves index i+1 out, 1 takes it unbarred and 2 takes it barred.  Rank
-    tables are computed in code order and read out through this permutation.
+    0 leaves index i+1 out, 1 takes it unbarred and 2 takes it barred.  The
+    k-sets on indices i+1 and up are +(i+1), then -(i+1), each followed by the
+    (k-1)-sets above i+1, then the k-sets above i+1.  Rank tables are computed
+    in code order and read out through this permutation.
     """
-    weight = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        weight[m] = weight[m ^ low] + 3 ** (low.bit_length() - 1)
-    return tuple(weight[s.pos] + 2 * weight[s.neg] for s in enumerate_admissible(n))
+    check_guard(n)
+    by_size = [[0]] + [[] for _ in range(n)]  # by_size[k]: the k-sets on the indices so far
+    for i in reversed(range(n)):
+        unit = 3**i
+        for k in range(n - i, 0, -1):  # by_size[k - 1] still ranges above i
+            tails = by_size[k - 1]
+            by_size[k] = [unit + c for c in tails] + [2 * unit + c for c in tails] + by_size[k]
+    return tuple(chain.from_iterable(by_size))
 
 
 @lru_cache(maxsize=None)
@@ -190,6 +179,7 @@ def canonical_positions(n: int) -> tuple[int, ...]:
     The inverse of ``canonical_codes``: adding k·3^i to the code of a set
     that leaves index i+1 out adds i+1 (k = 1) or its bar (k = 2).
     """
+    check_guard(n)
     position = [0] * 3**n
     for p, code in enumerate(canonical_codes(n)):
         position[code] = p
@@ -198,14 +188,20 @@ def canonical_positions(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def canonical_sizes(n: int) -> tuple[int, ...]:
-    """Size of each set in canonical order."""
-    return tuple(s.size for s in enumerate_admissible(n))
+    """Size of each set in canonical order: C(n, k)·2^k sets of each size k."""
+    check_guard(n)
+    return tuple(chain.from_iterable(repeat(k, comb(n, k) << k) for k in range(n + 1)))
 
 
 @lru_cache(maxsize=None)
-def admissible_index(n: int) -> dict[tuple[int, int], int]:
-    """Map (pos, neg) -> position in the canonical enumeration."""
-    return {(s.pos, s.neg): i for i, s in enumerate(enumerate_admissible(n))}
+def enumerate_admissible(n: int) -> tuple[AdmissibleSet, ...]:
+    """All 3^n admissible sets in canonical order, decoded from ``canonical_codes``."""
+    check_guard(n)
+    pos, neg = [0], [0]  # bitmasks by code, one index at a time
+    for i in range(n):
+        bit = 1 << i
+        pos, neg = pos + [p | bit for p in pos] + pos, neg + neg + [q | bit for q in neg]
+    return tuple(AdmissibleSet(n, pos[c], neg[c]) for c in canonical_codes(n))
 
 
 @dataclass(frozen=True)

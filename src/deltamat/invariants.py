@@ -101,7 +101,8 @@ def independence_fvector(d: DeltaMatroid) -> FVector:
 
     Every feasible set is independent and has size n, so the largest size is n.
     """
-    return FVector.from_sizes([s.size for s in d.independents()])
+    g = d.rank_table().values
+    return FVector.from_sizes([size for size, gv in zip(canonical_sizes(d.n), g) if gv == size])
 
 
 def pure_o_inequalities(f: FVector) -> AxiomReport:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .deltamatroid import DeltaMatroid
 from .ground import AdmissibleSet, GuardLimitError, check_guard, enumerate_admissible
@@ -113,12 +113,16 @@ class Matroid:
 
 
 def validate_matroid(m: Matroid) -> AxiomReport:
-    """Basis exchange: for x in B1 - B2 some y in B2 - B1 rebalances B1.
+    """Basis exchange: for x in B1 - B2 some y in B2 - B1 rebalances B1."""
+    return AxiomReport.from_violations(list(_exchange_violations(m)))
+
+
+def _exchange_violations(m: Matroid) -> Iterator[Violation]:
+    """Each (B1, B2, x) with no exchange, lazily, so a caller may stop at the first.
 
     Bases are read as bitmasks over the ground tuple.  The ground is sorted
     by element order, so the failing x of a pair come out in that order.
     """
-    out: list[Violation] = []
     bit = {e: 1 << k for k, e in enumerate(m.ground)}
     masks = [sum(bit[e] for e in b) for b in m.bases]
     bases = set(masks)
@@ -132,8 +136,7 @@ def validate_matroid(m: Matroid) -> AxiomReport:
             lost, gained = m1 & ~m2, m2 & ~m1
             for k in inside:
                 if lost >> k & 1 and not repairs[k] & gained:
-                    out.append(Violation("basis-exchange", (b1, b2), m.ground[k], 0))
-    return AxiomReport.from_violations(out)
+                    yield Violation("basis-exchange", (b1, b2), m.ground[k], 0)
 
 
 def rank_generating(m: Matroid) -> MultiPoly:
@@ -416,7 +419,7 @@ def enveloping_search(d: DeltaMatroid, limit: int = 200_000) -> EnvelopeSearch:
                 return EnvelopeSearch("inconclusive", None, examined)
             examined += 1
             candidate = Matroid.signed(n, required + list(extras))
-            if not validate_matroid(candidate).passed:
+            if next(_exchange_violations(candidate), None) is not None:
                 continue
             if enveloping_check(candidate, d).passed:
                 return EnvelopeSearch("found", candidate, examined)

@@ -46,7 +46,6 @@ from typing import Iterator, Sequence
 from .deltamatroid import DeltaMatroid, RankTable
 from .ground import (
     AdmissibleSet,
-    admissible_index,
     canonical_codes,
     canonical_positions,
     canonical_sizes,
@@ -104,13 +103,16 @@ def pair_positions(n: int) -> Iterator[tuple[int, int, int, int, int]]:
     at i and j, and ``overlap`` counts the indices the two take with opposite
     signs, which the join drops.
     """
-    index = admissible_index(n)  # keys in canonical order
-    for i, (spos, sneg) in enumerate(index):
-        for j, (tpos, tneg) in enumerate(index):
+    masks = [(s.pos, s.neg) for s in enumerate_admissible(n)]
+    position = canonical_positions(n)
+    weight = [int(f"{m:b}", 3) for m in range(1 << n)]  # a bitmask's digits read in base 3
+    for i, (spos, sneg) in enumerate(masks):
+        for j, (tpos, tneg) in enumerate(masks):
             upos, uneg = spos | tpos, sneg | tneg
             conflict = upos & uneg
-            meet = index[spos & tpos, sneg & tneg]
-            yield i, j, meet, index[upos ^ conflict, uneg ^ conflict], conflict.bit_count()
+            meet = position[weight[spos & tpos] + 2 * weight[sneg & tneg]]
+            join = position[weight[upos ^ conflict] + 2 * weight[uneg ^ conflict]]
+            yield i, j, meet, join, conflict.bit_count()
 
 
 def step_positions(n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -180,11 +182,16 @@ def _locally_ok(table: RankTable, system: str) -> bool:
     return all(lhs >= rhs for lhs, rhs in sides)
 
 
+def _witness(n: int, *positions: int) -> tuple[AdmissibleSet, ...]:
+    """The sets at these canonical positions, built only to report a violation."""
+    sets = enumerate_admissible(n)
+    return tuple(sets[p] for p in positions)
+
+
 def _pair_violations(table: RankTable, system: str) -> list[Violation]:
     """Every ordered pair that fails the pair axiom, in canonical order."""
     axiom, c, w, disjoint = _PAIR_AXIOMS[system]
     v = table.values
-    sets = enumerate_admissible(table.n)
     out = []
     for pair in pair_positions(table.n):
         if disjoint and pair[4]:
@@ -193,7 +200,7 @@ def _pair_violations(table: RankTable, system: str) -> list[Violation]:
         if lhs < rhs:
             if c > 1:  # report in the table's units, e.g. halves for larson
                 lhs, rhs = Fraction(lhs, c), Fraction(rhs, c)
-            out.append(Violation(axiom, (sets[pair[0]], sets[pair[1]]), lhs, rhs))
+            out.append(Violation(axiom, _witness(table.n, pair[0], pair[1]), lhs, rhs))
     return out
 
 
@@ -204,21 +211,20 @@ def check_g_axioms(g: RankTable) -> AxiomReport:
     satisfies the midpoint criterion characterizing even delta-matroids; it
     does not affect ``passed``.
     """
-    sets = enumerate_admissible(g.n)
-    v = g.values
+    n, v = g.n, g.values
+    sizes = canonical_sizes(n)
     out: list[Violation] = []
     if v[0] != 0:
-        out.append(Violation("normalization", (sets[0],), v[0], 0))
-    for s, value in zip(sets, v):
-        if s.size == 1 and abs(value) > 1:
-            out.append(Violation("boundedness", (s,), 1, abs(value)))
-        if (value - s.size) % 2:
-            out.append(Violation("parity", (s,), value, s.size))
+        out.append(Violation("normalization", _witness(n, 0), v[0], 0))
+    for p, (size, value) in enumerate(zip(sizes, v)):
+        if size == 1 and abs(value) > 1:
+            out.append(Violation("boundedness", _witness(n, p), 1, abs(value)))
+        if (value - size) % 2:
+            out.append(Violation("parity", _witness(n, p), value, size))
     if not _locally_ok(g, "g"):
         out.extend(_pair_violations(g, "g"))
-    sizes = canonical_sizes(g.n)
     even = all(
-        2 * v[i] == v[plus] + v[minus] for i, _, plus, minus in step_positions(g.n) if sizes[i] == g.n - 1
+        2 * v[i] == v[plus] + v[minus] for i, _, plus, minus in step_positions(n) if sizes[i] == n - 1
     )
     return AxiomReport.from_violations(out, even=even)
 
@@ -237,27 +243,26 @@ def check_h_axioms(h: RankTable, system: str) -> AxiomReport:
     """Verify one of the three characterizations of shifted rank functions."""
     if system not in H_SYSTEMS:
         raise ValueError(f"unknown h-axiom system {system!r}; pick one of {H_SYSTEMS}")
-    sets = enumerate_admissible(h.n)
-    v = h.values
+    n, v = h.n, h.values
     out: list[Violation] = []
     if v[0] != 0:
-        out.append(Violation(f"{system}-normalization", (sets[0],), v[0], 0))
+        out.append(Violation(f"{system}-normalization", _witness(n, 0), v[0], 0))
     if system == "larson":
-        for s, value in zip(sets, v):
-            if s.size == 1 and value not in (0, 1):
-                out.append(Violation("larson-boundedness", (s,), value, 0))
+        for p, (size, value) in enumerate(zip(canonical_sizes(n), v)):
+            if size == 1 and value not in (0, 1):
+                out.append(Violation("larson-boundedness", _witness(n, p), value, 0))
     else:
-        for i, _, plus, minus in step_positions(h.n):
+        for i, _, plus, minus in step_positions(n):
             for up in (plus, minus):
                 if v[up] not in _unit_step(v, i):
-                    out.append(Violation(f"{system}-unit-step", (sets[i], sets[up]), v[up], v[i]))
+                    out.append(Violation(f"{system}-unit-step", _witness(n, i, up), v[up], v[i]))
     if not _locally_ok(h, system):
         out.extend(_pair_violations(h, system))
     if system == "bouchet":
-        for pair in _step_pairs(h.n):
+        for pair in _step_pairs(n):
             lhs, rhs = _pair_sides(v, *_PAIR_STEP, *pair)
             if lhs < rhs:
-                out.append(Violation("bouchet-pair-step", (sets[pair[2]],), lhs, rhs))
+                out.append(Violation("bouchet-pair-step", _witness(n, pair[2]), lhs, rhs))
     return AxiomReport.from_violations(out)
 
 

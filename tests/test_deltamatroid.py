@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from deltamat.deltamatroid import DeltaMatroid, all_full_size_masks
-from deltamat.ground import AdmissibleSet, SignedPermutation, combine, enumerate_admissible
+from deltamat.ground import AdmissibleSet, SignedPermutation, combine, dot, enumerate_admissible
 
 from conftest import oracle_families, sset
 
@@ -184,6 +184,21 @@ def test_lattice_point_test(tripod, coloop1, free1):
     assert free1.lattice_point_test()
     assert tripod.lattice_point_test()
     assert coloop1.lattice_point_test()
+
+
+def lattice_oracle(d: DeltaMatroid) -> bool:
+    """The per-set test: e_S is inside when <e_T, e_S> <= h(T) for every nonempty T."""
+    sets = enumerate_admissible(d.n)
+    nonempty = [(t, hv) for t, hv in zip(sets, d.h_table().values) if t.size > 0]
+    inside = {s for s in sets if all(dot(t, s) <= hv for t, hv in nonempty)}
+    return inside == set(d.independents())
+
+
+def test_lattice_point_test_matches_dot_oracle():
+    for d in oracle_families():
+        verdict = lattice_oracle(d)
+        assert verdict, d  # yes for every nonempty family, valid or not
+        assert d.lattice_point_test() == verdict, d
 
 
 def test_validators_agree_on_random_families():

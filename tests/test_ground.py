@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from deltamat.ground import (
     GuardLimitError,
     SignedPermutation,
     canonical_codes,
+    canonical_positions,
     canonical_sizes,
     combine,
     dot,
@@ -42,23 +45,39 @@ def test_enumerate_counts_and_order():
     assert keys == sorted(keys)
 
 
+def sorted_product(n: int) -> list[AdmissibleSet]:
+    """The canonical order built the slow way: every state vector, sorted by sort_key."""
+    sets = []
+    for states in product((0, 1, 2), repeat=n):
+        pos = sum(1 << i for i, st in enumerate(states) if st == 1)
+        neg = sum(1 << i for i, st in enumerate(states) if st == 2)
+        sets.append(AdmissibleSet(n, pos, neg))
+    return sorted(sets, key=AdmissibleSet.sort_key)
+
+
 def test_canonical_codes_decode_to_the_canonical_sets():
-    for n in range(6):
+    for n in range(8):
+        oracle = sorted_product(n)
+        assert enumerate_admissible(n) == tuple(oracle)
+        assert canonical_sizes(n) == tuple(s.size for s in oracle)
         codes = canonical_codes(n)
-        assert sorted(codes) == list(range(3**n))
-        for s, code in zip(enumerate_admissible(n), codes):
+        for s, code in zip(oracle, codes):
             digits = [code // 3**i % 3 for i in range(n)]
             assert s.pos == sum(1 << i for i, dg in enumerate(digits) if dg == 1)
             assert s.neg == sum(1 << i for i, dg in enumerate(digits) if dg == 2)
-        assert canonical_sizes(n) == tuple(s.size for s in enumerate_admissible(n))
+        assert [canonical_positions(n)[c] for c in codes] == list(range(3**n))
 
 
 def test_guard_limit_and_override(monkeypatch):
     with pytest.raises(GuardLimitError):
         enumerate_admissible(17)
+    builders = (canonical_codes, canonical_positions, canonical_sizes, enumerate_admissible)
+    for builder in builders:
+        builder(3)  # a cached callee does not check the limit again
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")
-    with pytest.raises(GuardLimitError):
-        enumerate_admissible.__wrapped__(3)
+    for builder in builders:
+        with pytest.raises(GuardLimitError):
+            builder.__wrapped__(3)
 
 
 def test_combine_examples():

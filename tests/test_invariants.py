@@ -59,6 +59,8 @@ def test_table_invariants_match_defining_sums():
             key = ((n - d._g(p, ((1 << n) - 1) & ~p)) // 2,)
             slice_[key] = slice_.get(key, 0) + 1
         assert interlace(d) == MultiPoly(("v",), slice_), d
+        independent_sizes = [s.size for s in enumerate_admissible(n) if d.is_independent(s)]
+        assert independence_fvector(d) == FVector.from_sizes(independent_sizes), d
 
 
 def test_upoly_pivot_invariance():

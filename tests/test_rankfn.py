@@ -6,6 +6,7 @@ import pytest
 
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.ground import combine, enumerate_admissible
+from deltamat.invariants import independence_fvector, interlace, upoly_direct
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.rankfn import (
     H_SYSTEMS,
@@ -118,6 +119,20 @@ def test_rank_axioms_decide_validity():
         verdicts.add((d.n, valid))
     # every family at n <= 2 is a delta-matroid
     assert {(n, v) for n in range(3, 7) for v in (True, False)} <= verdicts
+
+
+def test_table_paths_build_no_set_objects():
+    # set objects are for I/O and violation witnesses only; no table path builds them
+    d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
+    enumerate_admissible.cache_clear()
+    g, h = d.rank_table(), d.h_table()
+    upoly_direct(d)
+    interlace(d)
+    independence_fvector(d)
+    assert d.lattice_point_test()
+    assert check_g_axioms(g).passed
+    assert all(check_h_axioms(h, system).passed for system in H_SYSTEMS)
+    assert enumerate_admissible.cache_info().misses == 0
 
 
 def test_g_axioms_examples(free1):
