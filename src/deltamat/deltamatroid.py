@@ -8,17 +8,27 @@ order on construction, so equality of values is equality of families.
 
 Validity is *not* enforced on construction: invalid families are useful as
 negative fixtures.  Two validators are provided and must agree: a symmetric
-exchange check on the unbarred parts (fast path) and a polytopal check that
-every hull edge between feasible indicator vectors moves at most two
-coordinates.  A pair [a, b] is an edge exactly when b - a lies outside the
-cone spanned by the directions from a to the other feasible vectors, which
-an exact standard-form LP decides (`lp.pair_is_edge`).
+exchange check on the unbarred parts and a polytopal check that every hull
+edge between feasible indicator vectors moves at most two coordinates.
+
+The polytopal check settles most pairs without an LP.  If another feasible
+pair {p, q} has the same sum as ±1 vectors, a + b = p + q, then [a, b] and
+[p, q] share a midpoint, so [a, b] is not an edge: a linear functional
+maximal on the polytope exactly along [a, b] would be maximal at that
+midpoint, hence at p and at q, but no other cube vertex lies on [a, b].  A
+pair without such a certificate goes to the LP in the smallest cube face
+holding a and b.  That face meets the polytope in one of its faces, and a
+segment inside a face is an edge of the face exactly when it is an edge of
+the polytope.  There [a, b] is an edge exactly when b - a lies outside the
+cone spanned by the directions from a to the other feasible vectors of the
+face, which an exact standard-form LP decides (`lp.pair_is_edge`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import lp
 from .ground import (
@@ -116,46 +126,75 @@ class DeltaMatroid:
         raise ValueError(f"unknown validation method {method!r}")
 
     def _validate_exchange(self) -> ValidationReport:
-        fam = set(self.feasible)
-        for x_mask in self.feasible:
-            for y_mask in self.feasible:
-                diff = x_mask ^ y_mask
-                bits = _bits(diff)
-                for bx in bits:
-                    if (x_mask ^ bx) in fam:
-                        continue
-                    if any(by != bx and (x_mask ^ bx ^ by) in fam for by in bits):
-                        continue
-                    witness = (
-                        self._as_set(x_mask),
-                        self._as_set(y_mask),
-                        bx.bit_length(),
-                    )
-                    return ValidationReport(
-                        False,
-                        "exchange",
-                        witness,
-                        "no exchange for index %d between {%s} and {%s}"
-                        % (bx.bit_length(), witness[0].render(), witness[1].render()),
-                    )
+        """For feasible x, y and i in x △ y, some j in x △ y has x △ {i, j} feasible.
+
+        Fix x and i, and let z = x △ {i}.  If z is feasible (j = i), no y fails
+        at i.  Otherwise let ``mask`` hold the j with z △ {j} feasible; it
+        holds i, since z △ {i} = x.  A y fails at i exactly when it agrees with
+        z on ``mask``: it differs from x at i and at no other j of ``mask``.
+        So the set of projections y & mask decides every y at once.  Those
+        sets are kept per mask, few in practice; their sizes add up to at
+        most 3^n, as a mask of k indices has at most 2^k projections.  The
+        witness is the lowest failing index of the first failing y.
+        """
+        feasible = self.feasible
+        fam = set(feasible)
+        flips = [1 << i for i in range(self.n)]
+        projections: dict[int, set[int]] = {}
+        for x_mask in feasible:
+            failures = []
+            for bit in flips:
+                z = x_mask ^ bit
+                if z in fam:
+                    continue
+                mask = sum(b for b in flips if z ^ b in fam)
+                if mask not in projections:
+                    projections[mask] = {y & mask for y in feasible}
+                target = z & mask
+                if target in projections[mask]:
+                    first = next(k for k, y in enumerate(feasible) if y & mask == target)
+                    failures.append((first, bit.bit_length()))
+            if failures:
+                first, index = min(failures)
+                x_set, y_set = self._as_set(x_mask), self._as_set(feasible[first])
+                return ValidationReport(
+                    False,
+                    "exchange",
+                    (x_set, y_set, index),
+                    "no exchange for index %d between {%s} and {%s}"
+                    % (index, x_set.render(), y_set.render()),
+                )
         return ValidationReport(True, "exchange")
 
     def _validate_polytope(self) -> ValidationReport:
-        vectors = [tuple(1 if p >> i & 1 else -1 for i in range(self.n)) for p in self.feasible]
-        for i in range(len(self.feasible)):
-            for j in range(i + 1, len(self.feasible)):
-                support = (self.feasible[i] ^ self.feasible[j]).bit_count()
-                if support <= 2:
-                    continue
-                if lp.pair_is_edge(vectors, i, j):
-                    a, b = self._as_set(self.feasible[i]), self._as_set(self.feasible[j])
-                    return ValidationReport(
-                        False,
-                        "polytope",
-                        (a, b, support),
-                        "edge direction support %d between {%s} and {%s}"
-                        % (support, a.render(), b.render()),
-                    )
+        """Is every hull edge [a, b] between feasible sets of support |a △ b| <= 2?
+
+        Pairs are scanned in order and the first edge of support > 2 is the
+        witness.  ``_uncertified_pairs`` skips the pairs with a pair-sum
+        certificate, which are not edges.  Each remaining pair goes to the
+        exact LP, restricted to the smallest cube face holding a and b: the
+        feasible p that agree with a off d = a △ b, on the coordinates of d
+        only.  That face of the cube meets conv(F) in the face conv(F ∩ face)
+        of the polytope, and the edges of a face are the edges of the
+        polytope inside it (Ziegler, Lectures on Polytopes, §2), so the
+        verdict is exact.  The projected points are still distinct cube
+        vertices, as ``lp.pair_is_edge`` needs.
+        """
+        for a, b in _uncertified_pairs(self.feasible):
+            d = a ^ b
+            coords = [k for k in range(self.n) if d >> k & 1]
+            face = [p for p in self.feasible if not (p ^ a) & ~d]
+            points = [tuple(1 if p >> k & 1 else -1 for k in coords) for p in face]
+            if lp.pair_is_edge(points, face.index(a), face.index(b)):
+                support = len(coords)
+                a_set, b_set = self._as_set(a), self._as_set(b)
+                return ValidationReport(
+                    False,
+                    "polytope",
+                    (a_set, b_set, support),
+                    "edge direction support %d between {%s} and {%s}"
+                    % (support, a_set.render(), b_set.render()),
+                )
         return ValidationReport(True, "polytope")
 
     def _as_set(self, pos_mask: int) -> AdmissibleSet:
@@ -335,13 +374,27 @@ def signed_rank_by_code(n: int, feasible: Iterable[int]) -> list[int]:
     return vals
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
+def _uncertified_pairs(feasible: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b) of support > 2, in scan order, that no pair-sum certificate settles.
+
+    As ±1 vectors, a + b is 2 where both sets are unbarred, -2 where both are
+    barred and 0 elsewhere, so it is the key (a & b, a | b), packed here as
+    the base-3 number whose digit k counts the two sets unbarred at k (the
+    sum of the masks' digits read in base 3, with no carries).  If another
+    feasible pair {p, q} has the same sum, [a, b] and [p, q] share a midpoint,
+    so [a, b] is not an edge.  One count of keys over all pairs finds every
+    such pair in O(|F|^2) with at most min(|F|^2, 3^n) keys; keys of
+    different supports never meet, since the support is the number of 1
+    digits.  The test reads only membership in F, not the exchange axiom.
+    """
+    keys = [int(f"{p:b}", 3) for p in feasible]
+    sums = Counter()
+    for i, ka in enumerate(keys):
+        sums.update([ka + kb for kb in keys[i + 1 :]])
+    for i, (a, ka) in enumerate(zip(feasible, keys)):
+        rest = zip(feasible[i + 1 :], keys[i + 1 :])
+        for b in [b for b, kb in rest if sums[ka + kb] == 1 and (a ^ b).bit_count() > 2]:
+            yield a, b
 
 
 def all_full_size_masks(n: int) -> tuple[int, ...]:

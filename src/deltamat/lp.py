@@ -91,6 +91,10 @@ def pair_is_edge(points: Sequence[Sequence[int]], i: int, j: int) -> bool:
     tangent cone at the vertex a is pointed, and no three cube vertices lie
     on one line, so [a, b] is an edge exactly when b - a is not a nonnegative
     combination of the directions p - a to the other points.
+
+    The polytope validator passes only the feasible sets in the smallest cube
+    face holding a and b, projected to the coordinates where a and b differ;
+    they stay distinct cube vertices of that lower dimension.
     """
     a = points[i]
     others = [[x - y for x, y in zip(p, a)] for k, p in enumerate(points) if k not in (i, j)]

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from contextlib import redirect_stdout
 
 import pytest
@@ -37,6 +38,29 @@ def test_validate(dex_file, tmp_path):
     assert out.startswith("FAIL: edge direction support 3 between")
     code, out = run(["validate", str(bad), "--method", "exchange"])
     assert code == 1 and out.startswith("FAIL: no exchange for index")
+
+
+def test_validate_gf2_n10_finishes(tmp_path):
+    # plain validate runs both validators; with one LP per pair of feasible
+    # sets, the polytope half took minutes on this instance (|F| = 425)
+    n, rng = 10, random.Random(1)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(0, 1)
+    matrix = tmp_path / "a.gf2"
+    matrix.write_text(f"gf2 {n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    code, text = run(["from-gf2", str(matrix)])
+    assert code == 0 and text.count("feasible") == 425
+    valid = tmp_path / "a.dm"
+    valid.write_text(text)
+    assert run(["validate", str(valid)]) == (0, "PASS\n")
+    spoiled = tmp_path / "spoiled.dm"
+    spoiled.write_text(text + "feasible 1 2 3 4 5 6 7 8 9 10\n")
+    assert run(["validate", str(spoiled)]) == (
+        1,
+        "FAIL: edge direction support 3 between {1 2 3 4 5 6 7 8 9 10} and {1 2 3 4 5 6 -7 8 -9 -10}\n",
+    )
 
 
 def test_parse_and_usage_errors(tmp_path):

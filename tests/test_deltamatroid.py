@@ -1,10 +1,12 @@
 import random
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
-from deltamat.deltamatroid import DeltaMatroid, all_full_size_masks
+from deltamat import lp
+from deltamat.deltamatroid import DeltaMatroid, ValidationReport, _uncertified_pairs, all_full_size_masks
 from deltamat.ground import AdmissibleSet, SignedPermutation, combine, dot, enumerate_admissible
+from deltamat.randgen import random_valid
 
 from conftest import oracle_families, sset
 
@@ -225,3 +227,98 @@ def test_exchange_witness_is_recheckable():
         if diff >> t & 1 and other != bit:
             fixes.append(x_mask ^ bit ^ other)
     assert not any(f in fam for f in fixes)
+
+
+def exchange_oracle(d: DeltaMatroid) -> ValidationReport:
+    """The exchange loop over every x, y and every index of x △ y, lowest first."""
+    fam = set(d.feasible)
+    for x in d.feasible:
+        for y in d.feasible:
+            bits = [1 << k for k in range(d.n) if (x ^ y) >> k & 1]
+            for bx in bits:
+                if x ^ bx in fam or any(by != bx and x ^ bx ^ by in fam for by in bits):
+                    continue
+                xs, ys, index = d._as_set(x), d._as_set(y), bx.bit_length()
+                message = "no exchange for index %d between {%s} and {%s}" % (index, xs.render(), ys.render())
+                return ValidationReport(False, "exchange", (xs, ys, index), message)
+    return ValidationReport(True, "exchange")
+
+
+def _vectors(d: DeltaMatroid) -> list[tuple[int, ...]]:
+    return [tuple(1 if p >> k & 1 else -1 for k in range(d.n)) for p in d.feasible]
+
+
+def polytope_oracle(d: DeltaMatroid) -> ValidationReport:
+    """One full-dimensional LP per pair of support > 2, in scan order."""
+    vectors = _vectors(d)
+    for (i, a), (j, b) in combinations(enumerate(d.feasible), 2):
+        support = (a ^ b).bit_count()
+        if support > 2 and lp.pair_is_edge(vectors, i, j):
+            xs, ys = d._as_set(a), d._as_set(b)
+            message = "edge direction support %d between {%s} and {%s}" % (support, xs.render(), ys.render())
+            return ValidationReport(False, "polytope", (xs, ys, support), message)
+    return ValidationReport(True, "polytope")
+
+
+def validator_families(top: int = 6):
+    """Every family at n <= 3, then seeded gf2 outputs at n = 4..top, each with its one-set spoilings.
+
+    A spoiling adds one absent set or drops one feasible set; about eight of
+    each kind are taken, evenly spaced.
+    """
+    for n in range(4):
+        for k in range(1, (1 << n) + 1):
+            for fam in combinations(range(1 << n), k):
+                yield DeltaMatroid(n, fam)
+    rng = random.Random(2718)
+    for n in range(4, top + 1):
+        for _ in range(3):
+            d = random_valid(rng, n, "gf2")
+            yield d
+            absent = [m for m in range(1 << n) if m not in d.feasible]
+            for m in absent[:: max(1, len(absent) // 8)]:
+                yield DeltaMatroid(n, d.feasible + (m,))
+            if len(d.feasible) > 1:
+                for m in d.feasible[:: max(1, len(d.feasible) // 8)]:
+                    yield DeltaMatroid(n, [p for p in d.feasible if p != m])
+
+
+def test_validators_match_per_pair_oracles():
+    verdicts = {}
+    for d in validator_families():
+        exchange, polytope = d.validate("exchange"), d.validate("polytope")
+        assert exchange == exchange_oracle(d), d
+        assert polytope == polytope_oracle(d), d
+        assert exchange.ok == polytope.ok, d
+        verdicts.setdefault(d.n, set()).add(exchange.ok)
+    assert all(verdicts[n] == {True, False} for n in range(3, 7)), verdicts
+
+
+def test_pair_sum_certificate_skips_only_non_edges():
+    for d in validator_families(top=5):
+        vectors = _vectors(d)
+        candidates = [(a, b) for a, b in combinations(d.feasible, 2) if (a ^ b).bit_count() > 2]
+        uncertified = list(_uncertified_pairs(d.feasible))
+        assert uncertified == [pair for pair in candidates if pair in uncertified], d  # scan order
+        position = {p: i for i, p in enumerate(d.feasible)}
+        for a, b in set(candidates) - set(uncertified):
+            assert not lp.pair_is_edge(vectors, position[a], position[b]), (d, a, b)
+    # in the free delta-matroid, swapping one index of a △ b between a and b
+    # gives a second pair with the same sum, so no pair reaches the LP
+    for n in range(3, 7):
+        assert list(_uncertified_pairs(tuple(range(1 << n)))) == []
+
+
+def test_face_lp_fallback_returns_both_verdicts(monkeypatch):
+    verdicts = []
+    pair_is_edge = lp.pair_is_edge
+
+    def counting(points, i, j):
+        verdicts.append(pair_is_edge(points, i, j))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lp, "pair_is_edge", counting)
+    for d in chain(validator_families(), oracle_families()):
+        d.validate("polytope")
+    edges, non_edges = verdicts.count(True), verdicts.count(False)
+    assert edges >= 20 and non_edges >= 20, (edges, non_edges)
