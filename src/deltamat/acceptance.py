@@ -12,13 +12,13 @@ import io
 import random
 import tempfile
 from contextlib import redirect_stdout
-from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, product
 from pathlib import Path
 from typing import Callable
 
 from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks
+from .formats import serialize_value
 from .ground import AdmissibleSet, SignedPermutation, enumerate_admissible
 from .invariants import (
     activity,
@@ -50,7 +50,7 @@ from .matroid import (
 )
 from .poly import MultiPoly
 from .randgen import random_delta_matroids
-from .rankfn import check_g_axioms, check_h_axioms, delta_from_rank, greedy_check
+from .rankfn import H_SYSTEMS, check_g_axioms, check_h_axioms, delta_from_rank, greedy_check
 
 
 class CheckFailure(Exception):
@@ -67,6 +67,16 @@ def _first(report) -> str:
     return report.violations[0].render() if report.violations else "(no witness)"
 
 
+def _run_cli(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI run."""
+    from . import cli
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
 # -- shared fixtures -----------------------------------------------------------
 
 TRIPOD = DeltaMatroid.from_signed_lists(3, [[1, -2, -3], [-1, 2, -3], [-1, -2, 3]])
@@ -79,17 +89,32 @@ def free_delta(n: int) -> DeltaMatroid:
     return DeltaMatroid(n, range(1 << n))
 
 
+def _all_families(n: int):
+    """Every nonempty family of full-size sets on ground size n, valid or not."""
+    masks = all_full_size_masks(n)
+    for k in range(1, len(masks) + 1):
+        for fam in combinations(masks, k):
+            yield DeltaMatroid(n, fam)
+
+
 @lru_cache(maxsize=None)
 def valid_delta_matroids(n: int) -> tuple[DeltaMatroid, ...]:
     """Every valid delta-matroid on ground size n, by exhaustive filtering."""
-    masks = all_full_size_masks(n)
-    out = []
-    for k in range(1, len(masks) + 1):
-        for fam in combinations(masks, k):
-            d = DeltaMatroid(n, fam)
-            if d.validate("exchange").ok:
-                out.append(d)
-    return tuple(out)
+    return tuple(d for d in _all_families(n) if d.validate("exchange").ok)
+
+
+def _small_valid():
+    """Every valid delta-matroid at n <= 3."""
+    for n in range(4):
+        yield from valid_delta_matroids(n)
+
+
+def _low_tables(n: int, single_values, pair_values):
+    """Every table at n <= 2 that is 0 at {} and takes the given values on the
+    2n singletons and the 2n(n-1) pairs (canonical order is by size)."""
+    for singles in product(single_values, repeat=2 * n):
+        for pairs in product(pair_values, repeat=2 * n * (n - 1)):
+            yield RankTable(n, (0,) + singles + pairs)
 
 
 def _compact_map(n: int, removed: set[int]):
@@ -105,71 +130,169 @@ def _compact_map(n: int, removed: set[int]):
     return kept, remap
 
 
+# -- the identity list ----------------------------------------------------------
+#
+# Each entry checks one identity or inequality of the paper on a valid
+# delta-matroid and returns its problem lines, [] when it holds.  ``scan``
+# prints the lines through sweep(); the criteria below fail on the first.
+
+
+class _Instance:
+    """A valid delta-matroid and the values several entries read, each computed once."""
+
+    def __init__(self, d: DeltaMatroid):
+        self.d = d
+
+    @cached_property
+    def direct(self) -> MultiPoly:
+        return upoly_direct(self.d)
+
+    @cached_property
+    def fvector(self):
+        return independence_fvector(self.d)
+
+
+def _enumerators(x: _Instance) -> list[str]:
+    return [] if x.direct == upoly_recursive(x.d) else ["direct and recursive enumerators differ"]
+
+
+def _activity_expansion(x: _Instance) -> list[str]:
+    expansion = activity_expansion(x.d)
+    problems = []
+    if expansion != substitute_v_minus_1(x.direct):
+        problems.append("activity expansion does not match the v-1 substitution")
+    if any(c < 0 for c in expansion.terms.values()):
+        problems.append("activity expansion has a negative coefficient")
+    return problems
+
+
+def _u_slice(x: _Instance) -> list[str]:
+    """The u-coefficients of the enumerator at v = 0 are the independence f-vector, reversed."""
+    n, fv = x.d.n, x.fvector.counts
+    at_zero = x.direct.substitute("v", MultiPoly.constant(0, ("v",)))
+    coeffs = at_zero.coefficient_list("u") + [0] * (n + 1)
+    if any(coeffs[n - k] != fv[k] for k in range(n + 1)):
+        return ["u-slice coefficients do not match the f-vector"]
+    return []
+
+
+def _lattice(x: _Instance) -> list[str]:
+    return [] if x.d.lattice_point_test() else ["lattice points do not match independent sets"]
+
+
+def _pure_o(x: _Instance) -> list[str]:
+    return [] if pure_o_inequalities(x.fvector).passed else ["pure O-sequence inequalities fail"]
+
+
+def _conjecture(x: _Instance) -> list[str]:
+    return conjecture_check(x.fvector.counts, x.d.n).violations()
+
+
+def _g_axioms(x: _Instance) -> list[str]:
+    return [] if check_g_axioms(x.d.rank_table()).passed else ["rank table fails the four axioms"]
+
+
+def _h_systems(x: _Instance) -> list[str]:
+    h = x.d.h_table()
+    return [
+        f"h table fails the {system} system"
+        for system in H_SYSTEMS
+        if not check_h_axioms(h, system).passed
+    ]
+
+
+IDENTITIES = [
+    ("enumerators", _enumerators),
+    ("activity-expansion", _activity_expansion),
+    ("u-slice", _u_slice),
+    ("lattice", _lattice),
+    ("pure-o", _pure_o),
+    ("conjecture", _conjecture),
+    ("g-axioms", _g_axioms),
+    ("h-systems", _h_systems),
+]
+# the sweep runs these only at n <= 4, where a table is small
+_AXIOM_ENTRIES = ("g-axioms", "h-systems")
+
+
+def sweep(d: DeltaMatroid) -> list[str]:
+    """Every problem ``scan`` reports on d, [] when all identities hold.
+
+    Both validators run first and an invalid family stops there; then every
+    entry runs in list order.
+    """
+    problems = []
+    exchange, polytope = d.validate("exchange"), d.validate("polytope")
+    if exchange.ok != polytope.ok:
+        problems.append("validators disagree")
+    if not exchange.ok:
+        return problems + [f"invalid: {exchange.message}"]
+    x = _Instance(d)
+    for name, check in IDENTITIES:
+        if d.n <= 4 or name not in _AXIOM_ENTRIES:
+            problems += check(x)
+    return problems
+
+
+def _hold(names: tuple[str, ...], draws=()) -> int:
+    """Run the named entries on every valid instance at n <= 3, then on the
+    seeded (instance, distribution) draws; raise CheckFailure on the first
+    problem, naming the instance, and return the instance count."""
+    checks = dict(IDENTITIES)
+    labelled = chain(
+        ((d, "") for d in _small_valid()),
+        ((d, f"random n={d.n} ({dist}) ") for d, dist in draws),
+    )
+    count = 0
+    for d, label in labelled:
+        x = _Instance(d)
+        for name in names:
+            problems = checks[name](x)
+            ensure(not problems, lambda: f"{problems[0]} on {label}{d!r}")
+        count += 1
+    return count
+
+
 # -- criteria -------------------------------------------------------------------
 
 
 def criterion_validator_equivalence() -> str:
-    checked = 0
-    for n in (1, 2):
-        masks = all_full_size_masks(n)
-        for k in range(1, len(masks) + 1):
-            for fam in combinations(masks, k):
-                d = DeltaMatroid(n, fam)
-                a, b = d.validate("exchange").ok, d.validate("polytope").ok
-                ensure(a == b, lambda: f"disagreement at n={n} family {fam}: exchange={a} polytope={b}")
-                checked += 1
-    masks3 = all_full_size_masks(3)
-    for k in range(1, len(masks3) + 1):  # exhaustive, a superset of the <= 4-set requirement
-        for fam in combinations(masks3, k):
-            d = DeltaMatroid(3, fam)
-            a, b = d.validate("exchange").ok, d.validate("polytope").ok
-            ensure(a == b, lambda: f"disagreement at n=3 family {fam}: exchange={a} polytope={b}")
-            checked += 1
     rng = random.Random(48103)
-    for i in range(10_000):
-        size = rng.randint(7, 16) if i % 20 == 0 else rng.randint(1, 6)
-        d = DeltaMatroid(4, rng.sample(range(16), size))
+    sizes = (rng.randint(7, 16) if i % 20 == 0 else rng.randint(1, 6) for i in range(10_000))
+    sampled = (DeltaMatroid(4, rng.sample(range(16), size)) for size in sizes)
+    checked = 0
+    # exhaustive at n <= 3 (a superset of the <= 4-set requirement), then sampled at n = 4
+    for d in chain(_all_families(1), _all_families(2), _all_families(3), sampled):
         a, b = d.validate("exchange").ok, d.validate("polytope").ok
-        ensure(a == b, lambda: f"disagreement at n=4 family {d.feasible}: exchange={a} polytope={b}")
+        ensure(a == b, lambda: f"disagreement at n={d.n} family {d.feasible}: exchange={a} polytope={b}")
         checked += 1
     return f"{checked} families compared, zero disagreements"
 
 
 def criterion_rank_axioms() -> str:
     forward = 0
-    for n in range(4):
-        for d in valid_delta_matroids(n):
-            table = d.rank_table()
-            report = check_g_axioms(table)
-            ensure(report.passed, lambda: f"axioms fail on a valid instance: {_first(report)}")
-            ensure(delta_from_rank(table) == d, lambda: f"round-trip failed for {d!r}")
-            ensure(
-                report.even == d.is_even(),
-                lambda: f"evenness criterion disagrees with parity check on {d!r}",
-            )
-            forward += 1
+    for d in _small_valid():
+        table = d.rank_table()
+        report = check_g_axioms(table)
+        ensure(report.passed, lambda: f"axioms fail on a valid instance: {_first(report)}")
+        ensure(delta_from_rank(table) == d, lambda: f"round-trip failed for {d!r}")
+        ensure(
+            report.even == d.is_even(),
+            lambda: f"evenness criterion disagrees with parity check on {d!r}",
+        )
+        forward += 1
     # backward, exhaustive at n = 2 over parity-consistent bounded tables
-    sets2 = enumerate_admissible(2)
-    singles = [i for i, s in enumerate(sets2) if s.size == 1]
-    pairs = [i for i, s in enumerate(sets2) if s.size == 2]
     reconstructed = 0
     tables = 0
-    for singleton_vals in product((-1, 1), repeat=len(singles)):
-        for pair_vals in product((-2, 0, 2), repeat=len(pairs)):
-            values = [0] * len(sets2)
-            for i, v in zip(singles, singleton_vals):
-                values[i] = v
-            for i, v in zip(pairs, pair_vals):
-                values[i] = v
-            table = RankTable(2, tuple(values))
-            tables += 1
-            if not check_g_axioms(table).passed:
-                continue
-            d = delta_from_rank(table)
-            ensure(d.validate("exchange").ok, lambda: f"reconstruction invalid (exchange): {d!r}")
-            ensure(d.validate("polytope").ok, lambda: f"reconstruction invalid (polytope): {d!r}")
-            ensure(d.rank_table() == table, lambda: f"reconstruction does not round-trip: {d!r}")
-            reconstructed += 1
+    for table in _low_tables(2, (-1, 1), (-2, 0, 2)):
+        tables += 1
+        if not check_g_axioms(table).passed:
+            continue
+        d = delta_from_rank(table)
+        ensure(d.validate("exchange").ok, lambda: f"reconstruction invalid (exchange): {d!r}")
+        ensure(d.validate("polytope").ok, lambda: f"reconstruction invalid (polytope): {d!r}")
+        ensure(d.rank_table() == table, lambda: f"reconstruction does not round-trip: {d!r}")
+        reconstructed += 1
     return (
         f"{forward} valid instances round-trip; {tables} candidate tables scanned, "
         f"{reconstructed} axiom-passing tables all reconstruct"
@@ -177,20 +300,7 @@ def criterion_rank_axioms() -> str:
 
 
 def criterion_upoly_consistency() -> str:
-    count = 0
-    for n in range(4):
-        for d in valid_delta_matroids(n):
-            ensure(
-                upoly_direct(d) == upoly_recursive(d),
-                lambda: f"direct and recursive enumerators differ on {d!r}",
-            )
-            count += 1
-    for d, dist in random_delta_matroids(100, 5, seed=52001):
-        ensure(
-            upoly_direct(d) == upoly_recursive(d),
-            lambda: f"direct and recursive enumerators differ on random n=5 ({dist}) {d!r}",
-        )
-        count += 1
+    count = _hold(("enumerators",), random_delta_matroids(100, 5, seed=52001))
     rng = random.Random(52002)
     pair_count = 0
     for _ in range(100):
@@ -221,44 +331,12 @@ def criterion_example_triangle() -> str:
 
 
 def criterion_activity_expansion() -> str:
-    count = 0
-    for n in range(4):
-        for d in valid_delta_matroids(n):
-            expansion = activity_expansion(d)
-            ensure(
-                expansion == substitute_v_minus_1(upoly_direct(d)),
-                lambda: f"activity expansion mismatch on {d!r}",
-            )
-            ensure(
-                all(c > 0 for c in expansion.terms.values()),
-                lambda: f"negative coefficient in expansion of {d!r}",
-            )
-            count += 1
-    for d, dist in random_delta_matroids(50, 5, seed=52003):
-        expansion = activity_expansion(d)
-        ensure(
-            expansion == substitute_v_minus_1(upoly_direct(d)),
-            lambda: f"activity expansion mismatch on random n=5 ({dist}) {d!r}",
-        )
-        ensure(all(c > 0 for c in expansion.terms.values()), lambda: f"negative coefficient for {d!r}")
-        count += 1
+    count = _hold(("activity-expansion",), random_delta_matroids(50, 5, seed=52003))
     return f"{count} instances match the v-1 substitution with non-negative coefficients"
 
 
 def criterion_fvector_lattice() -> str:
-    count = 0
-    for n in range(4):
-        for d in valid_delta_matroids(n):
-            fv = independence_fvector(d).counts
-            at_zero = upoly_direct(d).substitute("v", MultiPoly.constant(0, ("v",)))
-            coeffs = at_zero.coefficient_list("u") + [Fraction(0)] * (n + 1)
-            for k in range(n + 1):
-                ensure(
-                    coeffs[n - k] == fv[k],
-                    lambda: f"coefficient of u^{n - k} is {coeffs[n - k]}, f-vector says {fv[k]} on {d!r}",
-                )
-            ensure(d.lattice_point_test(), lambda: f"lattice points differ from independents on {d!r}")
-            count += 1
+    count = _hold(("u-slice", "lattice"))
     return f"{count} instances: u-slice coefficients and lattice points match face counts"
 
 
@@ -381,7 +459,7 @@ def _disjoint_pairs(index_range):
 
 @lru_cache(maxsize=None)
 def _signed_permutations(n: int) -> tuple[SignedPermutation, ...]:
-    from itertools import permutations, product
+    from itertools import permutations
 
     out = []
     for perm in permutations(range(1, n + 1)):
@@ -391,47 +469,20 @@ def _signed_permutations(n: int) -> tuple[SignedPermutation, ...]:
 
 
 def criterion_h_systems() -> str:
-    forward = 0
-    for n in range(4):
-        for d in valid_delta_matroids(n):
-            h = d.h_table()
-            for system in ("larson", "bouchet", "allys"):
-                report = check_h_axioms(h, system)
-                ensure(
-                    report.passed,
-                    lambda: f"{system} system fails on valid {d!r}: {_first(report)}",
-                )
-            forward += 1
-    # exhaustive converse at n <= 2: every bouchet/allys-passing table is some h_D
-    realized = {d.h_table().values: d for d in valid_delta_matroids(2)}
-    sets2 = enumerate_admissible(2)
-    singles = [i for i, s in enumerate(sets2) if s.size == 1]
-    pairs = [i for i, s in enumerate(sets2) if s.size == 2]
-    converse_hits = {"bouchet": 0, "allys": 0}
-    for singleton_vals in product((0, 1), repeat=len(singles)):
-        for pair_vals in product((0, 1, 2), repeat=len(pairs)):
-            values = [0] * len(sets2)
-            for i, v in zip(singles, singleton_vals):
-                values[i] = v
-            for i, v in zip(pairs, pair_vals):
-                values[i] = v
-            table = RankTable(2, tuple(values))
-            for system in ("bouchet", "allys"):
+    forward = _hold(("h-systems",))
+    # exhaustive converse at n <= 2: every bouchet/allys-passing table is some h_D;
+    # the hits reported are those at n = 2
+    for n in (1, 2):
+        realized = {d.h_table().values for d in valid_delta_matroids(n)}
+        converse_hits = {"bouchet": 0, "allys": 0}
+        for table in _low_tables(n, (0, 1), (0, 1, 2)):
+            for system in converse_hits:
                 if check_h_axioms(table, system).passed:
                     ensure(
                         table.values in realized,
                         lambda: f"{system}-passing table {table.values} is no delta-matroid's h",
                     )
                     converse_hits[system] += 1
-    realized1 = {d.h_table().values for d in valid_delta_matroids(1)}
-    for v1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        table = RankTable(1, (0,) + v1)
-        for system in ("bouchet", "allys"):
-            if check_h_axioms(table, system).passed:
-                ensure(
-                    table.values in realized1,
-                    lambda: f"{system}-passing table {table.values} is no delta-matroid's h",
-                )
     return (
         f"{forward} instances pass all three systems; converse at n=2 realizes "
         f"{converse_hits['bouchet']} bouchet and {converse_hits['allys']} allys tables"
@@ -456,16 +507,10 @@ def criterion_matroid_formulas() -> str:
                 lambda: f"closed enumerator (bases) differs on U({r},{n})",
             )
     # the printed independents-mode formula must be reported as discrepant by the CLI
-    from . import cli
-    from .formats import serialize_value
-
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "u11.matroid"
         path.write_text(serialize_value(Matroid.uniform(1, 1)))
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = cli.main(["example15", str(path), "--mode", "independents", "--compare"])
-        output = buf.getvalue()
+        code, output = _run_cli(["example15", str(path), "--mode", "independents", "--compare"])
     ensure(code == 1, lambda: f"comparison command exited {code}, expected 1")
     ensure(
         "4 + u" in output and "2 + u" in output,
@@ -541,16 +586,7 @@ def criterion_multiaffine() -> str:
 
 
 def criterion_pure_o() -> str:
-    count = 0
-    for n in range(4):
-        for d in valid_delta_matroids(n):
-            report = pure_o_inequalities(independence_fvector(d))
-            ensure(report.passed, lambda: f"pure O-sequence inequality fails on {d!r}")
-            count += 1
-    for d, dist in random_delta_matroids(1000, 4, seed=52005):
-        report = pure_o_inequalities(independence_fvector(d))
-        ensure(report.passed, lambda: f"pure O-sequence inequality fails on random ({dist}) {d!r}")
-        count += 1
+    count = _hold(("pure-o",), random_delta_matroids(1000, 4, seed=52005))
     return f"{count} independence f-vectors satisfy both inequality families"
 
 
@@ -576,9 +612,6 @@ def criterion_gf2() -> str:
 
 def criterion_cli_determinism() -> str:
     """Every CLI command (selftest aside) prints identical bytes on two runs."""
-    from . import cli
-    from .formats import serialize_value
-
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         files = {
@@ -623,27 +656,15 @@ def criterion_cli_determinism() -> str:
             ["scan", "--random", "6", "--size", "3", "--seed", "11"],
         ]
         # axioms commands need a rank-table fixture generated first
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            cli.main(["rank-table", dex])
-        (base / "dex.rt").write_text(buf.getvalue())
+        (base / "dex.rt").write_text(_run_cli(["rank-table", dex])[1])
         commands.append(["axioms-g", str(base / "dex.rt")])
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            cli.main(["h-table", dex])
-        (base / "dex.ht").write_text(buf.getvalue())
-        for system in ("larson", "bouchet", "allys"):
+        (base / "dex.ht").write_text(_run_cli(["h-table", dex])[1])
+        for system in H_SYSTEMS:
             commands.append(["axioms-h", str(base / "dex.ht"), "--system", system])
 
         for argv in commands:
-            outputs = []
-            for _ in range(2):
-                buf = io.StringIO()
-                with redirect_stdout(buf):
-                    code = cli.main(argv)
-                outputs.append((code, buf.getvalue()))
             ensure(
-                outputs[0] == outputs[1],
+                _run_cli(argv) == _run_cli(argv),
                 lambda: f"command {' '.join(argv)} differs between two runs",
             )
     return f"{len(commands)} commands byte-identical across two runs"

@@ -12,17 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .deltamatroid import DeltaMatroid
 from .formats import ParseError, parse_document, serialize_value
 from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, check_guard
 from .invariants import (
     activity,
-    activity_expansion,
     activity_zero_complex,
     independence_fvector,
     interlace,
-    pure_o_inequalities,
-    substitute_v_minus_1,
     upoly_direct,
     upoly_recursive,
 )
@@ -38,7 +34,7 @@ from .matroid import (
 )
 from .poly import MultiPoly
 from .randgen import random_delta_matroids
-from .rankfn import check_g_axioms, check_h_axioms
+from .rankfn import H_SYSTEMS, check_g_axioms, check_h_axioms
 
 
 def _load(path: str, kind: str):
@@ -65,6 +61,16 @@ def _print_poly(p: MultiPoly, as_json: bool) -> None:
         print(json.dumps(p.json_obj(), separators=(",", ":")))
     else:
         print(p.text())
+
+
+def _print_report(report) -> int:
+    """Print PASS, or the first five violations as FAIL lines; return the exit code."""
+    if report.passed:
+        print("PASS")
+        return 0
+    for violation in report.violations[:5]:
+        print(f"FAIL: {violation.render()}")
+    return 1
 
 
 # -- handlers -------------------------------------------------------------------
@@ -224,24 +230,15 @@ def _cmd_from_gf2(args) -> int:
 def _cmd_axioms_g(args) -> int:
     table = _load(args.file, "rank-table")
     report = check_g_axioms(table)
+    code = _print_report(report)
     if report.passed:
-        print("PASS")
         print(f"even-criterion: {'yes' if report.even else 'no'}")
-        return 0
-    for violation in report.violations[:5]:
-        print(f"FAIL: {violation.render()}")
-    return 1
+    return code
 
 
 def _cmd_axioms_h(args) -> int:
     table = _load(args.file, "rank-table")
-    report = check_h_axioms(table, args.system)
-    if report.passed:
-        print("PASS")
-        return 0
-    for violation in report.violations[:5]:
-        print(f"FAIL: {violation.render()}")
-    return 1
+    return _print_report(check_h_axioms(table, args.system))
 
 
 def _cmd_envelope(args) -> int:
@@ -249,14 +246,7 @@ def _cmd_envelope(args) -> int:
     if args.check is None and not args.search:
         raise ParseError("envelope needs --check MATROIDFILE or --search")
     if args.check is not None:
-        m = _load(args.check, "matroid")
-        report = enveloping_check(m, d)
-        if report.passed:
-            print("PASS")
-            return 0
-        for violation in report.violations[:5]:
-            print(f"FAIL: {violation.render()}")
-        return 1
+        return _print_report(enveloping_check(_load(args.check, "matroid"), d))
     result = enveloping_search(d, limit=args.limit)
     if result.status == "found":
         print(f"found after {result.examined} families")
@@ -288,13 +278,10 @@ def _cmd_logconc(args) -> int:
     report = conjecture_check(fv.counts, d.n)
     code = 0
     for ineq in (1, 2, 3):
-        failures = [c for c in report.failures() if c.inequality == ineq]
-        if failures:
+        violations = report.violations(ineq)
+        if violations:
             code = 1
-            for c in failures:
-                print(
-                    f"CONJECTURE VIOLATION: inequality ({ineq}) fails at k={c.k}: {c.lhs} < {c.rhs}"
-                )
+            print("\n".join(violations))
         else:
             print(f"inequality ({ineq}): holds for all k")
     two_var = two_var_ulc_check(d)
@@ -321,52 +308,15 @@ def _cmd_example15(args) -> int:
     return 1
 
 
-def _sweep(d: DeltaMatroid) -> list[str]:
-    problems = []
-    exchange, polytope = d.validate("exchange"), d.validate("polytope")
-    if exchange.ok != polytope.ok:
-        problems.append("validators disagree")
-    if not exchange.ok:
-        problems.append(f"invalid: {exchange.message}")
-        return problems
-    direct = upoly_direct(d)
-    if direct != upoly_recursive(d):
-        problems.append("direct and recursive enumerators differ")
-    expansion = activity_expansion(d)
-    if expansion != substitute_v_minus_1(direct):
-        problems.append("activity expansion does not match the v-1 substitution")
-    if any(c < 0 for c in expansion.terms.values()):
-        problems.append("activity expansion has a negative coefficient")
-    fv = independence_fvector(d)
-    at_zero = direct.substitute("v", MultiPoly.constant(0, ("v",)))
-    coeffs = at_zero.coefficient_list("u") + [0] * (d.n + 1)
-    if any(coeffs[d.n - k] != fv.counts[k] for k in range(d.n + 1)):
-        problems.append("u-slice coefficients do not match the f-vector")
-    if not d.lattice_point_test():
-        problems.append("lattice points do not match independent sets")
-    if not pure_o_inequalities(fv).passed:
-        problems.append("pure O-sequence inequalities fail")
-    for c in conjecture_check(fv.counts, d.n).failures():
-        problems.append(
-            f"CONJECTURE VIOLATION: inequality ({c.inequality}) fails at k={c.k}: {c.lhs} < {c.rhs}"
-        )
-    if d.n <= 4:
-        if not check_g_axioms(d.rank_table()).passed:
-            problems.append("rank table fails the four axioms")
-        h = d.h_table()
-        for system in ("larson", "bouchet", "allys"):
-            if not check_h_axioms(h, system).passed:
-                problems.append(f"h table fails the {system} system")
-    return problems
-
-
 def _cmd_scan(args) -> int:
+    from .acceptance import sweep
+
     if args.random <= 0:
         raise ParseError("--random must be positive")
     check_guard(args.size)
     failures = 0
     for index, (d, dist) in enumerate(random_delta_matroids(args.random, args.size, args.seed), 1):
-        problems = _sweep(d)
+        problems = sweep(d)
         status = "ok" if not problems else "FAIL"
         print(f"[{index:04d}] {dist} n={d.n} |F|={len(d.feasible)} {status}")
         for p in problems:
@@ -465,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("axioms-h", _cmd_axioms_h, "check one shifted-rank axiom system on a table")
     p.add_argument("file")
-    p.add_argument("--system", choices=("larson", "bouchet", "allys"), required=True)
+    p.add_argument("--system", choices=H_SYSTEMS, required=True)
 
     p = add("envelope", _cmd_envelope, "verify or search for an enveloping matroid")
     p.add_argument("file")

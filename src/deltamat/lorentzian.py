@@ -264,6 +264,9 @@ class InequalityCheck:
     def holds(self) -> bool:
         return self.lhs >= self.rhs
 
+    def render(self) -> str:
+        return f"inequality ({self.inequality}) fails at k={self.k}: {self.lhs} < {self.rhs}"
+
 
 @dataclass(frozen=True)
 class LogConcavityReport:
@@ -276,6 +279,14 @@ class LogConcavityReport:
 
     def failures(self) -> tuple[InequalityCheck, ...]:
         return tuple(c for c in self.checks if not c.holds)
+
+    def violations(self, inequality: int | None = None) -> list[str]:
+        """One ``CONJECTURE VIOLATION`` line per failing check, in check order."""
+        return [
+            f"CONJECTURE VIOLATION: {c.render()}"
+            for c in self.failures()
+            if inequality is None or c.inequality == inequality
+        ]
 
 
 def conjecture_check(a: Sequence[int], n: int) -> LogConcavityReport:

@@ -1,13 +1,19 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from deltamat import cli
 from deltamat.deltamatroid import RankTable
 from deltamat.formats import parse_document, serialize_value
+from deltamat.lorentzian import InequalityCheck, LogConcavityReport
 
 DEX = "n 3\nfeasible 1 -2 -3\nfeasible -1 2 -3\nfeasible -1 -2 3\n"
 BAD = "n 3\nfeasible 1 2 3\nfeasible -1 -2 -3\n"
@@ -370,6 +376,89 @@ def test_example15_compare(tmp_path):
     assert out.endswith("equal\n")
     code, out = run(["example15", str(m), "--mode", "independents"])
     assert code == 0 and out == "4 + u\n"
+
+
+# scan stdout pinned at n = 4, where the axiom entries run, and at n = 5
+SCAN_30_4_5 = (
+    "[0001] family n=4 |F|=4 ok\n"
+    "[0002] gf2 n=4 |F|=5 ok\n"
+    "[0003] twist n=4 |F|=14 ok\n"
+    "[0004] family n=4 |F|=1 ok\n"
+    "[0005] gf2 n=4 |F|=9 ok\n"
+    "[0006] twist n=4 |F|=16 ok\n"
+    "[0007] family n=4 |F|=2 ok\n"
+    "[0008] gf2 n=4 |F|=10 ok\n"
+    "[0009] twist n=4 |F|=1 ok\n"
+    "[0010] family n=4 |F|=3 ok\n"
+    "[0011] gf2 n=4 |F|=9 ok\n"
+    "[0012] twist n=4 |F|=3 ok\n"
+    "[0013] family n=4 |F|=1 ok\n"
+    "[0014] gf2 n=4 |F|=10 ok\n"
+    "[0015] twist n=4 |F|=1 ok\n"
+    "[0016] family n=4 |F|=6 ok\n"
+    "[0017] gf2 n=4 |F|=6 ok\n"
+    "[0018] twist n=4 |F|=2 ok\n"
+    "[0019] family n=4 |F|=1 ok\n"
+    "[0020] gf2 n=4 |F|=9 ok\n"
+    "[0021] twist n=4 |F|=10 ok\n"
+    "[0022] family n=4 |F|=1 ok\n"
+    "[0023] gf2 n=4 |F|=10 ok\n"
+    "[0024] twist n=4 |F|=1 ok\n"
+    "[0025] family n=4 |F|=2 ok\n"
+    "[0026] gf2 n=4 |F|=8 ok\n"
+    "[0027] twist n=4 |F|=1 ok\n"
+    "[0028] family n=4 |F|=2 ok\n"
+    "[0029] gf2 n=4 |F|=11 ok\n"
+    "[0030] twist n=4 |F|=12 ok\n"
+    "scan: 30 instances, all identities and inequalities hold\n"
+)
+SCAN_12_5_3 = (
+    "[0001] family n=5 |F|=1 ok\n"
+    "[0002] gf2 n=5 |F|=15 ok\n"
+    "[0003] twist n=5 |F|=32 ok\n"
+    "[0004] family n=5 |F|=1 ok\n"
+    "[0005] gf2 n=5 |F|=10 ok\n"
+    "[0006] twist n=5 |F|=1 ok\n"
+    "[0007] family n=5 |F|=1 ok\n"
+    "[0008] gf2 n=5 |F|=17 ok\n"
+    "[0009] twist n=5 |F|=14 ok\n"
+    "[0010] family n=5 |F|=3 ok\n"
+    "[0011] gf2 n=5 |F|=21 ok\n"
+    "[0012] twist n=5 |F|=28 ok\n"
+    "scan: 12 instances, all identities and inequalities hold\n"
+)
+
+
+def test_scan_output_pinned():
+    assert run(["scan", "--random", "30", "--size", "4", "--seed", "5"]) == (0, SCAN_30_4_5)
+    assert run(["scan", "--random", "12", "--size", "5", "--seed", "3"]) == (0, SCAN_12_5_3)
+
+
+def test_import_cli_leaves_acceptance_unloaded():
+    code = "import sys, deltamat.cli; print('deltamat.acceptance' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+def test_logconc_prints_violations_by_inequality(dex_file, monkeypatch):
+    def failing(a, n):
+        checks = (
+            InequalityCheck(1, 1, 2, 3),
+            InequalityCheck(1, 3, 4, 9),
+            InequalityCheck(2, 1, 5, Fraction(11, 2)),
+        )
+        return LogConcavityReport(n, tuple(a), checks)
+
+    monkeypatch.setattr(cli, "conjecture_check", failing)
+    code, out = run(["logconc", dex_file])
+    assert code == 1
+    assert out.splitlines()[1:5] == [
+        "CONJECTURE VIOLATION: inequality (1) fails at k=1: 2 < 3",
+        "CONJECTURE VIOLATION: inequality (1) fails at k=2: 5 < 11/2",
+        "inequality (2): holds for all k",
+        "CONJECTURE VIOLATION: inequality (3) fails at k=1: 4 < 9",
+    ]
 
 
 def test_scan_deterministic():

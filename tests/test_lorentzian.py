@@ -243,6 +243,10 @@ def test_conjecture_check_values():
     c = {(x.k, x.inequality): x for x in failing.checks}[(1, 3)]
     assert c.rhs == 4 and not c.holds
     assert not failing.all_hold(inequality=3)
+    assert c.render() == "inequality (3) fails at k=1: 1 < 4"
+    assert failing.violations(2) == ["CONJECTURE VIOLATION: inequality (2) fails at k=1: 1 < 8/3"]
+    assert [line.split("(")[1][0] for line in failing.violations()] == ["1", "2", "3"]
+    assert report.violations() == []
 
     with pytest.raises(ValueError):
         conjecture_check((1, 2), 2)
