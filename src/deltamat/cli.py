@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .formats import ParseError, parse_document, serialize_value
-from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, check_guard
+from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, canonical_labels, check_guard
 from .invariants import (
     activity,
     activity_zero_complex,
     independence_fvector,
+    independent_activities,
     interlace,
     upoly_direct,
     upoly_recursive,
@@ -162,10 +164,10 @@ def _cmd_activity(args) -> int:
         print(f"a: {rec.a}")
         print(f"active: {' '.join(map(str, rec.active))}".rstrip())
         return 0
-    for iset in d.independents():
-        rec = activity(d, iset)
-        suffix = f" active={' '.join(map(str, rec.active))}" if rec.active else ""
-        print(f"{{{iset.render()}}}: a={rec.a}{suffix}")
+    labels = canonical_labels(d.n)
+    for p, _, active in independent_activities(d):
+        suffix = f" active={' '.join(map(str, active))}" if active else ""
+        print(f"{{{labels[p]}}}: a={len(active)}{suffix}")
     return 0
 
 
@@ -335,7 +337,9 @@ def _cmd_selftest(args) -> int:
     return 0 if run_all() else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; handlers read module globals at call time."""
     parser = argparse.ArgumentParser(
         prog="deltamat",
         description="Delta-matroid workbench: validation, rank functions, invariants, "

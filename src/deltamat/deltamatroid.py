@@ -292,10 +292,6 @@ class DeltaMatroid:
             n -= 1
         return DeltaMatroid(n, masks)
 
-    def project_all_but(self, keep: Iterable[int]) -> "DeltaMatroid":
-        keep_set = set(keep)
-        return self.minor(project=[i for i in range(1, self.n + 1) if i not in keep_set])
-
     def product(self, other: "DeltaMatroid") -> "DeltaMatroid":
         masks = [p1 | (p2 << self.n) for p1 in self.feasible for p2 in other.feasible]
         return DeltaMatroid(self.n + other.n, masks)

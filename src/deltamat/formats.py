@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deltamatroid import DeltaMatroid, RankTable
-from .ground import AdmissibleSet, enumerate_admissible
+from .ground import AdmissibleSet, canonical_labels
 from .matroid import Gf2SymMatrix, Matroid, render_subset
 
 
@@ -143,13 +143,18 @@ def _parse_ranktable(lines) -> RankTable:
     if len(head) != 2:
         raise _fail(lineno, "header must be 'ranktable <n>'")
     n = _int(head[1], lineno, "ground size")
-    expected = enumerate_admissible(n)
+    labels = canonical_labels(n)
     body = lines[1:]
-    if len(body) != len(expected):
-        raise _fail(lineno, f"expected {len(expected)} table lines, got {len(body)}")
+    if len(body) != len(labels):
+        raise _fail(lineno, f"expected {len(labels)} table lines, got {len(body)}")
     values = []
-    for (lineno, tokens), s in zip(body, expected):
+    for (lineno, tokens), label in zip(body, labels):
         joined = " ".join(tokens)
+        # the line as serialize_value writes it; anything else takes the full parse
+        stem = label + ":"
+        if joined.startswith(stem) and ":" not in joined[len(stem) :]:
+            values.append(_int(joined[len(stem) :].strip(), lineno, "table value"))
+            continue
         if ":" not in joined:
             raise _fail(lineno, "expected '<set>: <value>'")
         left, right = joined.rsplit(":", 1)
@@ -158,8 +163,8 @@ def _parse_ranktable(lines) -> RankTable:
             given = AdmissibleSet.from_elements(n, elems)
         except ValueError as exc:
             raise _fail(lineno, str(exc)) from None
-        if given != s:
-            raise _fail(lineno, f"sets out of canonical order: expected {{{s.render()}}}")
+        if given.render() != label:
+            raise _fail(lineno, f"sets out of canonical order: expected {{{label}}}")
         values.append(_int(right.strip(), lineno, "table value"))
     return RankTable(n, tuple(values))
 
@@ -189,7 +194,6 @@ def serialize_value(value) -> str:
         return "\n".join(lines) + "\n"
     if isinstance(value, RankTable):
         lines = [f"ranktable {value.n}"]
-        for s, v in value.items():
-            lines.append(f"{s.render()}: {v}".lstrip())
+        lines += map("{}: {}".format, canonical_labels(value.n), value.values)
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -193,14 +193,37 @@ def canonical_sizes(n: int) -> tuple[int, ...]:
     return tuple(chain.from_iterable(repeat(k, comb(n, k) << k) for k in range(n + 1)))
 
 
-@lru_cache(maxsize=None)
-def enumerate_admissible(n: int) -> tuple[AdmissibleSet, ...]:
-    """All 3^n admissible sets in canonical order, decoded from ``canonical_codes``."""
+def code_masks(n: int) -> tuple[list[int], list[int]]:
+    """The unbarred and the barred bitmask of each set, indexed by base-3 code."""
     check_guard(n)
-    pos, neg = [0], [0]  # bitmasks by code, one index at a time
+    pos, neg = [0], [0]  # one index at a time
     for i in range(n):
         bit = 1 << i
         pos, neg = pos + [p | bit for p in pos] + pos, neg + neg + [q | bit for q in neg]
+    return pos, neg
+
+
+@lru_cache(maxsize=None)
+def canonical_labels(n: int) -> tuple[str, ...]:
+    """``render()`` of each set in canonical order, built from the codes, not from sets.
+
+    By code, index i joins the labels so far as ``i`` (code + 3^(i-1)) and as
+    ``-i`` (code + 2·3^(i-1)); it is the largest index yet, so it goes last.
+    """
+    check_guard(n)
+    if n < 0:
+        raise ValueError("ground size must be non-negative")
+    labels = [""]
+    for i in range(1, n + 1):
+        plus, minus = str(i), str(-i)
+        labels += [f"{x} {plus}" if x else plus for x in labels] + [f"{x} {minus}" if x else minus for x in labels]
+    return tuple(map(labels.__getitem__, canonical_codes(n)))
+
+
+@lru_cache(maxsize=None)
+def enumerate_admissible(n: int) -> tuple[AdmissibleSet, ...]:
+    """All 3^n admissible sets in canonical order, decoded from ``canonical_codes``."""
+    pos, neg = code_masks(n)
     return tuple(AdmissibleSet(n, pos[c], neg[c]) for c in canonical_codes(n))
 
 

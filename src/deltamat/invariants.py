@@ -11,9 +11,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .deltamatroid import DeltaMatroid
-from .ground import AdmissibleSet, canonical_sizes, check_guard
+from .ground import (
+    AdmissibleSet,
+    canonical_codes,
+    canonical_sizes,
+    check_guard,
+    code_masks,
+    enumerate_admissible,
+)
 from .poly import MultiPoly
 from .rankfn import AxiomReport, Violation
 
@@ -133,43 +141,67 @@ class ActivityRecord:
         return len(self.active)
 
 
+def _active(projections: set[int], support: int, pos: int) -> tuple[int, ...]:
+    """Active indices of the set with unbarred part ``pos`` on ``support``.
+
+    ``projections`` is P_U = {m & U : m feasible} for U = ``support``, the
+    family with every index outside U projected away.  Index i of U is
+    orientable when pos △ {i} is not in P_U, and active when moreover no
+    pos △ {i, j} with j < i in U is.
+    """
+    active = []
+    below = []  # the flips of the indices of U below i
+    for i in range(support.bit_length()):
+        bit = 1 << i
+        if not support & bit:
+            continue
+        flip = pos ^ bit
+        if flip not in projections and not any(flip ^ b in projections for b in below):
+            active.append(i + 1)
+        below.append(bit)
+    return tuple(active)
+
+
+def independent_activities(d: DeltaMatroid) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """(canonical position, code, active indices) of every independent set, in canonical order.
+
+    S is independent exactly when g(S) = |S|.  P_U is built once per support U.
+    """
+    n = d.n
+    pos_by_code, neg_by_code = code_masks(n)
+    codes, sizes = canonical_codes(n), canonical_sizes(n)
+    by_support: dict[int, set[int]] = {}
+    for p, g in enumerate(d.rank_table().values):
+        if g != sizes[p]:
+            continue
+        code = codes[p]
+        pos = pos_by_code[code]
+        support = pos | neg_by_code[code]
+        if support not in by_support:
+            by_support[support] = {m & support for m in d.feasible}
+        yield p, code, _active(by_support[support], support, pos)
+
+
 def activity(d: DeltaMatroid, iset: AdmissibleSet) -> ActivityRecord:
     """Active indices of an independent set after projecting away untouched indices.
 
     An index is orientable when flipping its sign leaves the projected family,
     and active when additionally no smaller index admits a double sign flip
-    back into the family.
+    back into the family; ``_active`` decides both on masks.
     """
     if iset.n != d.n:
         raise ValueError("set belongs to a different ground size")
     if not d.is_independent(iset):
         raise ValueError("activity is defined for independent sets only")
-    labels = [i for i in range(1, d.n + 1) if iset.underline >> (i - 1) & 1]
-    dp = d.project_all_but(labels)
-    bpos = 0
-    for k, orig in enumerate(labels, start=1):
-        if iset.pos >> (orig - 1) & 1:
-            bpos |= 1 << (k - 1)
-    fam = set(dp.feasible)
-    active = []
-    for k in range(1, dp.n + 1):
-        bit = 1 << (k - 1)
-        if (bpos ^ bit) in fam:
-            continue  # not orientable: the single flip stays feasible
-        if any((bpos ^ bit ^ (1 << (j - 1))) in fam for j in range(1, k)):
-            continue
-        active.append(labels[k - 1])
-    return ActivityRecord(iset, tuple(active))
+    support = iset.underline
+    return ActivityRecord(iset, _active({m & support for m in d.feasible}, support, iset.pos))
 
 
 def activity_expansion(d: DeltaMatroid) -> MultiPoly:
     """Sum u^(n-|I|) v^(a(I)) over independent sets; equals the enumerator at v-1."""
     check_guard(d.n)
-    counts: dict[tuple[int, int], int] = {}
-    for iset in d.independents():
-        rec = activity(d, iset)
-        key = (d.n - iset.size, rec.a)
-        counts[key] = counts.get(key, 0) + 1
+    sizes = canonical_sizes(d.n)
+    counts = Counter((d.n - sizes[p], len(active)) for p, _, active in independent_activities(d))
     return MultiPoly(("u", "v"), counts)
 
 
@@ -186,23 +218,30 @@ class ComplexReport:
 
 
 def activity_zero_complex(d: DeltaMatroid) -> ComplexReport:
-    """The independent sets of activity zero, verified to be downward closed."""
-    faces = [iset for iset in d.independents() if activity(d, iset).a == 0]
-    face_set = {(f.pos, f.neg) for f in faces}
-    for f in faces:
-        for e in f.elements():
-            smaller = AdmissibleSet.from_elements(d.n, [x for x in f.elements() if x != e])
-            if (smaller.pos, smaller.neg) not in face_set:
-                raise RuntimeError(
-                    "activity-zero sets are not downward closed at {%s}" % f.render()
-                )
+    """The independent sets of activity zero, verified to be downward closed.
+
+    On base-3 codes, dropping index i from a set subtracts its digit times
+    3^(i-1), and adding i or -i adds 3^(i-1) or 2·3^(i-1).  Once the faces are
+    known to be downward closed, a face lies inside a larger one exactly when
+    it lies inside a face one element larger, so purity reads only the
+    one-element extensions of each face.
+    """
+    n = d.n
+    sets = enumerate_admissible(n)
+    faces = [(p, code) for p, code, active in independent_activities(d) if not active]
+    codes = {code for _, code in faces}
+    units = [3**i for i in range(n)]
+    for p, code in faces:
+        if any(code // u % 3 and code - code // u % 3 * u not in codes for u in units):
+            raise RuntimeError("activity-zero sets are not downward closed at {%s}" % sets[p].render())
+    sizes = canonical_sizes(n)
     maximal_sizes = {
-        f.size
-        for f in faces
-        if not any(g is not f and f.is_subset(g) for g in faces)
+        sizes[p]
+        for p, code in faces
+        if not any(code // u % 3 == 0 and (code + u in codes or code + 2 * u in codes) for u in units)
     }
     return ComplexReport(
-        tuple(faces),
-        FVector.from_sizes([f.size for f in faces]),
+        tuple(sets[p] for p, _ in faces),
+        FVector.from_sizes([sizes[p] for p, _ in faces]),
         pure=len(maximal_sizes) <= 1,
     )

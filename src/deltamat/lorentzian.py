@@ -3,10 +3,11 @@
 A homogeneous polynomial with nonnegative coefficients is Lorentzian when its
 support is M-convex and every Hessian obtained by taking degree-minus-two
 partial derivatives has at most one positive eigenvalue.  Only derivatives
-that lie under some support term have a non-zero Hessian, so only those are
-built, in the lexicographic order of the full sweep.  Inertia is computed
-exactly by symmetric congruence reduction (Sylvester's law), so there are no
-eigenvalue solvers and no tolerances anywhere.  Degenerate quadratics are
+that lie under some support term have a non-zero Hessian; one pass over the
+terms builds all of them, scaled to integers, and they are checked in the
+lexicographic order of the full sweep.  Inertia is computed exactly by
+fraction-free symmetric congruence reduction (Sylvester's law), so there are
+no eigenvalue solvers and no tolerances anywhere.  Degenerate quadratics are
 allowed because coefficient-wise limits of strictly Lorentzian polynomials
 can be singular; polynomials of degree below two pass by convention.
 """
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .deltamatroid import DeltaMatroid
@@ -87,12 +87,12 @@ class InertiaTriple:
 def hessian_inertia(matrix: Sequence[Sequence]) -> InertiaTriple:
     """Exact eigenvalue-sign counts of a rational symmetric matrix.
 
-    Symmetric congruence reduction: a nonzero diagonal pivot contributes its
-    sign; when the active diagonal vanishes, a nonzero off-diagonal entry
-    yields a hyperbolic 2x2 block contributing one positive and one negative.
+    The entries are scaled to integers by the LCM of their denominators, a
+    positive factor that keeps the inertia, and ``_integer_inertia`` reduces
+    the integer matrix.
     """
-    k = len(matrix)
     a = [[Fraction(x) for x in row] for row in matrix]
+    k = len(a)
     for row in a:
         if len(row) != k:
             raise ValueError("matrix must be square")
@@ -100,104 +100,82 @@ def hessian_inertia(matrix: Sequence[Sequence]) -> InertiaTriple:
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix must be symmetric")
+    scale = lcm(*(x.denominator for row in a for x in row))
+    return _integer_inertia([[x.numerator * (scale // x.denominator) for x in row] for row in a])
+
+
+def _integer_inertia(a: list[list[int]]) -> InertiaTriple:
+    """Inertia of an integer symmetric matrix by fraction-free congruence reduction.
+
+    A nonzero diagonal pivot p = a[d][d] contributes its sign, and each entry
+    of the rest becomes sign(p)·(p·a[r][c] − a[r][d]·a[d][c]): the Schur
+    complement times |p|.  When the active diagonal vanishes, a nonzero
+    b = a[i][j] yields a hyperbolic 2x2 block, one positive and one negative,
+    and the rest becomes sign(b)·(b·a[r][c] − a[r][i]·a[j][c] − a[r][j]·a[i][c]),
+    the Schur complement times |b|.  A positive factor keeps the inertia
+    (Sylvester's law), so every entry stays an integer.  ``a`` is overwritten.
+    """
     pos = neg = zero = 0
-    active = list(range(k))
+    active = list(range(len(a)))
     while active:
-        d_i = next((i for i in active if a[i][i] != 0), None)
-        if d_i is not None:
-            piv = a[d_i][d_i]
-            if piv > 0:
+        d = next((i for i in active if a[i][i]), None)
+        if d is not None:
+            p = a[d][d]
+            sign = 1 if p > 0 else -1
+            if p > 0:
                 pos += 1
             else:
                 neg += 1
-            rest = [i for i in active if i != d_i]
-            for r in rest:
-                f = a[r][d_i] / piv
-                if f:
-                    for c in rest:
-                        a[r][c] -= f * a[d_i][c]
-            active = rest
+            active.remove(d)
+            pivot_row = a[d]
+            for r in active:
+                row, f = a[r], a[r][d]
+                for c in active:
+                    row[c] = sign * (p * row[c] - f * pivot_row[c])
             continue
-        off = None
-        for ii in range(len(active)):
-            for jj in range(ii + 1, len(active)):
-                if a[active[ii]][active[jj]] != 0:
-                    off = (active[ii], active[jj])
-                    break
-            if off:
-                break
+        off = next(((i, j) for x, i in enumerate(active) for j in active[x + 1 :] if a[i][j]), None)
         if off is None:
             zero += len(active)
             break
         i, j = off
         b = a[i][j]
+        sign = 1 if b > 0 else -1
         pos += 1
         neg += 1
-        rest = [r for r in active if r not in (i, j)]
-        for r in rest:
-            for c in rest:
-                a[r][c] -= (a[r][i] * a[j][c] + a[r][j] * a[i][c]) / b
-        active = rest
+        active = [r for r in active if r not in off]
+        for r in active:
+            row, fi, fj = a[r], a[r][i], a[r][j]
+            for c in active:
+                row[c] = sign * (b * row[c] - fi * a[j][c] - fj * a[i][c])
     return InertiaTriple(pos, neg, zero)
 
 
-def _compositions(total: int, parts: int):
-    """Every exponent vector of the given total, in lexicographic order (the full sweep)."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _hessians(p: MultiPoly) -> dict[tuple[int, ...], list[tuple[int, int, int]]]:
+    """The entries of every non-zero Hessian of a (deg - 2)-fold derivative, in one pass.
 
-
-def _hessian_points(p: MultiPoly) -> list[tuple[int, ...]]:
-    """The alpha whose Hessian can be non-zero, in lexicographic order.
-
-    The Hessian of the alpha-fold derivative reads only the terms two degrees
-    above alpha, so alpha must be exps - e_i - e_j for a support term exps
-    and some i <= j.  Every other alpha of degree deg - 2 gives the zero
-    matrix, whose inertia (0, 0, k) cannot fail.
+    The Hessian of the alpha-fold derivative reads only the terms c·x^e two
+    degrees above alpha, e = alpha + e_i + e_j with i <= j.  Such a term adds
+    c·∏ e_k! at (i, j) and at (j, i), once at (i, i) when i = j.  Divided by
+    ∏ alpha_k!, that is c·e_i·e_j, or c·e_i·(e_i − 1) when i = j; every other
+    alpha of degree deg - 2 gives the zero matrix, whose inertia cannot fail.
+    The coefficients are scaled to integers by the LCM of their denominators.
+    Both factors are positive and fixed per alpha, so the inertia is that of
+    the Hessian itself.  Returns (i, j, entry) triples with i <= j by alpha.
     """
-    points = set()
-    for exps in p.terms:
-        for i, j in combinations_with_replacement(range(len(exps)), 2):
-            alpha = list(exps)
-            alpha[i] -= 1
-            alpha[j] -= 1
-            if alpha[i] >= 0 and alpha[j] >= 0:
-                points.add(tuple(alpha))
-    return sorted(points)
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
-
-
-def derivative_hessian(p: MultiPoly, alpha: tuple[int, ...]) -> list[list[Fraction]]:
-    """Hessian matrix of the alpha-fold partial derivative of p."""
-    width = len(p.variables)
-    h = [[Fraction(0)] * width for _ in range(width)]
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    out: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
     for exps, c in p.terms.items():
-        if any(e < a for e, a in zip(exps, alpha)):
-            continue
-        rest = tuple(e - a for e, a in zip(exps, alpha))
-        if sum(rest) != 2:
-            continue
-        scale = c
-        for e, a in zip(exps, alpha):
-            scale *= _falling(e, a)
-        nz = [i for i, e in enumerate(rest) if e]
-        if len(nz) == 1:
-            h[nz[0]][nz[0]] += 2 * scale
-        else:
-            i, j = nz
-            h[i][j] += scale
-            h[j][i] += scale
-    return h
+        c = c.numerator * (scale // c.denominator)
+        support = [k for k, e in enumerate(exps) if e]
+        for x, i in enumerate(support):
+            for j in support[x:]:
+                entry = c * exps[i] * (exps[j] - (i == j))
+                if entry:
+                    alpha = list(exps)
+                    alpha[i] -= 1
+                    alpha[j] -= 1
+                    out.setdefault(tuple(alpha), []).append((i, j, entry))
+    return out
 
 
 @dataclass(frozen=True)
@@ -244,8 +222,15 @@ def is_lorentzian(p: MultiPoly) -> LorentzianReport:
     hessian_ok = True
     hessian_witness = None
     if deg >= 2:
-        for alpha in _hessian_points(p):
-            inertia = hessian_inertia(derivative_hessian(p, alpha))
+        width = len(p.variables)
+        hessians = _hessians(p)
+        for alpha in sorted(hessians):
+            h = [[0] * width for _ in range(width)]
+            for i, j, entry in hessians[alpha]:
+                h[i][j] += entry
+                if i != j:
+                    h[j][i] += entry
+            inertia = _integer_inertia(h)
             if inertia.positive > 1:
                 hessian_ok = False
                 hessian_witness = (alpha, inertia)

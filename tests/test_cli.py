@@ -472,6 +472,60 @@ def test_scan_deterministic():
     assert code == 2
 
 
+UPOLY_DEX = "3 + 9*u + 4*v + 6*u^2 + 3*u*v + v^2 + u^3\n"
+
+
+def test_parser_reused_after_usage_error_and_help(dex_file, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["validate", dex_file, "--method", "nope"])[0] == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    code, out = run(["--help"])
+    assert code == 0 and out.startswith("usage: deltamat") and "selftest" in out
+    assert run(["validate", dex_file]) == (0, "PASS\n")
+    assert run(["upoly", dex_file, "--method", "compare"]) == (0, "equal: " + UPOLY_DEX)
+
+
+def test_parser_defaults_do_not_leak_between_calls(dex_file):
+    code, out = run(["upoly", dex_file, "--json"])
+    assert code == 0 and out.startswith("{")
+    assert run(["upoly", dex_file]) == (0, UPOLY_DEX)
+    assert run(["upoly", dex_file, "--method", "compare"])[1].startswith("equal: ")
+    assert run(["upoly", dex_file]) == (0, UPOLY_DEX)
+    assert run(["activity", dex_file, "--set", "-2 -3"]) == (0, "a: 0\nactive:\n")
+    assert run(["activity", dex_file])[0] == 2  # --set is back to its default
+
+
+def _pipeline(tmp_path, dm, gf2):
+    """The 16-command pipeline: a delta-matroid from a GF(2) matrix, then the
+    tables, the axiom checks on them, the invariants and the Lorentzian checks."""
+    outputs = [run(["from-gf2", gf2])]
+    g, h = tmp_path / "pipe.g.rt", tmp_path / "pipe.h.rt"
+    outputs.append(run(["validate", dm, "--method", "exchange"]))
+    outputs.append(run(["rank-table", dm]))
+    g.write_text(outputs[-1][1])
+    outputs.append(run(["h-table", dm]))
+    h.write_text(outputs[-1][1])
+    outputs.append(run(["axioms-g", str(g)]))
+    outputs += [run(["axioms-h", str(h), "--system", system]) for system in ("larson", "bouchet", "allys")]
+    for argv in (["upoly", dm, "--method", "compare"], ["interlace", dm], ["fvector", dm],
+                 ["activity", dm, "--all"], ["complex", dm], ["logconc", dm],
+                 ["lorentzian", dm, "--which", "indep"], ["lorentzian", dm, "--which", "efls"]):
+        outputs.append(run(argv))
+    return outputs
+
+
+def test_pipeline_twice_in_one_process_is_byte_identical(dex_file, tmp_path):
+    gf2 = tmp_path / "swap.gf2"
+    gf2.write_text("gf2 2\n0 1\n1 0\n")
+    first = _pipeline(tmp_path, dex_file, str(gf2))
+    assert len(first) == 16
+    assert first[0] == (0, "n 2\nfeasible 1 2\nfeasible -1 -2\n")
+    assert [code for code, _ in first] == [0] * 16
+    assert run(["no-such-command"])[0] == 2
+    assert run(["--help"])[0] == 0
+    assert _pipeline(tmp_path, dex_file, str(gf2)) == first
+
+
 def test_twist_rejects_bad_permutation(dex_file):
     code, _ = run(["twist", dex_file, "--perm", "1 1 2"])
     assert code == 2

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
-from deltamat.deltamatroid import DeltaMatroid
+from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import ParseError, parse_document, serialize_value
 from deltamat.matroid import Gf2SymMatrix, Matroid, upper_matroid
 
-from conftest import sset
+from conftest import oracle_families, sset
 
 
 def roundtrip(value):
@@ -93,3 +95,45 @@ def test_ranktable_round_trip(tripod, coloop1):
 def test_serialize_rejects_unknown():
     with pytest.raises(TypeError):
         serialize_value(42)
+
+
+def _items_render(table):
+    """Oracle: the table rendered through set objects, one per admissible set."""
+    lines = [f"ranktable {table.n}"]
+    lines += [f"{s.render()}: {v}".lstrip() for s, v in table.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_ranktable_render_matches_set_objects():
+    rng = random.Random(2468)
+    for n in range(7):
+        tables = [RankTable(n, tuple(rng.randint(-2 * n - 1, 2 * n + 1) for _ in range(3**n))) for _ in range(3)]
+        tables += [d.rank_table() for d in oracle_families() if d.n == n][:4]
+        tables += [d.h_table() for d in oracle_families() if d.n == n][:4]
+        for table in tables:
+            text = serialize_value(table)
+            assert text == _items_render(table)
+            assert text.splitlines()[1].startswith(": ")
+            assert parse_document(text).value == table
+
+
+def test_ranktable_parse_accepts_loose_lines_and_keeps_messages():
+    # lines serialize_value would not write take the full parse: signs, spaces, comments
+    loose = "ranktable 1\n  :0   # empty set\n+1 :   1\n-1:-1\n"
+    assert parse_document(loose).value == RankTable(1, (0, 1, -1))
+    cases = {
+        "ranktable 1\n: 0\n1: 1: 2\n-1: -1\n": "line 3: expected signed index, got '1:'",
+        "ranktable 1\n: 0\n1 2: 1\n-1: -1\n": "line 3: element 2 outside signed ground set of size 1",
+        "ranktable 1\n: 0\n1: x\n-1: -1\n": "line 3: expected table value, got 'x'",
+        "ranktable 1\n: 0\n1:\n-1: -1\n": "line 3: expected table value, got ''",
+        "ranktable 1\n: 0\n-1: 1\n1: -1\n": "line 3: sets out of canonical order: expected {1}",
+        "ranktable 2\n: 0\n1: 1\n-1: -1\n2: 1\n-2: -1\n1 -2: 0\n1 2: 2\n-1 2: 0\n-1 -2: -2\n":
+            "line 7: sets out of canonical order: expected {1 2}",
+        "ranktable 1\n: 0\n1 1\n-1: -1\n": "line 3: expected '<set>: <value>'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="^ground size must be non-negative$"):
+        parse_document("ranktable -1\n: 0\n")

@@ -11,6 +11,7 @@ from deltamat.invariants import (
     activity_expansion,
     activity_zero_complex,
     independence_fvector,
+    independent_activities,
     interlace,
     pure_o_inequalities,
     upoly,
@@ -129,6 +130,97 @@ def test_activity_zero_complex_small(coloop1, free1):
     rep = activity_zero_complex(free1)
     # both singletons flip into each other, so neither is orientable
     assert rep.fvector.counts == (1, 2) and rep.pure
+
+
+def _minor_activity(d, iset):
+    """Oracle: the active indices read off the minor that projects away every
+    index outside the support, one DeltaMatroid per set."""
+    labels = [i for i in range(1, d.n + 1) if iset.underline >> (i - 1) & 1]
+    dp = d.minor(project=[i for i in range(1, d.n + 1) if i not in labels])
+    bpos = 0
+    for k, orig in enumerate(labels, start=1):
+        if iset.pos >> (orig - 1) & 1:
+            bpos |= 1 << (k - 1)
+    fam = set(dp.feasible)
+    active = []
+    for k in range(1, dp.n + 1):
+        bit = 1 << (k - 1)
+        if (bpos ^ bit) in fam:
+            continue
+        if any((bpos ^ bit ^ (1 << (j - 1))) in fam for j in range(1, k)):
+            continue
+        active.append(labels[k - 1])
+    return tuple(active)
+
+
+def _activity_families():
+    """Every nonempty family at n <= 3 and seeded valid instances at n = 5, 6."""
+    for n in range(4):
+        for k in range(1, (1 << n) + 1):
+            for fam in combinations(range(1 << n), k):
+                yield DeltaMatroid(n, fam)
+    yield from (d for d, _ in random_delta_matroids(9, 5, seed=606))
+    yield from (d for d, _ in random_delta_matroids(6, 6, seed=607))
+
+
+def _scan_complex(d):
+    """Oracle: the activity-zero faces from the minor route, checked by the
+    O(faces^2) scan: (pure, None), or (None, message) if not downward closed."""
+    faces = [s for s in d.independents() if not _minor_activity(d, s)]
+    keys = {(f.pos, f.neg) for f in faces}
+    for f in faces:
+        for e in f.elements():
+            smaller = AdmissibleSet.from_elements(d.n, [x for x in f.elements() if x != e])
+            if (smaller.pos, smaller.neg) not in keys:
+                return None, "activity-zero sets are not downward closed at {%s}" % f.render()
+    maximal = {f.size for f in faces if not any(g is not f and f.is_subset(g) for g in faces)}
+    return len(maximal) <= 1, None
+
+
+def test_activities_match_minor_oracle():
+    sets_seen = 0
+    for d in _activity_families():
+        independents = d.independents()
+        want = [_minor_activity(d, s) for s in independents]
+        assert [activity(d, s).active for s in independents] == want, d
+        kernel = list(independent_activities(d))
+        assert [enumerate_admissible(d.n)[p] for p, _, _ in kernel] == list(independents), d
+        assert [active for _, _, active in kernel] == want, d
+        expansion = {}
+        for s, active in zip(independents, want):
+            key = (d.n - s.size, len(active))
+            expansion[key] = expansion.get(key, 0) + 1
+        assert activity_expansion(d) == MultiPoly(("u", "v"), expansion), d
+        sets_seen += len(independents)
+    assert sets_seen > 5000
+
+
+def test_complex_purity_matches_maximal_face_scan():
+    outcomes = set()
+    for d in _activity_families():
+        pure, error = _scan_complex(d)
+        if error is not None:
+            with pytest.raises(RuntimeError) as info:
+                activity_zero_complex(d)
+            assert str(info.value) == error, d
+        else:
+            report = activity_zero_complex(d)
+            assert report.pure == pure, d
+            faces = [s for s in d.independents() if not _minor_activity(d, s)]
+            assert report.faces == tuple(faces), d
+        outcomes.add(pure)
+    assert outcomes == {True, False}
+
+
+def test_complex_reports_a_face_without_its_subfaces(tripod, monkeypatch):
+    import deltamat.invariants as invariants
+
+    real = invariants.independent_activities
+    # give the empty set an active index: {1} is then a face without its subface {}
+    spoiled = lambda d: ((p, c, (1,) if c == 0 else a) for p, c, a in real(d))
+    monkeypatch.setattr(invariants, "independent_activities", spoiled)
+    with pytest.raises(RuntimeError, match=r"^activity-zero sets are not downward closed at \{1\}$"):
+        activity_zero_complex(tripod)
 
 
 def test_activity_expansion_examples(tripod, coloop1):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -8,9 +9,7 @@ import pytest
 from deltamat.deltamatroid import DeltaMatroid
 from deltamat.lorentzian import (
     InertiaTriple,
-    _compositions,
     conjecture_check,
-    derivative_hessian,
     efls_gen_poly,
     hessian_inertia,
     indep_gen_poly,
@@ -128,6 +127,24 @@ def test_hessian_inertia_against_charpoly_oracle():
         assert hessian_inertia(q) == _charpoly_inertia(q), q
 
 
+def test_hessian_inertia_of_rational_matrices_against_charpoly_oracle():
+    # the entries are scaled to integers first, so Fraction inputs with mixed
+    # denominators must still match the rational characteristic polynomial
+    rng = random.Random(515)
+    for hollow in (False, True):  # a zero diagonal forces the hyperbolic 2x2 steps
+        for _ in range(80):
+            k = rng.randint(1, 5)
+            q = [[Fraction(0)] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + hollow, k):
+                    if rng.random() < 0.7:
+                        q[i][j] = q[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 9))
+            assert hessian_inertia(q) == _charpoly_inertia(q), q
+    assert hessian_inertia([[0, -1, 0], [-1, 0, 0], [0, 0, Fraction(1, 2)]]) == InertiaTriple(2, 1, 0)
+    assert hessian_inertia([[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 5)]]) == InertiaTriple(1, 1, 0)
+    assert hessian_inertia([[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]]) == InertiaTriple(1, 0, 1)
+
+
 def test_inertia_congruence_invariance():
     rng = random.Random(414)
     for _ in range(30):
@@ -167,6 +184,46 @@ def _congruence(s, q):
     return [[sum(sq[i][r] * s[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
 
 
+def _compositions(total, parts):
+    """Every exponent vector of the given total, in lexicographic order (the full sweep)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _falling(n, k):
+    out = 1
+    for t in range(k):
+        out *= n - t
+    return out
+
+
+def derivative_hessian(p, alpha):
+    """Oracle: the Hessian of the alpha-fold partial derivative of p, one scan of the terms."""
+    width = len(p.variables)
+    h = [[Fraction(0)] * width for _ in range(width)]
+    for exps, c in p.terms.items():
+        if any(e < a for e, a in zip(exps, alpha)):
+            continue
+        rest = tuple(e - a for e, a in zip(exps, alpha))
+        if sum(rest) != 2:
+            continue
+        scale = c
+        for e, a in zip(exps, alpha):
+            scale *= _falling(e, a)
+        nz = [i for i, e in enumerate(rest) if e]
+        if len(nz) == 1:
+            h[nz[0]][nz[0]] += 2 * scale
+        else:
+            i, j = nz
+            h[i][j] += scale
+            h[j][i] += scale
+    return h
+
+
 def test_derivative_hessian():
     p = MultiPoly(("w0", "w1"), {(2, 0): 1, (1, 1): 2})
     h = derivative_hessian(p, (0, 0))
@@ -186,10 +243,19 @@ def test_is_lorentzian_examples(free1):
     assert not inhomogeneous.passed and not inhomogeneous.homogeneous
 
 
+@lru_cache(maxsize=None)
+def _oracle_inertia(matrix):
+    return _charpoly_inertia([list(row) for row in matrix])
+
+
 def _full_sweep_witness(p):
-    """The first failing Hessian over every derivative of degree deg - 2, or None."""
+    """The first failing Hessian over every derivative of degree deg - 2, or None.
+
+    Each Hessian comes from its own scan of the terms and its inertia from
+    the characteristic polynomial, so neither shares code with is_lorentzian.
+    """
     for alpha in _compositions(p.degree() - 2, len(p.variables)):
-        inertia = hessian_inertia(derivative_hessian(p, alpha))
+        inertia = _oracle_inertia(tuple(map(tuple, derivative_hessian(p, alpha))))
         if inertia.positive > 1:
             return alpha, inertia
     return None
@@ -216,6 +282,31 @@ def test_sparse_hessian_sweep_matches_full_sweep():
         assert (report.hessian_ok, report.hessian_witness) == (witness is None, witness), p
         failing += witness is not None
     assert failing >= 30 and len(polys) - failing >= 30
+
+
+def test_hessian_sweep_matches_full_sweep_on_rational_polynomials():
+    # Fraction coefficients: the efls polynomials, and seeded random ones, many
+    # of them not Lorentzian, so that the first failing witness is compared
+    from deltamat.randgen import random_delta_matroids
+
+    rng = random.Random(5353)
+    polys = [efls_gen_poly(d) for n in (3, 4) for d, _ in random_delta_matroids(9, n, seed=80 + n)]
+    for _ in range(150):
+        width, degree = rng.randint(2, 4), rng.randint(2, 4)
+        points = list(_compositions(degree, width))
+        support = rng.sample(points, rng.randint(1, min(7, len(points))))
+        terms = {e: Fraction(rng.randint(-2, 6) or 1, rng.randint(1, 12)) for e in support}
+        polys.append(MultiPoly(w_vars(width - 1), terms))
+    failing = rational = 0
+    for p in polys:
+        report = is_lorentzian(p)
+        if not report.homogeneous:
+            continue
+        witness = _full_sweep_witness(p)
+        assert (report.hessian_ok, report.hessian_witness) == (witness is None, witness), p
+        failing += witness is not None
+        rational += any(c.denominator > 1 for c in p.terms.values())
+    assert failing >= 40 and len(polys) - failing >= 40 and rational >= 100
 
 
 def test_render_without_hessian_witness():
