@@ -1,15 +1,23 @@
 """Lorentzian-polynomial verification and the log-concavity inequality suite.
 
+The generating polynomials of a delta-matroid are built from the g
+transform: one pass over g by code counts the independent sets on each
+underline mask, and no set object is made.
+
 A homogeneous polynomial with nonnegative coefficients is Lorentzian when its
 support is M-convex and every Hessian obtained by taking degree-minus-two
-partial derivatives has at most one positive eigenvalue.  Only derivatives
-that lie under some support term have a non-zero Hessian; one pass over the
-terms builds all of them, scaled to integers, and they are checked in the
-lexicographic order of the full sweep.  Inertia is computed exactly by
-fraction-free symmetric congruence reduction (Sylvester's law), so there are
-no eigenvalue solvers and no tolerances anywhere.  Degenerate quadratics are
-allowed because coefficient-wise limits of strictly Lorentzian polynomials
-can be singular; polynomials of degree below two pass by convention.
+partial derivatives has at most one positive eigenvalue.  A support that is a
+full slice, every w0^(deg - |U|)·w_U with |U| <= deg, is M-convex (see
+``_full_slice``), and every nonempty family gives one; any other support goes
+through the all-pairs exchange scan ``mconvex_support``, which also finds its
+witness.  Only derivatives that lie under some support term have a non-zero
+Hessian; one pass over the terms builds all of them, scaled to integers, and
+they are checked in the lexicographic order of the full sweep.  Inertia is
+computed exactly by fraction-free symmetric congruence reduction (Sylvester's
+law), so there are no eigenvalue solvers and no tolerances anywhere.
+Degenerate quadratics are allowed because coefficient-wise limits of strictly
+Lorentzian polynomials can be singular; polynomials of degree below two pass
+by convention.
 """
 
 from __future__ import annotations
@@ -19,33 +27,69 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Sequence
 
-from .deltamatroid import DeltaMatroid
+from .deltamatroid import DeltaMatroid, signed_rank_by_code
+from .ground import code_masks
 from .invariants import independence_fvector
 from .poly import MultiPoly
+
+
+def _independent_counts(d: DeltaMatroid) -> list[tuple[int, int]]:
+    """(U, c_U) for each underline mask U that c_U > 0 independent sets have.
+
+    S lies inside a feasible set exactly when g(S) = |S|, so one pass over g
+    by code counts them; ``code_masks`` checks the guard before any work.
+    """
+    pos, neg = code_masks(d.n)
+    counts = [0] * (1 << d.n)
+    for p, q, gv in zip(pos, neg, signed_rank_by_code(d.n, d.feasible)):
+        u = p | q
+        if gv == u.bit_count():
+            counts[u] += 1
+    return [(u, c) for u, c in enumerate(counts) if c]
+
+
+def _w_variables(n: int) -> tuple[str, ...]:
+    return tuple(["w0"] + [f"w{i}" for i in range(1, n + 1)])
+
+
+def _indicator(n: int, mask: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(n))
 
 
 def indep_gen_poly(d: DeltaMatroid) -> MultiPoly:
     """Sum w0^(2n-|S|) * w_{underline(S)} over independent sets; degree 2n."""
     n = d.n
-    variables = tuple(["w0"] + [f"w{i}" for i in range(1, n + 1)])
-    counts: dict[tuple[int, ...], int] = {}
-    for s in d.independents():
-        exps = [2 * n - s.size] + [(s.underline >> i) & 1 for i in range(n)]
-        key = tuple(exps)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(variables, counts)
+    terms = {(2 * n - u.bit_count(),) + _indicator(n, u): c for u, c in _independent_counts(d)}
+    return MultiPoly(_w_variables(n), terms)
 
 
 def efls_gen_poly(d: DeltaMatroid) -> MultiPoly:
     """Sum w0^|S| / |S|! * w_{complement of underline(S)}; degree n."""
     n = d.n
-    variables = tuple(["w0"] + [f"w{i}" for i in range(1, n + 1)])
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for s in d.independents():
-        exps = [s.size] + [1 - ((s.underline >> i) & 1) for i in range(n)]
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(1, factorial(s.size))
-    return MultiPoly(variables, terms)
+    full = (1 << n) - 1
+    terms = {
+        (u.bit_count(),) + _indicator(n, full ^ u): Fraction(c, factorial(u.bit_count()))
+        for u, c in _independent_counts(d)
+    }
+    return MultiPoly(_w_variables(n), terms)
+
+
+def _full_slice(p: MultiPoly) -> bool:
+    """Is the support {(deg - |U|, 1_U) : U ⊆ [m], |U| <= deg}, for m + 1 variables?
+
+    ``p`` is homogeneous and non-zero.  One pass over the terms: such a term
+    with 0/1 exponents after the first is fixed by U, so the support is the
+    whole slice exactly when it has 0/1 tails and sum_{k <= deg} C(m, k)
+    terms.  Such a support is M-convex.  Given alpha, beta in it with
+    alpha_i > beta_i, equal degrees give some j with alpha_j < beta_j.  Then
+    alpha - e_i + e_j is still non-negative (alpha_i >= 1), still 0/1 after
+    the first coordinate (alpha_i = 1 if i > 0, alpha_j = 0 if j > 0) and of
+    degree deg, so it is again in the slice.
+    """
+    m, deg = len(p.variables) - 1, p.degree()
+    if any(e > 1 for exps in p.terms for e in exps[1:]):
+        return False
+    return len(p.terms) == sum(comb(m, k) for k in range(min(m, deg) + 1))
 
 
 def mconvex_support(p: MultiPoly) -> tuple[bool, tuple | None]:
@@ -217,7 +261,7 @@ def is_lorentzian(p: MultiPoly) -> LorentzianReport:
         return LorentzianReport(True, True, True, None, True, None)
     if not homogeneous:
         return LorentzianReport(False, nonneg, False, None, False, None)
-    mconvex, witness = mconvex_support(p)
+    mconvex, witness = (True, None) if _full_slice(p) else mconvex_support(p)
     deg = p.degree()
     hessian_ok = True
     hessian_witness = None

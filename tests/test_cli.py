@@ -95,13 +95,21 @@ def test_scan_guard_trips_before_building_instances():
 
 
 def test_constructions_guard_before_enumerating(tmp_path, capsys):
-    # from-gf2 reads 2^n principal minors and from-matroid --mode independents
-    # lists every subset of a basis: both must trip the guard before the work
+    # from-gf2 reads 2^n principal minors, from-matroid --mode independents
+    # lists every subset of a basis and lorentzian reads g over all 3^n sets:
+    # each must trip the guard before the work
     zero = tmp_path / "zero.gf2"
     zero.write_text("gf2 17\n" + ("0 " * 16 + "0\n") * 17)
     free = tmp_path / "free.matroid"
     free.write_text("ground plain 17\nbasis " + " ".join(str(i) for i in range(1, 18)) + "\n")
-    for argv in (["from-gf2", str(zero)], ["from-matroid", str(free), "--mode", "independents"]):
+    big = tmp_path / "big.dm"
+    big.write_text("n 17\nfeasible " + " ".join(str(i) for i in range(1, 18)) + "\n")
+    for argv in (
+        ["from-gf2", str(zero)],
+        ["from-matroid", str(free), "--mode", "independents"],
+        ["lorentzian", str(big), "--which", "indep"],
+        ["lorentzian", str(big), "--which", "efls"],
+    ):
         code, out = run(argv)
         assert code == 3 and out == ""
         assert "exceeds the guard limit" in capsys.readouterr().err

@@ -56,6 +56,85 @@ def test_efls_gen_poly_examples(tripod, coloop1, free1):
         assert p.coefficient(exps) == expect
 
 
+def _indep_poly_by_sets(d):
+    """Oracle: the independence generating polynomial summed over set objects."""
+    n = d.n
+    counts = {}
+    for s in d.independents():
+        key = tuple([2 * n - s.size] + [(s.underline >> i) & 1 for i in range(n)])
+        counts[key] = counts.get(key, 0) + 1
+    return MultiPoly(w_vars(n), counts)
+
+
+def _efls_poly_by_sets(d):
+    """Oracle: the efls generating polynomial summed over set objects."""
+    n = d.n
+    terms = {}
+    for s in d.independents():
+        key = tuple([s.size] + [1 - ((s.underline >> i) & 1) for i in range(n)])
+        terms[key] = terms.get(key, Fraction(0)) + Fraction(1, factorial(s.size))
+    return MultiPoly(w_vars(n), terms)
+
+
+def test_generating_polys_match_set_sums():
+    from deltamat.randgen import DISTRIBUTIONS, random_valid
+
+    rng = random.Random(6060)
+    dms = [random_valid(rng, n, dist) for n in range(7) for dist in DISTRIBUTIONS for _ in range(3)]
+    # arbitrary families: the exchange axiom is not needed for g
+    dms += [DeltaMatroid(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))) for n in range(6) for _ in range(8)]
+    for d in dms:
+        assert indep_gen_poly(d) == _indep_poly_by_sets(d), d.feasible
+        assert efls_gen_poly(d) == _efls_poly_by_sets(d), d.feasible
+
+
+def _slice_poly(rng, n, deg, masks):
+    """c·w0^(deg - |U|)·w_U over the masks U, with random positive integer c."""
+    terms = {(deg - u.bit_count(),) + tuple((u >> i) & 1 for i in range(n)): rng.randint(1, 3) for u in masks}
+    return MultiPoly(w_vars(n), terms)
+
+
+def test_full_slice_verdict_matches_support_scan(monkeypatch):
+    # a full slice skips the all-pairs scan; every verdict and witness must
+    # still be the scan's, on full slices and on partial ones, many failing
+    import deltamat.lorentzian as lz
+
+    scans = []
+    monkeypatch.setattr(lz, "mconvex_support", lambda p: scans.append(p) or mconvex_support(p))
+    rng = random.Random(2718)
+    full = passing_partial = failing = 0
+    for k in range(2000):
+        n = k % 6 if k < 60 else rng.randint(1, 5)
+        deg = rng.randint(0, 2 * n)
+        slice_masks = [u for u in range(1 << n) if u.bit_count() <= deg]
+        if rng.random() < 0.3:
+            masks = slice_masks
+        else:  # a proper subset, unless the slice has one set
+            masks = rng.sample(slice_masks, rng.randint(1, max(1, len(slice_masks) - 1)))
+        p = _slice_poly(rng, n, deg, masks)
+        bendable = [e for e in p.terms if e[0] and any(e[1:])]
+        if bendable and rng.random() < 0.2:  # the same number of terms, one exponent 2
+            terms = dict(p.terms)
+            e = list(rng.choice(bendable))
+            del terms[tuple(e)]
+            i = rng.choice([i for i in range(1, n + 1) if e[i]])
+            e[0], e[i] = e[0] - 1, 2
+            p = MultiPoly(p.variables, {**terms, tuple(e): 1})
+        scans.clear()
+        report = is_lorentzian(p)
+        ok, witness = mconvex_support(p)
+        assert (report.mconvex, report.mconvex_witness) == (ok, witness), p.terms
+        if len(p.terms) == len(slice_masks) and max(max(e[1:], default=0) for e in p.terms) <= 1:
+            assert ok and not scans
+            full += 1
+        elif ok:
+            passing_partial += 1
+        else:
+            failing += 1
+            assert f"support not M-convex at {witness}" in report.render()
+    assert failing >= 500 and full >= 500 and passing_partial >= 300, (failing, full, passing_partial)
+
+
 def test_mconvex_support():
     ok, witness = mconvex_support(MultiPoly(("a", "b"), {(2, 0): 1, (1, 1): 3}))
     assert ok and witness is None

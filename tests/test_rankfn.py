@@ -7,6 +7,7 @@ import pytest
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.ground import combine, enumerate_admissible
 from deltamat.invariants import independence_fvector, interlace, upoly_direct
+from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.rankfn import (
     H_SYSTEMS,
@@ -132,6 +133,7 @@ def test_table_paths_build_no_set_objects():
     assert d.lattice_point_test()
     assert check_g_axioms(g).passed
     assert all(check_h_axioms(h, system).passed for system in H_SYSTEMS)
+    assert all(is_lorentzian(gen(d)).passed for gen in (indep_gen_poly, efls_gen_poly))
     assert enumerate_admissible.cache_info().misses == 0
 
 
