@@ -1,16 +1,21 @@
 """Enumerative invariants: the two-variable rank enumerator, the interlace
 specialization, independence-complex face counts, and activity expansions.
 
-The enumerator is computed two ways, by its defining sum over all admissible
-sets and by deletion/contraction/projection recursion with memoized minors;
-the two must agree and the tests enforce it.  Activities follow the fixed
-index order 1 < 2 < ... < n.
+The enumerator is computed two ways that share no code: by its defining sum
+over the (size, g) pairs of the rank table, and by deletion/contraction/
+projection recursion on sorted mask tuples with each polynomial packed into
+one int.  The two must agree and the tests enforce it.  The interlace slice
+reads no rank table: it is the distance distribution of the feasible masks
+in the n-cube.  Activities follow the fixed index order 1 < 2 < ... < n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import xor
 from typing import Iterator
 
 from .deltamatroid import DeltaMatroid
@@ -41,45 +46,98 @@ def upoly_direct(d: DeltaMatroid) -> MultiPoly:
 
 
 def upoly_recursive(d: DeltaMatroid, pivot: str = "min") -> MultiPoly:
-    """Three-way recursion on a pivot index, with memoized canonical minors.
+    """Three-way recursion on a pivot index, memoized on (ground size, masks).
 
-    ``pivot`` picks the smallest or largest live index; any choice yields the
-    same polynomial, which the tests sample.
+    A node is a ground size k and the sorted tuple of its feasible masks.
+    The pivot is the top bit: the masks without it (a prefix of the tuple)
+    are the deletion, the masks with it, cleared, are the contraction, and
+    their sorted union is the projection, relabelled as ``DeltaMatroid.minor``
+    does.  ``pivot="max"`` takes index k as the top bit; ``pivot="min"``
+    reverses the bit order first, so index 1 is the top.  At a loop or
+    coloop one part is empty and the node is (1 + u + v) times the
+    projection; otherwise it is contraction + deletion + u·projection.  On a
+    valid family any pivot yields the same polynomial, which the tests
+    sample.
+
+    A polynomial is one int: the coefficient of u^i v^j sits in the w-bit
+    field at offset (i·(n+1) + j)·w, w = (3^n).bit_length(), so u and v are
+    shifts by (n+1)·w and w.  No field carries into the next: every node
+    has non-negative coefficients and evaluates to 3^k at u = v = 1 (1 at
+    k = 0, and each step adds three copies of a 3^(k-1) node), so each
+    coefficient of a node and of every sum forming it is below 3^n < 2^w.
+    A node of size k has total degree k, so j never leaves its row.
     """
     if pivot not in ("min", "max"):
         raise ValueError("pivot must be 'min' or 'max'")
-    u = MultiPoly(("u", "v"), {(1, 0): 1})
-    uv1 = MultiPoly(("u", "v"), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
-    memo: dict[tuple, MultiPoly] = {}
+    n = d.n
+    check_guard(n)
+    w = (3**n).bit_length()
+    su, sv = (n + 1) * w, w
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def rec(dm: DeltaMatroid) -> MultiPoly:
-        if dm.n == 0:
-            return MultiPoly.constant(1, ("u", "v"))
-        key = (dm.n, dm.feasible)
+    def rec(k: int, masks: tuple[int, ...]) -> int:
+        if k == 0:
+            return 1
+        key = (k, masks)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        i = 1 if pivot == "min" else dm.n
-        loops, coloops = dm.loops_coloops()
-        if i in loops or i in coloops:
-            res = uv1 * rec(dm.minor(project=[i]))
+        top = 1 << (k - 1)
+        cut = bisect_left(masks, top)
+        delete = masks[:cut]
+        contract = tuple(map(xor, masks[cut:], repeat(top)))
+        if delete and contract:
+            project = tuple(sorted({*delete, *contract}))
+            res = rec(k - 1, contract) + rec(k - 1, delete) + (rec(k - 1, project) << su)
         else:
-            res = (
-                rec(dm.minor(contract=[i]))
-                + rec(dm.minor(delete=[i]))
-                + u * rec(dm.minor(project=[i]))
-            )
+            p = rec(k - 1, delete or contract)
+            res = p + (p << su) + (p << sv)
         memo[key] = res
         return res
 
-    return rec(d)
+    masks = d.feasible
+    if pivot == "min":
+        masks = [int(format(m, f"0{n}b")[::-1], 2) for m in masks]
+    packed = rec(n, tuple(sorted(masks)))
+    field = (1 << w) - 1
+    return MultiPoly(
+        ("u", "v"),
+        {(i, j): packed >> (i * (n + 1) + j) * w & field for i in range(n + 1) for j in range(n + 1 - i)},
+    )
 
 
 def interlace(d: DeltaMatroid) -> MultiPoly:
-    """The u = 0 slice: a polynomial in v summed over full-size sets only."""
-    # canonical order sorts by size, so the 2^n full-size sets come last
-    full = Counter(d.rank_table().values[-(1 << d.n) :])
-    return MultiPoly(("v",), {((d.n - g) // 2,): c for g, c in full.items()})
+    """The u = 0 slice: v^((n - g(S))/2) summed over the 2^n full-size sets S.
+
+    A full-size S is fixed by its unbarred mask s, and g(S) is the largest
+    n - 2|s △ p| over feasible p, so its exponent is the Hamming distance
+    from s to F: the coefficient of v^j counts the masks at distance j.  A
+    breadth-first search from all of F at once counts them layer by layer.
+    A layer is one int whose bit s marks mask s.  Flipping index i + 1 maps
+    s to s ^ 2^i: the bits of the masks holding it (``high``, runs of 2^i
+    ones after 2^i zeros) move down by 2^i, the others up by 2^i.
+    """
+    n = d.n
+    check_guard(n)
+    size = 1 << n
+    flips = []
+    for i in range(n):
+        step = 1 << i
+        period = ((1 << size) - 1) // ((1 << 2 * step) - 1)  # one bit every 2·step
+        flips.append((step, ((1 << step) - 1 << step) * period))
+    marks = bytearray((size + 7) >> 3)
+    for m in d.feasible:
+        marks[m >> 3] |= 1 << (m & 7)
+    frontier = seen = int.from_bytes(marks, "little")
+    counts: dict[tuple[int], int] = {}
+    while frontier:
+        counts[(len(counts),)] = frontier.bit_count()
+        reach = 0
+        for step, high in flips:
+            reach |= (frontier & high) >> step | (frontier & ~high) << step
+        frontier = reach & ~seen
+        seen |= frontier
+    return MultiPoly(("v",), counts)
 
 
 @dataclass(frozen=True)

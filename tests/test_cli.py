@@ -96,8 +96,9 @@ def test_scan_guard_trips_before_building_instances():
 
 def test_constructions_guard_before_enumerating(tmp_path, capsys):
     # from-gf2 reads 2^n principal minors, from-matroid --mode independents
-    # lists every subset of a basis and lorentzian reads g over all 3^n sets:
-    # each must trip the guard before the work
+    # lists every subset of a basis, lorentzian reads g over all 3^n sets and
+    # the recursion and interlace read no table but may still take 3^n or
+    # 2^n steps: each must trip the guard before the work
     zero = tmp_path / "zero.gf2"
     zero.write_text("gf2 17\n" + ("0 " * 16 + "0\n") * 17)
     free = tmp_path / "free.matroid"
@@ -109,6 +110,8 @@ def test_constructions_guard_before_enumerating(tmp_path, capsys):
         ["from-matroid", str(free), "--mode", "independents"],
         ["lorentzian", str(big), "--which", "indep"],
         ["lorentzian", str(big), "--which", "efls"],
+        ["upoly", str(big), "--method", "recursive"],
+        ["interlace", str(big)],
     ):
         code, out = run(argv)
         assert code == 3 and out == ""

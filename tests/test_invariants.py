@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from deltamat.invariants import (
 )
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.poly import MultiPoly, poly_u_v
-from deltamat.randgen import random_delta_matroids
+from deltamat.randgen import random_delta_matroids, random_family, random_valid
 
 from conftest import oracle_families, sset
 
@@ -62,6 +63,84 @@ def test_table_invariants_match_defining_sums():
         assert interlace(d) == MultiPoly(("v",), slice_), d
         independent_sizes = [s.size for s in enumerate_admissible(n) if d.is_independent(s)]
         assert independence_fvector(d) == FVector.from_sizes(independent_sizes), d
+
+
+def _upoly_recursive_by_minors(d, pivot):
+    """Oracle: the three-way recursion through ``DeltaMatroid.minor`` and
+    ``MultiPoly`` arithmetic, memoized on canonical minors."""
+    u = MultiPoly(("u", "v"), {(1, 0): 1})
+    uv1 = MultiPoly(("u", "v"), {(1, 0): 1, (0, 1): 1, (0, 0): 1})
+    memo = {}
+
+    def rec(dm):
+        if dm.n == 0:
+            return MultiPoly.constant(1, ("u", "v"))
+        key = (dm.n, dm.feasible)
+        if key not in memo:
+            i = 1 if pivot == "min" else dm.n
+            loops, coloops = dm.loops_coloops()
+            if i in loops or i in coloops:
+                memo[key] = uv1 * rec(dm.minor(project=[i]))
+            else:
+                memo[key] = (
+                    rec(dm.minor(contract=[i]))
+                    + rec(dm.minor(delete=[i]))
+                    + u * rec(dm.minor(project=[i]))
+                )
+        return memo[key]
+
+    return rec(d)
+
+
+def _interlace_by_table(d):
+    """Oracle: the full-size sets close the canonical order, so the last 2^n
+    rank-table values are their g."""
+    full = Counter(d.rank_table().values[-(1 << d.n) :])
+    return MultiPoly(("v",), {((d.n - g) // 2,): c for g, c in full.items()})
+
+
+def _enumerator_families():
+    """Every nonempty family at n <= 2, 2,100 seeded arbitrary families at
+    n = 3..5 (valid or not, single sets included), and seeded gf2 and twist
+    instances at n = 1..9."""
+    for n in range(3):
+        for k in range(1, (1 << n) + 1):
+            for fam in combinations(range(1 << n), k):
+                yield DeltaMatroid(n, fam)
+    rng = random.Random(1212)
+    for n, count in ((3, 900), (4, 800), (5, 400)):
+        for _ in range(count):
+            yield random_family(rng, n)
+        yield DeltaMatroid(n, [rng.randrange(1 << n)])
+    for n in range(1, 10):
+        for dist in ("gf2", "twist"):
+            for _ in range(2):
+                yield random_valid(rng, n, dist)
+
+
+def test_upoly_recursive_matches_minor_oracle():
+    count = 0
+    for d in _enumerator_families():
+        for pivot in ("min", "max"):
+            assert upoly_recursive(d, pivot) == _upoly_recursive_by_minors(d, pivot), (d, pivot)
+        count += 1
+    assert count >= 2000
+
+
+def test_upoly_recursion_depends_on_the_pivot_off_valid_families():
+    # on an invalid family the three-way recursion is not an invariant
+    d = DeltaMatroid(4, (1, 5, 8, 11, 12, 13, 14))
+    assert not d.validate("exchange").ok
+    low, high = upoly_recursive(d, "min"), upoly_recursive(d, "max")
+    assert low == _upoly_recursive_by_minors(d, "min")
+    assert high == _upoly_recursive_by_minors(d, "max")
+    assert low - high == U * V - U * V**2  # 9·u·v against 8·u·v + u·v^2
+
+
+def test_interlace_matches_table_oracle():
+    for d in _enumerator_families():
+        assert interlace(d) == _interlace_by_table(d), d
+    assert interlace(DeltaMatroid(0, [0])) == MultiPoly(("v",), {(0,): 1})
 
 
 def test_upoly_pivot_invariance():

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from deltamat import deltamatroid
 from deltamat.deltamatroid import DeltaMatroid, RankTable
-from deltamat.ground import combine, enumerate_admissible
-from deltamat.invariants import independence_fvector, interlace, upoly_direct
+from deltamat.ground import canonical_codes, canonical_sizes, combine, enumerate_admissible
+from deltamat.invariants import independence_fvector, interlace, upoly_direct, upoly_recursive
 from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.rankfn import (
@@ -134,6 +135,25 @@ def test_table_paths_build_no_set_objects():
     assert check_g_axioms(g).passed
     assert all(check_h_axioms(h, system).passed for system in H_SYSTEMS)
     assert all(is_lorentzian(gen(d)).passed for gen in (indep_gen_poly, efls_gen_poly))
+    assert enumerate_admissible.cache_info().misses == 0
+
+
+def test_enumerator_paths_read_no_rank_table(monkeypatch):
+    # the recursion runs on mask tuples and interlace on the 2^n cube: neither
+    # builds the 3^n code index, a set object or a g table
+    d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
+
+    def no_table(*args):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(deltamatroid, "signed_rank_by_code", no_table)
+    for cached in (canonical_codes, canonical_sizes, enumerate_admissible):
+        cached.cache_clear()
+    interlace(d)
+    upoly_recursive(d)
+    upoly_recursive(d, pivot="max")
+    assert canonical_codes.cache_info().misses == 0
+    assert canonical_sizes.cache_info().misses == 0
     assert enumerate_admissible.cache_info().misses == 0
 
 
