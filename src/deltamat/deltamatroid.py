@@ -42,9 +42,9 @@ from .ground import (
 )
 
 
-def _mask_key(n: int, pos_mask: int) -> tuple[int, ...]:
-    # sign pattern per index, 0 = unbarred, 1 = barred
-    return tuple(0 if pos_mask >> i & 1 else 1 for i in range(n))
+def _mask_key(n: int, pos_mask: int) -> int:
+    # the barred indices as an n-bit int with index 1 on top: +i sorts before -i, index by index
+    return int(f"{~pos_mask & ((1 << n) - 1):0{n}b}"[::-1], 2)
 
 
 @dataclass(frozen=True)

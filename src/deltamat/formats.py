@@ -15,6 +15,8 @@ Serialization always emits canonical order, so parse(serialize(x)) == x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .deltamatroid import DeltaMatroid, RankTable
 from .ground import AdmissibleSet, canonical_labels
@@ -52,6 +54,9 @@ def _int(token: str, lineno: int, what: str = "integer") -> int:
 
 
 def parse_document(text: str) -> InputDocument:
+    table = _ranktable_as_written(text)
+    if table is not None:
+        return InputDocument("rank-table", table)
     lines = _logical_lines(text)
     if not lines:
         raise ParseError("line 1: empty document")
@@ -138,6 +143,36 @@ def _parse_gf2(lines) -> Gf2SymMatrix:
         raise ParseError(f"line 1: {exc}") from None
 
 
+def _ranktable_as_written(text: str) -> RankTable | None:
+    """The table when the text is a rank table as ``serialize_value`` writes it, else None.
+
+    One check over the whole body: the heads before ": " are the canonical
+    labels as one tuple, and ``int`` reads every tail.  Any other text,
+    comments and blank lines included, is left to the line parse, which
+    accepts the same tables and words every error.
+    """
+    if not text.startswith("ranktable"):
+        return None
+    raw_lines = text.splitlines()
+    head = raw_lines[0].split()
+    if len(head) != 2 or head[0] != "ranktable" or not (head[1].isascii() and head[1].isdigit()):
+        return None
+    try:
+        n = int(head[1])
+    except ValueError:  # more digits than int reads
+        return None
+    labels = canonical_labels(n)  # trips the size guard, as the line parse would
+    if len(raw_lines) != len(labels) + 1:
+        return None
+    parts = list(map(str.partition, raw_lines[1:], repeat(": ")))
+    if tuple(map(itemgetter(0), parts)) != labels:
+        return None
+    try:
+        return RankTable(n, tuple(map(int, map(itemgetter(2), parts))))
+    except ValueError:
+        return None
+
+
 def _parse_ranktable(lines) -> RankTable:
     lineno, head = lines[0]
     if len(head) != 2:
@@ -150,11 +185,6 @@ def _parse_ranktable(lines) -> RankTable:
     values = []
     for (lineno, tokens), label in zip(body, labels):
         joined = " ".join(tokens)
-        # the line as serialize_value writes it; anything else takes the full parse
-        stem = label + ":"
-        if joined.startswith(stem) and ":" not in joined[len(stem) :]:
-            values.append(_int(joined[len(stem) :].strip(), lineno, "table value"))
-            continue
         if ":" not in joined:
             raise _fail(lineno, "expected '<set>: <value>'")
         left, right = joined.rsplit(":", 1)

@@ -4,7 +4,7 @@ from itertools import chain, combinations, permutations, product
 import pytest
 
 from deltamat import lp
-from deltamat.deltamatroid import DeltaMatroid, ValidationReport, _uncertified_pairs, all_full_size_masks
+from deltamat.deltamatroid import DeltaMatroid, ValidationReport, _mask_key, _uncertified_pairs, all_full_size_masks
 from deltamat.ground import AdmissibleSet, SignedPermutation, combine, dot, enumerate_admissible
 from deltamat.randgen import random_valid
 
@@ -31,6 +31,21 @@ def test_construction_canonicalizes():
         DeltaMatroid(2, [])
     with pytest.raises(ValueError):
         DeltaMatroid.from_feasible_sets(2, [sset(2, 1)])  # not full size
+
+
+def test_mask_key_orders_as_sign_tuples():
+    # the int key sorts masks as the tuple of signs by index (0 unbarred, 1 barred) does
+    def signs(n, m):
+        return tuple(0 if m >> i & 1 else 1 for i in range(n))
+
+    for n in range(11):
+        masks = range(1 << n)
+        assert sorted(masks, key=lambda m: _mask_key(n, m)) == sorted(masks, key=lambda m: signs(n, m)), n
+    # the order of the full-size sets in the canonical order of all sets
+    for n in range(6):
+        assert list(all_full_size_masks(n)) == [s.pos for s in enumerate_admissible(n) if s.size == n]
+    shuffled = random.Random(0).sample(range(1 << 7), 40)
+    assert list(DeltaMatroid(7, shuffled).feasible) == sorted(shuffled, key=lambda m: signs(7, m))
 
 
 def test_validate_examples(tripod):

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from deltamat.deltamatroid import DeltaMatroid, RankTable
-from deltamat.formats import ParseError, parse_document, serialize_value
+from deltamat.formats import (
+    ParseError,
+    _logical_lines,
+    _parse_ranktable,
+    _ranktable_as_written,
+    parse_document,
+    serialize_value,
+)
 from deltamat.matroid import Gf2SymMatrix, Matroid, upper_matroid
 
 from conftest import oracle_families, sset
@@ -137,3 +144,54 @@ def test_ranktable_parse_accepts_loose_lines_and_keeps_messages():
         assert str(info.value) == message
     with pytest.raises(ValueError, match="^ground size must be non-negative$"):
         parse_document("ranktable -1\n: 0\n")
+
+
+def _ranktable_variants():
+    """Texts near the serialized form of one n = 2 table, with the parse each must give."""
+    table = RankTable(2, (0, 1, -1, 2, -2, 3, -3, 4, -4))
+    lines = serialize_value(table).splitlines()
+
+    def edit(k, line):
+        out = list(lines)
+        out[k] = line
+        return "\n".join(out) + "\n"
+
+    swapped = list(lines)
+    swapped[3], swapped[4] = swapped[4], swapped[3]
+    commented = ["# a rank table", lines[0] + "  # n = 2", ""] + lines[1:4] + [lines[4] + " # four", ""] + lines[5:]
+    same = table.values
+    return {
+        # (text, whole-body check applies, values or error message)
+        "as written": (serialize_value(table), True, same),
+        "no final newline": ("\n".join(lines), True, same),
+        "crlf": ("\r\n".join(lines) + "\r\n", True, same),
+        "trailing spaces": (edit(3, lines[3] + "   "), True, same),
+        "plus sign": (edit(2, "1: +5"), True, (0, 5) + same[2:]),
+        "underscore": (edit(4, "2: 1_0"), True, same[:3] + (10,) + same[4:]),
+        "form feed": (edit(3, "\x0c" + lines[3]), False, same),
+        "comments and blank lines": ("\n".join(commented) + "\n", False, same),
+        "extra token": (edit(3, lines[3] + " 7"), False, "line 4: expected table value, got '-1 7'"),
+        "swapped lines": ("\n".join(swapped) + "\n", False, "line 4: sets out of canonical order: expected {-1}"),
+        "truncated": ("\n".join(lines[:-2]) + "\n", False, "line 1: expected 9 table lines, got 7"),
+        "bad header": (edit(0, "ranktable 2 2"), False, "line 1: header must be 'ranktable <n>'"),
+        "long size": (edit(0, "ranktable " + "9" * 5000), False, "line 1: expected ground size, got '%s'" % ("9" * 5000)),
+    }
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).values
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_ranktable_whole_body_check_matches_line_parse():
+    def line_parse(text):
+        return _parse_ranktable(_logical_lines(text))
+
+    def document(text):
+        return parse_document(text).value
+
+    for name, (text, whole_body, expected) in _ranktable_variants().items():
+        assert (_ranktable_as_written(text) is not None) == whole_body, name
+        assert _outcome(document, text) == _outcome(line_parse, text) == expected, name

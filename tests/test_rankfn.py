@@ -1,19 +1,33 @@
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from deltamat import deltamatroid
+from deltamat import cli, deltamatroid
+from deltamat.acceptance import valid_delta_matroids
 from deltamat.deltamatroid import DeltaMatroid, RankTable
+from deltamat.formats import serialize_value
 from deltamat.ground import canonical_codes, canonical_sizes, combine, enumerate_admissible
 from deltamat.invariants import independence_fvector, interlace, upoly_direct, upoly_recursive
 from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.rankfn import (
+    _PAIR_AXIOMS,
+    _PAIR_STEP,
     H_SYSTEMS,
-    _locally_ok,
+    AxiomReport,
+    Violation,
+    _local_pairs,
+    _local_summary,
+    _pair_axiom_holds,
+    _pair_sides,
     _pair_violations,
+    _step_pairs,
+    _unit_step,
+    _witness,
     check_g_axioms,
     check_h_axioms,
     delta_from_rank,
@@ -67,9 +81,18 @@ def _perturbed(rng, table):
     return RankTable(table.n, tuple(values))
 
 
+def _locally_ok(table, system):
+    """Oracle: the pair axiom on each local pair, one tuple of positions per pair."""
+    _, c, w, disjoint = _PAIR_AXIOMS[system]
+    v = table.values
+    sides = (_pair_sides(v, c, w, *pair) for pair in _local_pairs(table.n, disjoint))
+    return all(lhs >= rhs for lhs, rhs in sides)
+
+
 def test_local_axioms_match_pair_scan():
     # the local pairs decide each pair axiom exactly as the scan over all
-    # 9^n ordered pairs does, on rank tables, near misses and noise
+    # 9^n ordered pairs does, on rank tables, near misses and noise, and the
+    # marginals decide the local pairs
     rng = random.Random(2718)
     tables = []
     for d in oracle_families():
@@ -81,12 +104,109 @@ def test_local_axioms_match_pair_scan():
         tables += _random_tables(rng, n, 10)
     passed = failed = 0
     for table in tables:
+        local_summary = _local_summary(table)
         for system in ("g",) + H_SYSTEMS:
             local = _locally_ok(table, system)
             assert local == (not _pair_violations(table, system)), (table, system)
+            assert _pair_axiom_holds(local_summary, system) == local, (table, system)
             passed += local
             failed += not local
     assert passed > 1000 and failed > 1000
+
+
+def _reference_g_report(g):
+    """Oracle: check_g_axioms as per-position loops, with the even flag read off the steps."""
+    n, v = g.n, g.values
+    sizes = canonical_sizes(n)
+    out = []
+    if v[0] != 0:
+        out.append(Violation("normalization", _witness(n, 0), v[0], 0))
+    for p, (size, value) in enumerate(zip(sizes, v)):
+        if size == 1 and abs(value) > 1:
+            out.append(Violation("boundedness", _witness(n, p), 1, abs(value)))
+        if (value - size) % 2:
+            out.append(Violation("parity", _witness(n, p), value, size))
+    if not _locally_ok(g, "g"):
+        out.extend(_pair_violations(g, "g"))
+    even = all(
+        2 * v[i] == v[plus] + v[minus] for i, _, plus, minus in step_positions(n) if sizes[i] == n - 1
+    )
+    return AxiomReport.from_violations(out, even=even)
+
+
+def _reference_h_report(h, system):
+    """Oracle: check_h_axioms as per-position loops."""
+    n, v = h.n, h.values
+    out = []
+    if v[0] != 0:
+        out.append(Violation(f"{system}-normalization", _witness(n, 0), v[0], 0))
+    if system == "larson":
+        for p, (size, value) in enumerate(zip(canonical_sizes(n), v)):
+            if size == 1 and value not in (0, 1):
+                out.append(Violation("larson-boundedness", _witness(n, p), value, 0))
+    else:
+        for i, _, plus, minus in step_positions(n):
+            for up in (plus, minus):
+                if v[up] not in _unit_step(v, i):
+                    out.append(Violation(f"{system}-unit-step", _witness(n, i, up), v[up], v[i]))
+    if not _locally_ok(h, system):
+        out.extend(_pair_violations(h, system))
+    if system == "bouchet":
+        for pair in _step_pairs(n):
+            lhs, rhs = _pair_sides(v, *_PAIR_STEP, *pair)
+            if lhs < rhs:
+                out.append(Violation("bouchet-pair-step", _witness(n, pair[2]), lhs, rhs))
+    return AxiomReport.from_violations(out)
+
+
+def _rendered(report):
+    return report.passed, [v.render() for v in report.violations], report.even
+
+
+def test_axiom_reports_match_per_position_reference():
+    # every table at n <= 1 with small values, the rank tables of all
+    # delta-matroids at n = 2, 3 and of seeded gf2 ones at n = 4, 5, and
+    # near misses of each; a large table goes only to its own checkers,
+    # since a failing one is scanned over all 9^n pairs
+    rng = random.Random(5772)
+    small = [RankTable(0, (x,)) for x in range(-2, 3)]
+    small += [RankTable(1, values) for values in product(range(-2, 3), repeat=3)]
+    for n in (2, 3):
+        for d in valid_delta_matroids(n):
+            for table in (d.rank_table(), d.h_table()):
+                small += [table, _perturbed(rng, table)]
+    checks = [(table, system) for table in small for system in ("g",) + H_SYSTEMS]
+    for n, count, spoiled in ((4, 100, 4), (5, 30, 1)):
+        for k in range(count):
+            d = _gf2_family(rng, n)
+            g, h = d.rank_table(), d.h_table()
+            g_tables, h_tables = [g], [h]
+            if k < spoiled:
+                g_tables.append(_perturbed(rng, g))
+                h_tables.append(_perturbed(rng, h))
+            checks += [(table, "g") for table in g_tables]
+            checks += [(table, system) for table in h_tables for system in H_SYSTEMS]
+    passed = failed = 0
+    for table, system in checks:
+        if system == "g":
+            got, want = check_g_axioms(table), _reference_g_report(table)
+        else:
+            got, want = check_h_axioms(table, system), _reference_h_report(table, system)
+        assert _rendered(got) == _rendered(want), (table, system)
+        passed += got.passed
+        failed += not got.passed
+    assert passed >= 1000 and failed >= 1000
+
+
+def _gf2_family(rng, n):
+    """The delta-matroid of a seeded symmetric GF(2) matrix: always valid."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return dm_from_gf2(Gf2SymMatrix(n, tuple(rows)))
 
 
 def _seeded_families(rng, n, count):
@@ -94,13 +214,7 @@ def _seeded_families(rng, n, count):
     # them, and uniform families are mostly invalid
     out = []
     for _ in range(count):
-        rows = [0] * n
-        for i in range(n):
-            for j in range(i, n):
-                if rng.random() < 0.5:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        d = dm_from_gf2(Gf2SymMatrix(n, tuple(rows)))
+        d = _gf2_family(rng, n)
         out.append(d)
         spoiled = set(d.feasible) ^ {rng.randrange(1 << n)}
         out.append(DeltaMatroid(n, spoiled or d.feasible))
@@ -123,9 +237,10 @@ def test_rank_axioms_decide_validity():
     assert {(n, v) for n in range(3, 7) for v in (True, False)} <= verdicts
 
 
-def test_table_paths_build_no_set_objects():
+def test_table_paths_build_no_set_objects(tmp_path):
     # set objects are for I/O and violation witnesses only; no table path builds them
     d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
+    g_file, h_file = tmp_path / "g.rt", tmp_path / "h.rt"
     enumerate_admissible.cache_clear()
     g, h = d.rank_table(), d.h_table()
     upoly_direct(d)
@@ -134,7 +249,14 @@ def test_table_paths_build_no_set_objects():
     assert d.lattice_point_test()
     assert check_g_axioms(g).passed
     assert all(check_h_axioms(h, system).passed for system in H_SYSTEMS)
+    assert delta_from_rank(g) == d
     assert all(is_lorentzian(gen(d)).passed for gen in (indep_gen_poly, efls_gen_poly))
+    g_file.write_text(serialize_value(g))
+    h_file.write_text(serialize_value(h))
+    for argv in [["axioms-g", str(g_file)]] + [["axioms-h", str(h_file), "--system", s] for s in H_SYSTEMS]:
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert out.getvalue().startswith("PASS\n"), argv
     assert enumerate_admissible.cache_info().misses == 0
 
 
