@@ -13,13 +13,13 @@ import random
 import tempfile
 from contextlib import redirect_stdout
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from pathlib import Path
 from typing import Callable
 
-from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks
+from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks, signed_rank_by_code
 from .formats import serialize_value
-from .ground import AdmissibleSet, SignedPermutation, enumerate_admissible
+from .ground import AdmissibleSet, SignedPermutation, code_masks, enumerate_admissible
 from .invariants import (
     activity,
     activity_expansion,
@@ -115,19 +115,6 @@ def _low_tables(n: int, single_values, pair_values):
     for singles in product(single_values, repeat=2 * n):
         for pairs in product(pair_values, repeat=2 * n * (n - 1)):
             yield RankTable(n, (0,) + singles + pairs)
-
-
-def _compact_map(n: int, removed: set[int]):
-    """Map original signed elements to the relabelled minor coordinates."""
-    kept = [i for i in range(1, n + 1) if i not in removed]
-    new_of = {orig: k for k, orig in enumerate(kept, start=1)}
-
-    def remap(s: AdmissibleSet) -> AdmissibleSet:
-        return AdmissibleSet.from_elements(
-            len(kept), [(1 if e > 0 else -1) * new_of[abs(e)] for e in s.elements()]
-        )
-
-    return kept, remap
 
 
 # -- the identity list ----------------------------------------------------------
@@ -340,87 +327,103 @@ def criterion_fvector_lattice() -> str:
     return f"{count} instances: u-slice coefficients and lattice points match face counts"
 
 
+def _brute_g(m: DeltaMatroid) -> list[int]:
+    """g of m by base-3 code, each value a brute-force max over the feasible sets."""
+    return list(map(m._g, *code_masks(m.n)))
+
+
+def _fixed(g: list[int], states: dict[int, int]) -> list[int]:
+    """g by code at the sets with index i in state ``states[i]`` (0 out, 1 unbarred,
+    2 barred), indexed by the codes of the other indices.
+
+    Index i is the digit of stride 3^(i-1); fixing the highest first leaves the
+    strides below it in place.
+    """
+    for i in sorted(states, reverse=True):
+        stride = 3 ** (i - 1)
+        g = [v for b in range(states[i] * stride, len(g), 3 * stride) for v in g[b : b + stride]]
+    return g
+
+
+def _twisted_codes(w: SignedPermutation) -> list[int]:
+    """The code of w(S), indexed by the code of S.
+
+    Built one index at a time as ``code_masks`` builds its masks: the digit of
+    index i moves to index |w(i)|, and its states 1 and 2 swap where w negates.
+    """
+    codes = [0]
+    for v in w.image:
+        unit = 3 ** (abs(v) - 1)
+        plus, minus = (unit, 2 * unit) if v > 0 else (2 * unit, unit)
+        codes = codes + [c + plus for c in codes] + [c + minus for c in codes]
+    return codes
+
+
+def _agree(n: int, got: list[int], want: list[int], failure: Callable[[], str]) -> None:
+    """Two g lists by code are equal; the failure names the set at the first difference."""
+    if got != want:
+        c = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
+        pos, neg = code_masks(n)
+        raise CheckFailure(f"{failure()}, S={{{AdmissibleSet(n, pos[c], neg[c]).render()}}}")
+
+
+def _minor_states(n: int):
+    """{index: state} for each minor checked: every nonempty projection (state
+    0), then every contraction (1) and deletion (2) by disjoint groups, not both empty."""
+    for allowed in ((None, 0), (None, 1, 2)):
+        for states in product(allowed, repeat=n):
+            if any(t is not None for t in states):
+                yield {i: t for i, t in enumerate(states, start=1) if t is not None}
+
+
+_OPERATIONS = ("project", "contract", "delete")  # by the state an index is fixed in
+
+
 def criterion_operation_identities() -> str:
+    """The rank identities under minors, twists and products, each as one comparison
+    of g lists by code: d's side from the transform, the operated side brute force."""
     count = 0
     for n in range(1, 4):
-        sets = enumerate_admissible(n)
-        index_range = list(range(1, n + 1))
+        units = {e: (1 if e > 0 else 2) * 3 ** (abs(e) - 1) for i in range(1, n + 1) for e in (i, -i)}
         for d in valid_delta_matroids(n):
-            g = dict(d.rank_table().items())
-            # projection
-            for asize in range(1, n + 1):
-                for a_group in combinations(index_range, asize):
-                    kept, remap = _compact_map(n, set(a_group))
-                    proj = d.minor(project=a_group)
-                    for s in sets:
-                        if s.underline & _mask_of(a_group):
-                            continue
-                        ensure(
-                            proj.g(remap(s)) == g[s],
-                            lambda: f"projection rank identity fails on {d!r} "
-                            f"at A={a_group} S={{{s.render()}}}",
-                        )
-            # contraction/deletion, including the single-element lemma
-            loops, coloops = d.loops_coloops()
-            for a_group, b_group in _disjoint_pairs(index_range):
-                removed = set(a_group) | set(b_group)
-                if not removed:
-                    continue
-                kept, remap = _compact_map(n, removed)
-                minor = d.minor(contract=a_group, delete=b_group)
-                shift = AdmissibleSet.from_elements(
-                    n, [i for i in a_group] + [-i for i in b_group]
+            g = signed_rank_by_code(n, d.feasible)
+            for states in _minor_states(n):
+                groups = {op: [i for i, t in states.items() if t == k] for k, op in enumerate(_OPERATIONS)}
+                shifted = _fixed(g, states)
+                _agree(
+                    n - len(states),
+                    _brute_g(d.minor(**groups)),
+                    [v - shifted[0] for v in shifted],
+                    lambda: f"minor rank identity fails on {d!r} at "
+                    + ", ".join(f"{_OPERATIONS[t]} {i}" for i, t in states.items()),
                 )
-                base = g[shift]
-                for s in sets:
-                    if s.underline & _mask_of(removed):
-                        continue
-                    ensure(
-                        minor.g(remap(s)) == g[s.union(shift)] - base,
-                        lambda: f"minor rank identity fails on {d!r} "
-                        f"at A={a_group} B={b_group} S={{{s.render()}}}",
-                    )
-            for i in index_range:
-                kept, remap = _compact_map(n, {i})
-                if i not in loops:
-                    contracted = d.minor(contract=[i])
-                    for s in sets:
-                        if s.underline >> (i - 1) & 1:
-                            continue
-                        ensure(
-                            contracted.g(remap(s)) == g[s.with_element(i)] - 1,
-                            lambda: f"contraction lemma fails on {d!r} at i={i} S={{{s.render()}}}",
-                        )
-                if i not in coloops:
-                    deleted = d.minor(delete=[i])
-                    for s in sets:
-                        if s.underline >> (i - 1) & 1:
-                            continue
-                        ensure(
-                            deleted.g(remap(s)) == g[s.with_element(-i)] - 1,
-                            lambda: f"deletion lemma fails on {d!r} at i={i} S={{{s.render()}}}",
-                        )
-            # twists over the full signed permutation group
+            # the single-element lemmas: with the minor identity checked, they say the shift
+            # g({i}) or g({-i}) is 1 unless i is a loop (contract) or a coloop (delete)
+            exempt = d.loops_coloops()
+            for i, state in product(range(1, n + 1), (1, 2)):
+                ensure(
+                    i in exempt[state - 1] or g[state * 3 ** (i - 1)] == 1,
+                    lambda: f"{('contraction', 'deletion')[state - 1]} lemma fails on {d!r} at i={i}",
+                )
             for w in _signed_permutations(n):
-                twisted = d.twist(w)
-                w_inv = w.inverse()
-                for s in sets:
-                    ensure(
-                        twisted.g(s) == g[w_inv.apply(s)],
-                        lambda: f"twist identity fails on {d!r} at w={w.image} S={{{s.render()}}}",
-                    )
+                twisted = _brute_g(d.twist(w))
+                _agree(
+                    n,
+                    list(map(twisted.__getitem__, _twisted_codes(w))),
+                    g,
+                    lambda: f"twist identity fails on {d!r} at w={w.image}",
+                )
             # upper matroids over every window
+            full = (1 << n) - 1
             for window_mask in all_full_size_masks(n):
-                window = AdmissibleSet(n, window_mask, ((1 << n) - 1) & ~window_mask)
+                window = AdmissibleSet(n, window_mask, full & ~window_mask)
                 m = upper_matroid(d, window)
-                welems = window.elements()
                 for k in range(n + 1):
-                    for chosen in combinations(welems, k):
-                        t = AdmissibleSet.from_elements(n, chosen)
+                    for chosen in combinations(window.elements(), k):
                         ensure(
-                            2 * m.rank_of(chosen) == g[t] + t.size,
+                            2 * m.rank_of(chosen) == g[sum(map(units.__getitem__, chosen))] + k,
                             lambda: f"upper-matroid rank fails on {d!r} "
-                            f"window {{{window.render()}}} T={{{t.render()}}}",
+                            f"window {{{window.render()}}} T={{{' '.join(map(str, chosen))}}}",
                         )
             ensure(greedy_check(d).passed, lambda: f"greedy property fails on {d!r}")
             count += 1
@@ -428,44 +431,26 @@ def criterion_operation_identities() -> str:
     pairs = 0
     for n1, n2 in ((1, 1), (1, 2), (2, 1)):
         for d1 in valid_delta_matroids(n1):
+            g1 = signed_rank_by_code(n1, d1.feasible)
             for d2 in valid_delta_matroids(n2):
-                prod = d1.product(d2)
-                for s in enumerate_admissible(n1 + n2):
-                    s1 = AdmissibleSet(n1, s.pos & ((1 << n1) - 1), s.neg & ((1 << n1) - 1))
-                    s2 = AdmissibleSet(n2, s.pos >> n1, s.neg >> n1)
-                    ensure(
-                        prod.g(s) == d1.g(s1) + d2.g(s2),
-                        lambda: f"product rank identity fails for {d1!r} x {d2!r} at {{{s.render()}}}",
-                    )
+                g2 = signed_rank_by_code(n2, d2.feasible)
+                _agree(
+                    n1 + n2,
+                    _brute_g(d1.product(d2)),
+                    [a + b for b in g2 for a in g1],
+                    lambda: f"product rank identity fails for {d1!r} x {d2!r}",
+                )
                 pairs += 1
     return f"{count} instances pass all minor/twist/window identities; {pairs} products additive"
 
 
-def _mask_of(indices) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << (i - 1)
-    return out
-
-
-def _disjoint_pairs(index_range):
-    for asize in range(len(index_range) + 1):
-        for a_group in combinations(index_range, asize):
-            rest = [i for i in index_range if i not in a_group]
-            for bsize in range(len(rest) + 1):
-                for b_group in combinations(rest, bsize):
-                    yield a_group, b_group
-
-
 @lru_cache(maxsize=None)
 def _signed_permutations(n: int) -> tuple[SignedPermutation, ...]:
-    from itertools import permutations
-
-    out = []
-    for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            out.append(SignedPermutation(n, tuple(p * s for p, s in zip(perm, signs))))
-    return tuple(out)
+    return tuple(
+        SignedPermutation(n, tuple(p * s for p, s in zip(perm, signs)))
+        for perm in permutations(range(1, n + 1))
+        for signs in product((1, -1), repeat=n)
+    )
 
 
 def criterion_h_systems() -> str:

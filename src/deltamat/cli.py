@@ -244,6 +244,8 @@ def _cmd_axioms_h(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
+    if args.limit < 0:
+        raise ParseError("--limit must be non-negative")
     d = _load(args.file, "delta-matroid")
     if args.check is None and not args.search:
         raise ParseError("envelope needs --check MATROIDFILE or --search")
@@ -315,6 +317,8 @@ def _cmd_scan(args) -> int:
 
     if args.random <= 0:
         raise ParseError("--random must be positive")
+    if args.size < 0:
+        raise ParseError("--size must be non-negative")
     check_guard(args.size)
     failures = 0
     for index, (d, dist) in enumerate(random_delta_matroids(args.random, args.size, args.seed), 1):

@@ -299,7 +299,9 @@ class DeltaMatroid:
     def twist(self, w: SignedPermutation) -> "DeltaMatroid":
         if w.n != self.n:
             raise ValueError("permutation acts on a different ground size")
-        return DeltaMatroid.from_feasible_sets(self.n, [w.apply(b) for b in self.feasible_sets()])
+        # w(B) takes index |v| unbarred, v = w(i), when B takes i with the sign of v
+        moves = [(i, 1 << (abs(v) - 1), v > 0) for i, v in enumerate(w.image)]
+        return DeltaMatroid(self.n, [sum(b for i, b, plus in moves if (p >> i & 1) == plus) for p in self.feasible])
 
     # -- independence ----------------------------------------------------------
 

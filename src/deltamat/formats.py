@@ -188,13 +188,14 @@ def _parse_ranktable(lines) -> RankTable:
         if ":" not in joined:
             raise _fail(lineno, "expected '<set>: <value>'")
         left, right = joined.rsplit(":", 1)
-        elems = [_int(t, lineno, "signed index") for t in left.split()]
-        try:
-            given = AdmissibleSet.from_elements(n, elems)
-        except ValueError as exc:
-            raise _fail(lineno, str(exc)) from None
-        if given.render() != label:
-            raise _fail(lineno, f"sets out of canonical order: expected {{{label}}}")
+        if left.rstrip() != label:  # a set written as its label needs no parse
+            elems = [_int(t, lineno, "signed index") for t in left.split()]
+            try:
+                given = AdmissibleSet.from_elements(n, elems)
+            except ValueError as exc:
+                raise _fail(lineno, str(exc)) from None
+            if given.render() != label:
+                raise _fail(lineno, f"sets out of canonical order: expected {{{label}}}")
         values.append(_int(right.strip(), lineno, "table value"))
     return RankTable(n, tuple(values))
 

@@ -27,7 +27,10 @@ class GuardLimitError(RuntimeError):
 
 def guard_limit() -> int:
     raw = os.environ.get(GUARD_ENV, "").strip()
-    return int(raw) if raw else DEFAULT_GUARD_LIMIT
+    try:
+        return int(raw) if raw else DEFAULT_GUARD_LIMIT
+    except ValueError:
+        raise ValueError(f"{GUARD_ENV}={raw!r} is not an integer") from None
 
 
 def check_guard(n: int) -> None:

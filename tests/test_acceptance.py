@@ -13,7 +13,8 @@ import pytest
 
 from deltamat import acceptance, cli
 from deltamat.acceptance import CRITERIA, run_criterion
-from deltamat.deltamatroid import DeltaMatroid, ValidationReport
+from deltamat.deltamatroid import DeltaMatroid, RankTable, ValidationReport
+from deltamat.ground import SignedPermutation
 from deltamat.invariants import FVector
 from deltamat.lorentzian import InequalityCheck, LogConcavityReport
 from deltamat.poly import MultiPoly
@@ -103,6 +104,34 @@ def test_broken_entry_fails_scan_and_criterion(monkeypatch, entry, owner, name, 
     if slug is not None:
         ok, detail = run_criterion(slug)
         assert not ok and detail.startswith(f"{line} on "), detail
+
+
+# (operation broken, replacement given the real one, start of the criterion's failure)
+OPERATION_BREAKS = [
+    ("minor", lambda real: lambda d, contract=(), delete=(), project=(): real(d, delete, contract, project),
+     "minor rank identity fails on "),
+    ("twist", lambda real: lambda d, w: real(d, w.inverse()), "twist identity fails on "),
+    ("product", lambda real: lambda d, other: real(other, d), "product rank identity fails for "),
+]
+
+
+@pytest.mark.parametrize("name, breaker, message", OPERATION_BREAKS, ids=[b[0] for b in OPERATION_BREAKS])
+def test_broken_operation_fails_operation_identities(monkeypatch, name, breaker, message):
+    monkeypatch.setattr(DeltaMatroid, name, breaker(getattr(DeltaMatroid, name)))
+    ok, detail = run_criterion("operation-identities")
+    assert not ok and detail.startswith(message), detail
+
+
+def test_operation_identities_compare_tables_not_sets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-set path ran")
+
+    for owner, name in ((DeltaMatroid, "g"), (SignedPermutation, "apply"), (RankTable, "items")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run_criterion("operation-identities") == (
+        True,
+        "173 instances pass all minor/twist/window identities; 99 products additive",
+    )
 
 
 def test_sweep_reports_entries_in_list_order(monkeypatch):

@@ -94,6 +94,23 @@ def test_scan_guard_trips_before_building_instances():
     assert out == ""
 
 
+def test_negative_counts_are_usage_errors(tmp_path, capsys):
+    d = tmp_path / "u12b.dm"
+    d.write_text("n 2\nfeasible 1 -2\nfeasible -1 2\n")
+    for argv, message in (
+        (["scan", "--random", "3", "--size", "-1"], "error: --size must be non-negative\n"),
+        (["envelope", str(d), "--search", "--limit", "-3"], "error: --limit must be non-negative\n"),
+    ):
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == message
+
+
+def test_guard_variable_that_is_not_an_integer(dex_file, capsys, monkeypatch):
+    monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "abc")
+    assert run(["rank-table", dex_file]) == (2, "")
+    assert capsys.readouterr().err == "error: DELTAMAT_GUARD_LIMIT='abc' is not an integer\n"
+
+
 def test_constructions_guard_before_enumerating(tmp_path, capsys):
     # from-gf2 reads 2^n principal minors, from-matroid --mode independents
     # lists every subset of a basis, lorentzian reads g over all 3^n sets and

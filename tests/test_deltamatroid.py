@@ -6,7 +6,7 @@ import pytest
 from deltamat import lp
 from deltamat.deltamatroid import DeltaMatroid, ValidationReport, _mask_key, _uncertified_pairs, all_full_size_masks
 from deltamat.ground import AdmissibleSet, SignedPermutation, combine, dot, enumerate_admissible
-from deltamat.randgen import random_valid
+from deltamat.randgen import random_signed_permutation, random_valid
 
 from conftest import oracle_families, sset
 
@@ -185,6 +185,27 @@ def test_twist_is_group_action(tripod):
     w1 = SignedPermutation(3, (2, -3, 1))
     w2 = SignedPermutation(3, (-1, 3, 2))
     assert tripod.twist(w1).twist(w2) == tripod.twist(w2.compose(w1))
+
+
+def test_twist_matches_set_action():
+    """The mask twist equals w applied to each feasible set."""
+
+    def set_twist(d, w):
+        return DeltaMatroid.from_feasible_sets(d.n, [w.apply(b) for b in d.feasible_sets()])
+
+    for n in range(4):
+        group = [
+            SignedPermutation(n, tuple(p * s for p, s in zip(perm, signs)))
+            for perm in permutations(range(1, n + 1))
+            for signs in product((1, -1), repeat=n)
+        ]
+        for d in all_valid(n):
+            for w in group:
+                assert d.twist(w) == set_twist(d, w)
+    rng = random.Random(8080)
+    for dist in ("gf2", "twist") * 4:
+        d, w = random_valid(rng, 8, dist), random_signed_permutation(rng, 8)
+        assert d.twist(w) == set_twist(d, w)
 
 
 def test_independents(tripod, coloop1):

@@ -11,6 +11,7 @@ from deltamat.formats import (
     parse_document,
     serialize_value,
 )
+from deltamat.ground import AdmissibleSet
 from deltamat.matroid import Gf2SymMatrix, Matroid, upper_matroid
 
 from conftest import oracle_families, sset
@@ -171,6 +172,9 @@ def _ranktable_variants():
         "form feed": (edit(3, "\x0c" + lines[3]), False, same),
         "comments and blank lines": ("\n".join(commented) + "\n", False, same),
         "extra token": (edit(3, lines[3] + " 7"), False, "line 4: expected table value, got '-1 7'"),
+        "reordered tokens": (edit(6, "2 1: 3"), False, same),
+        "signed head": (edit(2, "+1: 1"), False, same),
+        "duplicated token": (edit(2, "1 1: 1"), False, same),
         "swapped lines": ("\n".join(swapped) + "\n", False, "line 4: sets out of canonical order: expected {-1}"),
         "truncated": ("\n".join(lines[:-2]) + "\n", False, "line 1: expected 9 table lines, got 7"),
         "bad header": (edit(0, "ranktable 2 2"), False, "line 1: header must be 'ranktable <n>'"),
@@ -195,3 +199,15 @@ def test_ranktable_whole_body_check_matches_line_parse():
     for name, (text, whole_body, expected) in _ranktable_variants().items():
         assert (_ranktable_as_written(text) is not None) == whole_body, name
         assert _outcome(document, text) == _outcome(line_parse, text) == expected, name
+
+
+def test_commented_table_parse_builds_no_sets(monkeypatch):
+    table = DeltaMatroid(5, range(0, 32, 3)).rank_table()
+    text = "# a commented table\n" + serialize_value(table)
+
+    def refuse(*args):
+        raise AssertionError("a set was built")
+
+    monkeypatch.setattr(AdmissibleSet, "from_elements", refuse)
+    assert _ranktable_as_written(text) is None
+    assert parse_document(text).value == table
