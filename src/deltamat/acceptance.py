@@ -19,7 +19,7 @@ from typing import Callable
 
 from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks, signed_rank_by_code
 from .formats import serialize_value
-from .ground import AdmissibleSet, SignedPermutation, code_masks, enumerate_admissible
+from .ground import AdmissibleSet, SignedPermutation, code_masks, enumerate_admissible, set_of_code
 from .invariants import (
     activity,
     activity_expansion,
@@ -327,9 +327,10 @@ def criterion_fvector_lattice() -> str:
     return f"{count} instances: u-slice coefficients and lattice points match face counts"
 
 
-def _brute_g(m: DeltaMatroid) -> list[int]:
-    """g of m by base-3 code, each value a brute-force max over the feasible sets."""
-    return list(map(m._g, *code_masks(m.n)))
+def _brute_g(m: DeltaMatroid, masks: list[tuple[list[int], list[int]]]) -> list[int]:
+    """g of m by base-3 code, each value a brute-force max over the feasible sets;
+    ``masks[k]`` is ``code_masks(k)``."""
+    return list(map(m._g, *masks[m.n]))
 
 
 def _fixed(g: list[int], states: dict[int, int]) -> list[int]:
@@ -363,8 +364,7 @@ def _agree(n: int, got: list[int], want: list[int], failure: Callable[[], str]) 
     """Two g lists by code are equal; the failure names the set at the first difference."""
     if got != want:
         c = next(c for c, (a, b) in enumerate(zip(got, want)) if a != b)
-        pos, neg = code_masks(n)
-        raise CheckFailure(f"{failure()}, S={{{AdmissibleSet(n, pos[c], neg[c]).render()}}}")
+        raise CheckFailure(f"{failure()}, S={{{set_of_code(n, c).render()}}}")
 
 
 def _minor_states(n: int):
@@ -382,6 +382,7 @@ _OPERATIONS = ("project", "contract", "delete")  # by the state an index is fixe
 def criterion_operation_identities() -> str:
     """The rank identities under minors, twists and products, each as one comparison
     of g lists by code: d's side from the transform, the operated side brute force."""
+    masks = [code_masks(k) for k in range(4)]
     count = 0
     for n in range(1, 4):
         units = {e: (1 if e > 0 else 2) * 3 ** (abs(e) - 1) for i in range(1, n + 1) for e in (i, -i)}
@@ -392,7 +393,7 @@ def criterion_operation_identities() -> str:
                 shifted = _fixed(g, states)
                 _agree(
                     n - len(states),
-                    _brute_g(d.minor(**groups)),
+                    _brute_g(d.minor(**groups), masks),
                     [v - shifted[0] for v in shifted],
                     lambda: f"minor rank identity fails on {d!r} at "
                     + ", ".join(f"{_OPERATIONS[t]} {i}" for i, t in states.items()),
@@ -406,7 +407,7 @@ def criterion_operation_identities() -> str:
                     lambda: f"{('contraction', 'deletion')[state - 1]} lemma fails on {d!r} at i={i}",
                 )
             for w in _signed_permutations(n):
-                twisted = _brute_g(d.twist(w))
+                twisted = _brute_g(d.twist(w), masks)
                 _agree(
                     n,
                     list(map(twisted.__getitem__, _twisted_codes(w))),
@@ -436,7 +437,7 @@ def criterion_operation_identities() -> str:
                 g2 = signed_rank_by_code(n2, d2.feasible)
                 _agree(
                     n1 + n2,
-                    _brute_g(d1.product(d2)),
+                    _brute_g(d1.product(d2), masks),
                     [a + b for b in g2 for a in g1],
                     lambda: f"product rank identity fails for {d1!r} x {d2!r}",
                 )

@@ -325,19 +325,28 @@ class DeltaMatroid:
         """Do the lattice points of the half-sum polytope match the independent sets?
 
         e_S is inside when max over T of <e_T, e_S> - h(T) is <= 0 (the empty T
-        adds 0 <= 0).  The dot product splits by coordinate, so one max-plus
-        pass per coordinate over -h by code gives that maximum for every S in
-        O(n 3^n).  For any nonempty family the answer is yes when g is right:
-        T = S forces h(S) = |S|, and an S inside a feasible B meets every T in
-        at most h(T) elements.  So a no means a wrong rank table.
+        adds 0 <= 0), which ``max_plus_dot`` over -h gives for every S at once.
+        For any nonempty family the answer is yes when g is right: T = S
+        forces h(S) = |S|, and an S inside a feasible B meets every T in at
+        most h(T) elements.  So a no means a wrong rank table.
         """
         n = self.n
         g, sizes = self.rank_table().values, canonical_sizes(n)
-        vals = [-((g[p] + sizes[p]) // 2) for p in canonical_positions(n)]
-        for _ in range(n):
-            absent, plus, minus = vals[0::3], vals[1::3], vals[2::3]
-            vals = list(map(max, absent * 3, _signs(minus, plus)))
+        vals = max_plus_dot(n, [-((g[p] + sizes[p]) // 2) for p in canonical_positions(n)])
         return all((vals[c] <= 0) == (gv == sz) for c, gv, sz in zip(canonical_codes(n), g, sizes))
+
+
+def max_plus_dot(n: int, vals: list[int]) -> list[int]:
+    """max over T of vals[T] + <e_T, x> for every point x of {-1, 0, 1}^n, in O(n 3^n).
+
+    T and x are indexed by base-3 code (digit 1 is +1, digit 2 is -1).  The
+    dot product splits by coordinate, so each max-plus pass turns the lowest
+    digit of T into the top digit of x (``_signs``).
+    """
+    for _ in range(n):
+        absent, plus, minus = vals[0::3], vals[1::3], vals[2::3]
+        vals = list(map(max, absent * 3, _signs(minus, plus)))
+    return vals
 
 
 def _signs(lo: list[int], hi: list[int]) -> list[int]:

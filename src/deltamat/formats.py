@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .deltamatroid import DeltaMatroid, RankTable
-from .ground import AdmissibleSet, canonical_labels
+from .ground import AdmissibleSet, canonical_labels, signed_ground, signed_masks
 from .matroid import Gf2SymMatrix, Matroid, render_subset
 
 
@@ -79,24 +79,22 @@ def _parse_delta(lines) -> DeltaMatroid:
     n = _int(head[1], lineno, "ground size")
     if n < 0:
         raise _fail(lineno, "ground size must be non-negative")
-    sets = []
+    masks = []
     for lineno, tokens in lines[1:]:
         if tokens[0] != "feasible":
             raise _fail(lineno, f"expected 'feasible ...', got {tokens[0]!r}")
         elems = [_int(t, lineno, "signed index") for t in tokens[1:]]
         try:
-            s = AdmissibleSet.from_elements(n, elems)
+            pos, neg = signed_masks(n, elems)
         except ValueError as exc:
             raise _fail(lineno, str(exc)) from None
-        if s.size != n:
-            raise _fail(lineno, f"feasible set must have size {n}, got {s.size}")
-        sets.append(s)
-    if not sets and n > 0:
+        size = (pos | neg).bit_count()
+        if size != n:
+            raise _fail(lineno, f"feasible set must have size {n}, got {size}")
+        masks.append(pos)
+    if not masks and n > 0:
         raise ParseError("line 1: delta-matroid needs at least one feasible line")
-    try:
-        return DeltaMatroid.from_feasible_sets(n, sets) if sets else DeltaMatroid(0, [0])
-    except ValueError as exc:
-        raise ParseError(f"line 1: {exc}") from None
+    return DeltaMatroid(n, masks or [0])
 
 
 def _parse_matroid(lines) -> Matroid:
@@ -209,9 +207,7 @@ def serialize_value(value) -> str:
         size = max((abs(e) for e in value.ground), default=0)
         if value.ground == tuple(range(1, size + 1)):
             kind = "plain"
-        elif value.ground == tuple(
-            sorted((i for k in range(1, size + 1) for i in (k, -k)), key=lambda e: (abs(e), -e))
-        ):
+        elif value.ground == signed_ground(size):
             kind = "signed"
         else:
             raise TypeError("only matroids on 1..m or on a full signed ground have a file form")

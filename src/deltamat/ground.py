@@ -53,23 +53,12 @@ class AdmissibleSet:
         full = (1 << self.n) - 1
         if not (0 <= self.pos <= full and 0 <= self.neg <= full):
             raise ValueError("bitmask outside ground set of size %d" % self.n)
-        if self.pos & self.neg:
-            raise ValueError("inadmissible set: some index appears with both signs")
+        _require_disjoint(self.pos, self.neg)
 
     @classmethod
     def from_elements(cls, n: int, elements: Iterable[int]) -> "AdmissibleSet":
         """Build from signed integers, e.g. ``[1, -2]`` for {1, 2bar}."""
-        pos = neg = 0
-        for e in elements:
-            i = abs(e)
-            if e == 0 or i > n:
-                raise ValueError(f"element {e} outside signed ground set of size {n}")
-            bit = 1 << (i - 1)
-            if e > 0:
-                pos |= bit
-            else:
-                neg |= bit
-        return cls(n, pos, neg)
+        return cls(n, *signed_masks(n, elements))
 
     @property
     def size(self) -> int:
@@ -119,10 +108,41 @@ class AdmissibleSet:
 
     def sort_key(self) -> tuple:
         """Canonical order: by size, then index-by-index with +i before -i."""
-        return (self.size, tuple((abs(e), 0 if e > 0 else 1) for e in self.elements()))
+        return (self.size, tuple(map(element_key, self.elements())))
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "{%s}" % self.render()
+
+
+def _require_disjoint(pos: int, neg: int) -> None:
+    if pos & neg:
+        raise ValueError("inadmissible set: some index appears with both signs")
+
+
+def signed_masks(n: int, elements: Iterable[int]) -> tuple[int, int]:
+    """The unbarred and barred bitmasks of an admissible set given as signed integers."""
+    pos = neg = 0
+    for e in elements:
+        i = abs(e)
+        if e == 0 or i > n:
+            raise ValueError(f"element {e} outside signed ground set of size {n}")
+        bit = 1 << (i - 1)
+        if e > 0:
+            pos |= bit
+        else:
+            neg |= bit
+    _require_disjoint(pos, neg)
+    return pos, neg
+
+
+def element_key(e: int) -> tuple[int, int]:
+    """The order of signed elements: by index, i before its bar -i."""
+    return (abs(e), 0 if e > 0 else 1)
+
+
+def signed_ground(n: int) -> tuple[int, ...]:
+    """The signed ground set 1, -1, 2, -2, ..., n, -n in element order."""
+    return tuple(e for i in range(1, n + 1) for e in (i, -i))
 
 
 def _require_same_ground(a: AdmissibleSet, b: AdmissibleSet) -> None:
@@ -204,6 +224,18 @@ def code_masks(n: int) -> tuple[list[int], list[int]]:
         bit = 1 << i
         pos, neg = pos + [p | bit for p in pos] + pos, neg + neg + [q | bit for q in neg]
     return pos, neg
+
+
+def set_of_code(n: int, code: int) -> AdmissibleSet:
+    """The set with this base-3 code, decoded alone, as for a violation witness."""
+    pos = neg = 0
+    for i in range(n):
+        code, state = divmod(code, 3)
+        if state == 1:
+            pos |= 1 << i
+        elif state == 2:
+            neg |= 1 << i
+    return AdmissibleSet(n, pos, neg)
 
 
 @lru_cache(maxsize=None)

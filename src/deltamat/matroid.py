@@ -15,22 +15,28 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .deltamatroid import DeltaMatroid
-from .ground import AdmissibleSet, GuardLimitError, check_guard, enumerate_admissible
+from .deltamatroid import DeltaMatroid, max_plus_dot, signed_rank_by_code
+from .ground import (
+    AdmissibleSet,
+    GuardLimitError,
+    canonical_codes,
+    canonical_positions,
+    canonical_sizes,
+    check_guard,
+    element_key,
+    set_of_code,
+    signed_ground,
+)
 from .poly import MultiPoly, poly_u_v
-from .rankfn import AxiomReport, Violation, polytope_membership
-
-
-def _elem_key(e: int) -> tuple[int, int]:
-    return (abs(e), 0 if e > 0 else 1)
+from .rankfn import AxiomReport, Violation
 
 
 def _set_key(xs: frozenset[int]) -> tuple:
-    return tuple(sorted((_elem_key(e) for e in xs)))
+    return tuple(sorted(map(element_key, xs)))
 
 
 def render_subset(xs: Iterable[int]) -> str:
-    return " ".join(str(e) for e in sorted(xs, key=_elem_key))
+    return " ".join(str(e) for e in sorted(xs, key=element_key))
 
 
 class Matroid:
@@ -39,7 +45,7 @@ class Matroid:
     __slots__ = ("ground", "bases")
 
     def __init__(self, ground: Iterable[int], bases: Iterable[Iterable[int]]):
-        g = tuple(sorted(set(ground), key=_elem_key))
+        g = tuple(sorted(set(ground), key=element_key))
         bs = sorted({frozenset(b) for b in bases}, key=_set_key)
         if not bs:
             raise ValueError("a matroid needs at least one basis")
@@ -58,8 +64,7 @@ class Matroid:
 
     @classmethod
     def signed(cls, n: int, bases: Iterable[Iterable[int]]) -> "Matroid":
-        ground = [i for k in range(1, n + 1) for i in (k, -k)]
-        return cls(ground, bases)
+        return cls(signed_ground(n), bases)
 
     @classmethod
     def uniform(cls, r: int, m: int) -> "Matroid":
@@ -102,7 +107,7 @@ class Matroid:
     def independent_sets(self) -> list[frozenset[int]]:
         seen: set[frozenset[int]] = set()
         for b in self.bases:
-            items = sorted(b, key=_elem_key)
+            items = sorted(b, key=element_key)
             for k in range(len(items) + 1):
                 seen.update(frozenset(c) for c in combinations(items, k))
         return sorted(seen, key=_set_key)
@@ -113,30 +118,37 @@ class Matroid:
 
 
 def validate_matroid(m: Matroid) -> AxiomReport:
-    """Basis exchange: for x in B1 - B2 some y in B2 - B1 rebalances B1."""
-    return AxiomReport.from_violations(list(_exchange_violations(m)))
+    """Basis exchange: for x in B1 - B2 some y in B2 - B1 rebalances B1.
 
-
-def _exchange_violations(m: Matroid) -> Iterator[Violation]:
-    """Each (B1, B2, x) with no exchange, lazily, so a caller may stop at the first.
-
-    Bases are read as bitmasks over the ground tuple.  The ground is sorted
-    by element order, so the failing x of a pair come out in that order.
+    The ground is sorted by element order, so the failing x of a pair come
+    out in that order.
     """
+    masks = _basis_masks(m)
+    failures = _exchange_failures(masks, len(m.ground), set(masks))
+    return AxiomReport.from_violations(
+        [Violation("basis-exchange", (m.bases[i], m.bases[j]), m.ground[k], 0) for i, j, k in failures]
+    )
+
+
+def _basis_masks(m: Matroid) -> list[int]:
+    """Each basis as a bitmask over the ground tuple: bit k stands for ground[k]."""
     bit = {e: 1 << k for k, e in enumerate(m.ground)}
-    masks = [sum(bit[e] for e in b) for b in m.bases]
-    bases = set(masks)
-    width = len(m.ground)
-    for b1, m1 in zip(m.bases, masks):
+    return [sum(bit[e] for e in b) for b in m.bases]
+
+
+def _exchange_failures(masks: Sequence[int], width: int, allowed: set[int]) -> Iterator[tuple[int, int, int]]:
+    """(i, j, k) for each bit k of masks[i] - masks[j] that no bit y of masks[j] - masks[i]
+    can replace with masks[i] - k + y in ``allowed``, in order, lazily."""
+    for i, m1 in enumerate(masks):
         inside = [k for k in range(width) if m1 >> k & 1]
         outside = [k for k in range(width) if not m1 >> k & 1]
-        # repairs[k]: the y whose swap for ground[k] turns b1 into a basis
-        repairs = {k: sum(1 << y for y in outside if ((m1 ^ 1 << k) | 1 << y) in bases) for k in inside}
-        for b2, m2 in zip(m.bases, masks):
+        # repairs[k]: the y whose swap for bit k turns m1 into an allowed mask
+        repairs = {k: sum(1 << y for y in outside if ((m1 ^ 1 << k) | 1 << y) in allowed) for k in inside}
+        for j, m2 in enumerate(masks):
             lost, gained = m1 & ~m2, m2 & ~m1
             for k in inside:
                 if lost >> k & 1 and not repairs[k] & gained:
-                    yield Violation("basis-exchange", (b1, b2), m.ground[k], 0)
+                    yield i, j, k
 
 
 def rank_generating(m: Matroid) -> MultiPoly:
@@ -322,6 +334,7 @@ def upper_matroid(d: DeltaMatroid, window: AdmissibleSet) -> Matroid:
 
 
 # -- enveloping matroids -------------------------------------------------------------
+# A subset of the signed ground is a bitmask over signed_ground(n): bits 2i and 2i + 1 hold i + 1 and -(i + 1).
 
 
 def env_project(x: Sequence) -> tuple:
@@ -332,11 +345,31 @@ def env_project(x: Sequence) -> tuple:
     return tuple(x[i] - x[n + i] for i in range(n))
 
 
-def _indicator(n: int, subset: frozenset[int]) -> tuple[int, ...]:
-    vec = [0] * (2 * n)
-    for e in subset:
-        vec[e - 1 if e > 0 else n + (-e) - 1] = 1
-    return tuple(vec)
+def _fold_code(n: int, b: int) -> int:
+    """The base-3 code of the fold of b: digit 1 (+1) where b holds only i, 2 (-1) where only -i."""
+    return sum((b >> 2 * i & 3) % 3 * 3**i for i in range(n))
+
+
+def _admissible_subsets(n: int, b: int) -> list[int]:
+    """The codes of the admissible subsets of b."""
+    codes = [0]
+    for i in range(n):
+        codes += [c + state * 3**i for state in (1, 2) if b >> 2 * i & state for c in codes]
+    return codes
+
+
+def _envelope_tables(d: DeltaMatroid) -> tuple[set[int], list[bool]]:
+    """The codes of D's independent sets (g(S) = |S|), and by code whether each point x of
+    {-1, 0, 1}^n lies in P(D): max over S of <e_S, x> - g(S) <= 0 (the empty S gives 0)."""
+    check_guard(d.n)
+    g = signed_rank_by_code(d.n, d.feasible)
+    independent = {c for c, size in zip(canonical_codes(d.n), canonical_sizes(d.n)) if g[c] == size}
+    return independent, [v <= 0 for v in max_plus_dot(d.n, [-v for v in g])]
+
+
+def _feasible_masks(d: DeltaMatroid) -> list[int]:
+    """Each feasible set as a bitmask over the signed ground: i where it is unbarred, -i elsewhere."""
+    return [sum(1 << (2 * i + 1 - (f >> i & 1)) for i in range(d.n)) for f in d.feasible]
 
 
 def enveloping_check(m: Matroid, d: DeltaMatroid) -> AxiomReport:
@@ -348,27 +381,24 @@ def enveloping_check(m: Matroid, d: DeltaMatroid) -> AxiomReport:
     pass condition.
     """
     n = d.n
-    expected_ground = tuple(sorted((i for k in range(1, n + 1) for i in (k, -k)), key=_elem_key))
-    if m.ground != expected_ground:
+    if m.ground != signed_ground(n):
         raise ValueError("enveloping candidate must live on the full signed ground set")
     if m.rank != n:
         raise ValueError(f"enveloping candidate must have rank {n}, got {m.rank}")
+    independent, inside = _envelope_tables(d)
+    bases = _basis_masks(m)
+    basis_set = set(bases)
     out: list[Violation] = []
-    table = d.rank_table()
-    basis_set = set(m.bases)
-    for b in d.feasible_sets():
-        if frozenset(b.elements()) not in basis_set:
-            out.append(Violation("feasible-not-basis", (b,), 0, 1))
-    for basis in m.bases:
-        if not polytope_membership(table, env_project(_indicator(n, basis))):
+    for f, b in zip(d.feasible, _feasible_masks(d)):
+        if b not in basis_set:
+            out.append(Violation("feasible-not-basis", (AdmissibleSet(n, f, f ^ ((1 << n) - 1)),), 0, 1))
+    for basis, b in zip(m.bases, bases):
+        if not inside[_fold_code(n, b)]:
             out.append(Violation("basis-folds-outside", (basis,), 0, 1))
     if not out:
-        dm_indep = set(d.independents())
-        m_indep = {
-            s for s in enumerate_admissible(n) if m.is_independent(frozenset(s.elements()))
-        }
-        for s in sorted(dm_indep ^ m_indep, key=AdmissibleSet.sort_key):
-            out.append(Violation("independents-differ", (s,), int(s in m_indep), int(s in dm_indep)))
+        in_m = set().union(*(_admissible_subsets(n, b) for b in bases))
+        for c in sorted(independent ^ in_m, key=canonical_positions(n).__getitem__):
+            out.append(Violation("independents-differ", (set_of_code(n, c),), int(c in in_m), int(c in independent)))
     return AxiomReport.from_violations(out)
 
 
@@ -386,31 +416,27 @@ def enveloping_search(d: DeltaMatroid, limit: int = 200_000) -> EnvelopeSearch:
     in the delta-matroid polytope; families are tried in canonical order
     (fewest extras first), so the first hit is deterministic.  Exhausting the
     candidate space proves none exists; exhausting the budget does not.
+
+    A family passes ``enveloping_check`` exactly when it is a matroid.  The
+    feasible sets are bases, and all bases fold into P(D).  The admissible
+    subsets of the feasible sets are the independent sets of D, and an extra
+    basis B adds no other: with n <= 3 elements B takes both signs of at most
+    one index, so an admissible S inside B has |S| >= g(S) >= <e_S, fold(B)>
+    >= |S| - 1, and g(S) has the parity of |S|.
     """
     n = d.n
     if n > 3:
         raise GuardLimitError("envelope search is limited to ground size 3")
-    required = [frozenset(b.elements()) for b in d.feasible_sets()]
-    required_set = set(required)
-    table = d.rank_table()
-    elements = [i for k in range(1, n + 1) for i in (k, -k)]
-    pool = []
-    for combo in combinations(sorted(elements, key=_elem_key), n):
-        cand = frozenset(combo)
-        if cand in required_set:
-            continue
-        if polytope_membership(table, env_project(_indicator(n, cand))):
-            pool.append(cand)
-    pool.sort(key=_set_key)
+    _, inside = _envelope_tables(d)
+    required = _feasible_masks(d)
+    # the full-size subsets in canonical order, as masks (_mask reads element k + 1 as bit k)
+    subsets = map(_mask, combinations(range(1, 2 * n + 1), n))
+    pool = [b for b in subsets if b not in required and inside[_fold_code(n, b)]]
 
     # sound pruning: an exchange failure between two required bases that no
     # candidate in the pool can repair rules out every family at once
-    allowed = required_set | set(pool)
-    for b1 in required:
-        for b2 in required:
-            for x in b1 - b2:
-                if not any(((b1 - {x}) | {y}) in allowed for y in b2 - b1):
-                    return EnvelopeSearch("none", None, 0)
+    if next(_exchange_failures(required, 2 * n, set(required + pool)), None) is not None:
+        return EnvelopeSearch("none", None, 0)
 
     examined = 0
     for k in range(len(pool) + 1):
@@ -418,9 +444,9 @@ def enveloping_search(d: DeltaMatroid, limit: int = 200_000) -> EnvelopeSearch:
             if examined >= limit:
                 return EnvelopeSearch("inconclusive", None, examined)
             examined += 1
-            candidate = Matroid.signed(n, required + list(extras))
-            if next(_exchange_violations(candidate), None) is not None:
-                continue
-            if enveloping_check(candidate, d).passed:
-                return EnvelopeSearch("found", candidate, examined)
+            family = required + list(extras)
+            if next(_exchange_failures(family, 2 * n, set(family)), None) is None:
+                ground = signed_ground(n)
+                bases = [[e for bit, e in enumerate(ground) if b >> bit & 1] for b in family]
+                return EnvelopeSearch("found", Matroid.signed(n, bases), examined)
     return EnvelopeSearch("none", None, examined)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import inf
 from operator import add, ge, sub, xor
 from typing import Iterator, NamedTuple, Sequence
@@ -65,7 +66,9 @@ from .ground import (
     canonical_codes,
     canonical_positions,
     canonical_sizes,
-    enumerate_admissible,
+    code_masks,
+    element_key,
+    set_of_code,
 )
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
@@ -75,7 +78,7 @@ def _witness_text(obj) -> str:
     if hasattr(obj, "render"):
         return "{%s}" % obj.render()
     if isinstance(obj, frozenset):
-        return "{%s}" % " ".join(str(e) for e in sorted(obj, key=lambda e: (abs(e), -e)))
+        return "{%s}" % " ".join(str(e) for e in sorted(obj, key=element_key))
     return str(obj)
 
 
@@ -119,7 +122,8 @@ def pair_positions(n: int) -> Iterator[tuple[int, int, int, int, int]]:
     at i and j, and ``overlap`` counts the indices the two take with opposite
     signs, which the join drops.
     """
-    masks = [(s.pos, s.neg) for s in enumerate_admissible(n)]
+    pos, neg = code_masks(n)
+    masks = [(pos[c], neg[c]) for c in canonical_codes(n)]
     position = canonical_positions(n)
     weight = [int(f"{m:b}", 3) for m in range(1 << n)]  # a bitmask's digits read in base 3
     for i, (spos, sneg) in enumerate(masks):
@@ -248,9 +252,9 @@ def _pair_axiom_holds(local: _LocalSummary, system: str) -> bool:
 
 
 def _witness(n: int, *positions: int) -> tuple[AdmissibleSet, ...]:
-    """The sets at these canonical positions, built only to report a violation."""
-    sets = enumerate_admissible(n)
-    return tuple(sets[p] for p in positions)
+    """The sets at these canonical positions, decoded only to report a violation."""
+    codes = canonical_codes(n)
+    return tuple(set_of_code(n, codes[p]) for p in positions)
 
 
 def _pair_violations(table: RankTable, system: str) -> list[Violation]:
@@ -258,6 +262,7 @@ def _pair_violations(table: RankTable, system: str) -> list[Violation]:
     axiom, c, w, disjoint = _PAIR_AXIOMS[system]
     v = table.values
     out = []
+    witness = cache(lambda p: _witness(table.n, p)[0])  # a set in many failing pairs is decoded once
     for pair in pair_positions(table.n):
         if disjoint and pair[4]:
             continue
@@ -265,7 +270,7 @@ def _pair_violations(table: RankTable, system: str) -> list[Violation]:
         if lhs < rhs:
             if c > 1:  # report in the table's units, e.g. halves for larson
                 lhs, rhs = Fraction(lhs, c), Fraction(rhs, c)
-            out.append(Violation(axiom, _witness(table.n, pair[0], pair[1]), lhs, rhs))
+            out.append(Violation(axiom, (witness(pair[0]), witness(pair[1])), lhs, rhs))
     return out
 
 
@@ -405,19 +410,21 @@ def polytope_membership(f: RankTable, x: Sequence[Fraction | int]) -> bool:
 
 def greedy_check(d: DeltaMatroid) -> AxiomReport:
     """Maximizers of |S ^ B| already realize the best |T ^ B| for every T over S."""
-    full = (1 << d.n) - 1
+    n, full = d.n, (1 << d.n) - 1
+    pos, neg = code_masks(n)
     out: list[Violation] = []
-    for t in enumerate_admissible(d.n):
-        overlaps = [((t.pos & p).bit_count() + (t.neg & ~p & full).bit_count()) for p in d.feasible]
+    for c in canonical_codes(n):
+        tp, tn = pos[c], neg[c]
+        overlaps = [((tp & p).bit_count() + (tn & ~p & full).bit_count()) for p in d.feasible]
         best_t = max(overlaps)
-        for sp in _submasks(t.pos):
-            for sn in _submasks(t.neg):
+        for sp in _submasks(tp):
+            for sn in _submasks(tn):
                 s_overlaps = [((sp & p).bit_count() + (sn & ~p & full).bit_count()) for p in d.feasible]
                 best_s = max(s_overlaps)
                 restricted = max(o for o, so in zip(overlaps, s_overlaps) if so == best_s)
                 if restricted != best_t:
-                    s = AdmissibleSet(d.n, sp, sn)
-                    out.append(Violation("greedy", (s, t), restricted, best_t))
+                    witness = (AdmissibleSet(n, sp, sn), AdmissibleSet(n, tp, tn))
+                    out.append(Violation("greedy", witness, restricted, best_t))
     return AxiomReport.from_violations(out)
 
 

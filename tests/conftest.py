@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from deltamat import AdmissibleSet, DeltaMatroid
+from deltamat import AdmissibleSet, DeltaMatroid, enumerate_admissible
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +25,25 @@ def loop1() -> DeltaMatroid:
 @pytest.fixture(scope="session")
 def free1() -> DeltaMatroid:
     return DeltaMatroid.from_signed_lists(1, [[1], [-1]])
+
+
+@pytest.fixture
+def built_sets(monkeypatch) -> list[AdmissibleSet]:
+    """Every AdmissibleSet constructed while the test runs, in order.
+
+    Counted through a patched ``__post_init__``; the ``enumerate_admissible``
+    cache starts empty, so a call to it shows up as 3^n sets.
+    """
+    built: list[AdmissibleSet] = []
+    check = AdmissibleSet.__post_init__
+
+    def counting(self: AdmissibleSet) -> None:
+        check(self)
+        built.append(self)
+
+    monkeypatch.setattr(AdmissibleSet, "__post_init__", counting)
+    enumerate_admissible.cache_clear()
+    return built
 
 
 def sset(n: int, *elements: int) -> AdmissibleSet:

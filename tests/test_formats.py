@@ -48,6 +48,38 @@ def test_delta_matroid_parse_errors():
         parse_document("delta 1\n")
 
 
+def test_delta_matroid_parse_messages_pinned():
+    cases = {
+        "n 2\nfeasible 0 1\n": "line 2: element 0 outside signed ground set of size 2",
+        "n 2\nfeasible 1 3\n": "line 2: element 3 outside signed ground set of size 2",
+        "n 2\nfeasible 1 -3\n": "line 2: element -3 outside signed ground set of size 2",
+        "n 2\nfeasible 1 -1\n": "line 2: inadmissible set: some index appears with both signs",
+        "n 2\nfeasible 1 -1 2\n": "line 2: inadmissible set: some index appears with both signs",
+        "n 2\nfeasible 1\n": "line 2: feasible set must have size 2, got 1",
+        "n 2\nfeasible 1 2\nfeasible 1 -2 -1\n": "line 3: inadmissible set: some index appears with both signs",
+        "n -1\n": "line 1: ground size must be non-negative",
+        "n -1\nfeasible\n": "line 1: ground size must be non-negative",
+        "n 2\n": "line 1: delta-matroid needs at least one feasible line",
+        "n 2\n# only a comment\n": "line 1: delta-matroid needs at least one feasible line",
+        "n 0\nfeasible 1\n": "line 2: element 1 outside signed ground set of size 0",
+        "n 2\nfeasible 1 x\n": "line 2: expected signed index, got 'x'",
+        "n 2\nfeasible 1 2.0\n": "line 2: expected signed index, got '2.0'",
+        "n x\nfeasible 1\n": "line 1: expected ground size, got 'x'",
+        "n\n": "line 1: header must be 'n <size>'",
+        "n 2 3\n": "line 1: header must be 'n <size>'",
+        "n 2\nfeasible 1 2\nbasis 1 2\n": "line 3: expected 'feasible ...', got 'basis'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as info:
+            parse_document(text)
+        assert str(info.value) == message, text
+    # ground size 0, with or without (empty) feasible lines, is the one empty delta-matroid
+    for text in ("n 0\n", "n 0\nfeasible\n", "n 0\nfeasible\nfeasible\n"):
+        assert parse_document(text).value == DeltaMatroid(0, [0])
+    # repeated elements and repeated lines collapse
+    assert parse_document("n 1\nfeasible 1 1\nfeasible -1\nfeasible 1\n").value == DeltaMatroid(1, [0, 1])
+
+
 def test_comments_and_blank_lines(tripod):
     text = "# a comment\n\nn 3  # trailing comment\nfeasible 1 -2 -3\nfeasible -1 2 -3\nfeasible -1 -2 3\n"
     assert parse_document(text).value == tripod

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from deltamat.acceptance import valid_delta_matroids
 from deltamat.deltamatroid import DeltaMatroid
-from deltamat.ground import GuardLimitError, enumerate_admissible
+from deltamat.ground import AdmissibleSet, GuardLimitError, enumerate_admissible, signed_ground
 from deltamat.invariants import upoly_direct
 from deltamat.matroid import (
+    EnvelopeSearch,
     Gf2SymMatrix,
     Matroid,
     dm_from_gf2,
@@ -22,7 +24,7 @@ from deltamat.matroid import (
     validate_matroid,
 )
 from deltamat.poly import MultiPoly, poly_u_v
-from deltamat.rankfn import Violation
+from deltamat.rankfn import AxiomReport, Violation, polytope_membership
 
 from conftest import sset
 
@@ -257,6 +259,103 @@ def test_envelopes_exist_and_imply_lorentzian_sampled():
             assert conjecture_check(independence_fvector(d).counts, d.n).all_hold(inequality=2)
             rep = two_var_ulc_check(d)
             assert rep.log_concave and rep.matches_binomial_inequality
+
+
+def _check_oracle(m, d):
+    """enveloping_check on set objects: one polytope test per basis, frozenset independents."""
+    n = d.n
+    table = d.rank_table()
+    out = []
+    for b in d.feasible_sets():
+        if frozenset(b.elements()) not in m.bases:
+            out.append(Violation("feasible-not-basis", (b,), 0, 1))
+    for basis in m.bases:
+        indicator = [int(e in basis) for e in range(1, n + 1)] + [int(-e in basis) for e in range(1, n + 1)]
+        if not polytope_membership(table, env_project(indicator)):
+            out.append(Violation("basis-folds-outside", (basis,), 0, 1))
+    if not out:
+        dm_indep = set(d.independents())
+        m_indep = {s for s in enumerate_admissible(n) if m.is_independent(s.elements())}
+        for s in sorted(dm_indep ^ m_indep, key=AdmissibleSet.sort_key):
+            out.append(Violation("independents-differ", (s,), int(s in m_indep), int(s in dm_indep)))
+    return AxiomReport.from_violations(out)
+
+
+def _search_oracle(d, limit):
+    """enveloping_search on set objects: a Matroid and a full check for every family."""
+    n = d.n
+    required = [frozenset(b.elements()) for b in d.feasible_sets()]
+    table = d.rank_table()
+    pool = []
+    for combo in combinations(signed_ground(n), n):
+        indicator = [int(e in combo) for e in range(1, n + 1)] + [int(-e in combo) for e in range(1, n + 1)]
+        if frozenset(combo) not in required and polytope_membership(table, env_project(indicator)):
+            pool.append(frozenset(combo))
+    allowed = set(required + pool)
+    for b1 in required:
+        for b2 in required:
+            for x in b1 - b2:
+                if not any(((b1 - {x}) | {y}) in allowed for y in b2 - b1):
+                    return EnvelopeSearch("none", None, 0)
+    examined = 0
+    for k in range(len(pool) + 1):
+        for extras in combinations(pool, k):
+            if examined >= limit:
+                return EnvelopeSearch("inconclusive", None, examined)
+            examined += 1
+            candidate = Matroid.signed(n, required + list(extras))
+            if not _exchange_oracle(candidate) and _check_oracle(candidate, d).passed:
+                return EnvelopeSearch("found", candidate, examined)
+    return EnvelopeSearch("none", None, examined)
+
+
+def test_enveloping_check_matches_set_oracle():
+    # every valid d at n <= 3 against seeded candidates: the feasible sets (one
+    # left out a quarter of the time) plus up to three other full-size subsets
+    rng = random.Random(2718)
+    verdicts = []
+    for n in range(4):
+        subsets = [frozenset(c) for c in combinations(signed_ground(n), n)]
+        for d in valid_delta_matroids(n):
+            required = [frozenset(b.elements()) for b in d.feasible_sets()]
+            others = [s for s in subsets if s not in required]
+            for _ in range(6):
+                kept = required if rng.random() < 0.75 or len(required) == 1 else required[1:]
+                m = Matroid.signed(n, kept + rng.sample(others, rng.randint(0, min(3, len(others)))))
+                report = enveloping_check(m, d)
+                assert report == _check_oracle(m, d), (d, m)
+                verdicts.append(report.passed)
+    assert len(verdicts) >= 1000
+    assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300
+    # at n <= 3 a basis folding inside P(D) adds no independent set, so
+    # independents-differ needs n = 4: an extra {i, -i, j, -j} folds to 0
+    axioms = []
+    for _ in range(12):
+        rows = [0] * 4
+        for i, j in combinations_with_replacement(range(4), 2):
+            if rng.random() < 0.5:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        d = dm_from_gf2(Gf2SymMatrix(4, tuple(rows)))
+        for i, j in combinations(range(1, 5), 2):
+            m = Matroid.signed(4, [b.elements() for b in d.feasible_sets()] + [(i, -i, j, -j)])
+            report = enveloping_check(m, d)
+            assert report == _check_oracle(m, d), (d, m)
+            axioms += [v.axiom for v in report.violations[:1]]
+    assert axioms.count("independents-differ") >= 5 and len(axioms) < 12 * 6  # and some pass
+
+
+def test_enveloping_search_matches_set_oracle():
+    for fam in range(1, 16):  # every nonempty family at n = 2, valid or not
+        d = DeltaMatroid(2, [m for m in range(4) if fam >> m & 1])
+        assert enveloping_search(d) == _search_oracle(d, 200_000), d
+    # every nonempty family at n <= 3 at limit 1: the pruned ones return
+    # ("none", None, 0), the others stop at their first family
+    for n in range(4):
+        for k in range(1, (1 << n) + 1):
+            for fam in combinations(range(1 << n), k):
+                d = DeltaMatroid(n, fam)
+                assert enveloping_search(d, limit=1) == _search_oracle(d, 1), d
 
 
 def test_gf2_examples(free1, loop1):

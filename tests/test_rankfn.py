@@ -9,11 +9,11 @@ import pytest
 from deltamat import cli, deltamatroid
 from deltamat.acceptance import valid_delta_matroids
 from deltamat.deltamatroid import DeltaMatroid, RankTable
-from deltamat.formats import serialize_value
+from deltamat.formats import parse_document, serialize_value
 from deltamat.ground import canonical_codes, canonical_sizes, combine, enumerate_admissible
 from deltamat.invariants import independence_fvector, interlace, upoly_direct, upoly_recursive
 from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian
-from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
+from deltamat.matroid import Gf2SymMatrix, dm_from_gf2, enveloping_check, enveloping_search
 from deltamat.rankfn import (
     _PAIR_AXIOMS,
     _PAIR_STEP,
@@ -257,6 +257,25 @@ def test_table_paths_build_no_set_objects(tmp_path):
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(argv) == 0
         assert out.getvalue().startswith("PASS\n"), argv
+    assert enumerate_admissible.cache_info().misses == 0
+
+
+def test_mask_paths_build_only_witness_sets(built_sets, tripod):
+    # parsing a delta-matroid, the greedy check and the envelope layer run on
+    # masks and codes; a failing axiom check decodes only its witnesses
+    assert parse_document("n 3\nfeasible 1 -2 -3\nfeasible -1 2 -3\nfeasible -1 -2 3\n").value == tripod
+    assert greedy_check(tripod).passed
+    search = enveloping_search(tripod)
+    assert search.status == "found"
+    assert enveloping_check(search.matroid, tripod).passed
+    assert built_sets == []
+    d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
+    g = list(d.rank_table().values)
+    g[40] += 1
+    report = check_g_axioms(RankTable(5, tuple(g)))
+    assert not report.passed
+    # the pair scan decodes each set once, however many failing pairs it is in
+    assert built_sets == list(dict.fromkeys(s for v in report.violations for s in v.sets))
     assert enumerate_admissible.cache_info().misses == 0
 
 
