@@ -36,7 +36,7 @@ from .lorentzian import (
     conjecture_check,
     indep_gen_poly,
     is_lorentzian,
-    two_var_ulc_check,
+    two_var_ulc_from_counts,
 )
 from .matroid import (
     Gf2SymMatrix,
@@ -526,12 +526,13 @@ def criterion_envelope_lorentzian() -> str:
         ensure(report.passed, lambda: f"envelope rejected for {d!r}: {_first(report)}")
         lor = is_lorentzian(indep_gen_poly(d))
         ensure(lor.passed, lambda: f"generating polynomial not Lorentzian for {d!r}: {lor.render()}")
-        logconc = conjecture_check(independence_fvector(d).counts, d.n)
+        counts = independence_fvector(d).counts
+        logconc = conjecture_check(counts, d.n)
         ensure(
             logconc.all_hold(inequality=2),
             lambda: f"binomial inequality fails for {d!r}: {logconc.failures()}",
         )
-        two_var = two_var_ulc_check(d)
+        two_var = two_var_ulc_from_counts(counts, d.n)
         ensure(two_var.log_concave, lambda: f"normalized sequence not log-concave for {d!r}")
         ensure(two_var.matches_binomial_inequality, lambda: f"two-variable check disagrees for {d!r}")
     negative = is_lorentzian(MultiPoly(("w1", "w2"), {(2, 0): 1, (0, 2): 1}))

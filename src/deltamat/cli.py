@@ -24,7 +24,13 @@ from .invariants import (
     upoly_direct,
     upoly_recursive,
 )
-from .lorentzian import conjecture_check, efls_gen_poly, indep_gen_poly, is_lorentzian, two_var_ulc_check
+from .lorentzian import (
+    conjecture_check,
+    efls_gen_poly,
+    indep_gen_poly,
+    is_lorentzian,
+    two_var_ulc_from_counts,
+)
 from .matroid import (
     dm_from_gf2,
     dm_from_matroid,
@@ -288,7 +294,7 @@ def _cmd_logconc(args) -> int:
             print("\n".join(violations))
         else:
             print(f"inequality ({ineq}): holds for all k")
-    two_var = two_var_ulc_check(d)
+    two_var = two_var_ulc_from_counts(fv.counts, d.n)
     print(two_var.render())
     print(f"two-variable check agrees with inequality (2): {'yes' if two_var.matches_binomial_inequality else 'no'}")
     if not two_var.matches_binomial_inequality:

@@ -38,6 +38,7 @@ from .ground import (
     canonical_positions,
     canonical_sizes,
     check_guard,
+    code_planes,
     enumerate_admissible,
 )
 
@@ -379,6 +380,42 @@ def signed_rank_by_code(n: int, feasible: Iterable[int]) -> list[int]:
     for _ in range(n):
         vals = _signs(vals[0::2], vals[1::2])
     return vals
+
+
+def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
+    """Planes of the codes at cube distance 0, at most 1, at most 2, ... from the family.
+
+    Write S as a sign pattern x on its support U and let P_U be the family
+    projected to U.  Then S is independent exactly when x is in P_U, and
+    g(S) = |S| - 2·d(S), where d(S) is the Hamming distance from x to P_U.
+    Layer 0, the independent sets, is the downward closure of the feasible
+    codes: one pass per index moves its digit from 1 or 2 to 0.  Layer k + 1
+    adds to layer k its digit flips, 1 to 2 and back, a shift by 3^i under
+    the digit-1 plane (``code_planes``, which trips the guard).  The layers
+    stop at the plane of all 3^n codes, by layer n at the latest.  A feasible
+    mask m has code 3^n - 1 - int(f"{m:b}", 3): digit 1 where m holds the
+    index, 2 where it does not.
+    """
+    ones, _ = code_planes(n)
+    total = 3**n
+    marks = bytearray((total + 7) >> 3)
+    for m in feasible:
+        c = total - 1 - int(f"{m:b}", 3)
+        marks[c >> 3] |= 1 << (c & 7)
+    layer = int.from_bytes(marks, "little")
+    steps = [3**i for i in range(n)]
+    for step, one in zip(steps, ones):
+        layer |= ((layer | layer >> step) & one) >> step
+    everything = (1 << total) - 1
+    yield layer
+    for _ in range(n):
+        if layer == everything:
+            return
+        reach = layer
+        for step, one in zip(steps, ones):
+            reach |= (layer & one) << step | layer >> step & one
+        layer = reach
+        yield layer
 
 
 def _uncertified_pairs(feasible: Sequence[int]) -> Iterator[tuple[int, int]]:

@@ -79,22 +79,45 @@ def _parse_delta(lines) -> DeltaMatroid:
     n = _int(head[1], lineno, "ground size")
     if n < 0:
         raise _fail(lineno, "ground size must be non-negative")
+    # A line of n elements as serialize_value writes them converts in one sum:
+    # "i" adds bits i - 1 and 2n + i - 1, "-i" only bit i - 1.  The low 2n
+    # bits sum to at most n·2^(n-1) < 2^(2n), and n powers of two sum to
+    # 2^n - 1 only when they are distinct; any other line, an unknown token
+    # included, goes through _feasible_mask, which words its error.
+    wide, full = 2 * n, (1 << n) - 1
+    low = (1 << wide) - 1
+    values: dict[str, int] | None = None  # built once a line has n elements, so no larger than the input
     masks = []
     for lineno, tokens in lines[1:]:
         if tokens[0] != "feasible":
             raise _fail(lineno, f"expected 'feasible ...', got {tokens[0]!r}")
-        elems = [_int(t, lineno, "signed index") for t in tokens[1:]]
-        try:
-            pos, neg = signed_masks(n, elems)
-        except ValueError as exc:
-            raise _fail(lineno, str(exc)) from None
-        size = (pos | neg).bit_count()
-        if size != n:
-            raise _fail(lineno, f"feasible set must have size {n}, got {size}")
-        masks.append(pos)
+        if len(tokens) == n + 1:
+            if values is None:
+                values = {}
+                for i in range(1, n + 1):
+                    bit = 1 << (i - 1)
+                    values[str(i)], values[str(-i)] = bit | bit << wide, bit
+            total = sum(map(values.get, tokens[1:], repeat(0)))
+            if total & low == full:
+                masks.append(total >> wide)
+                continue
+        masks.append(_feasible_mask(n, tokens, lineno))
     if not masks and n > 0:
         raise ParseError("line 1: delta-matroid needs at least one feasible line")
     return DeltaMatroid(n, masks or [0])
+
+
+def _feasible_mask(n: int, tokens: list[str], lineno: int) -> int:
+    """The unbarred mask of one "feasible ..." line, element by element, or the line's ParseError."""
+    elems = [_int(t, lineno, "signed index") for t in tokens[1:]]
+    try:
+        pos, neg = signed_masks(n, elems)
+    except ValueError as exc:
+        raise _fail(lineno, str(exc)) from None
+    size = (pos | neg).bit_count()
+    if size != n:
+        raise _fail(lineno, f"feasible set must have size {n}, got {size}")
+    return pos
 
 
 def _parse_matroid(lines) -> Matroid:

@@ -216,6 +216,38 @@ def canonical_sizes(n: int) -> tuple[int, ...]:
     return tuple(chain.from_iterable(repeat(k, comb(n, k) << k) for k in range(n + 1)))
 
 
+@lru_cache(maxsize=None)
+def code_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Planes over the base-3 codes: the digit-1 plane of each index and the plane of each size.
+
+    A plane is one int with bit c standing for the set with code c.
+    ``ones[i]`` marks the codes whose digit i is 1: the middle 3^i bits of
+    every period of 3^(i+1).  It is built by doubling shifts, as long
+    division at 3^n bits is quadratic.  ``sizes[s]`` marks the codes with s
+    nonzero digits; adding digit k takes size s - 1 to size s at offsets
+    3^k and 2·3^k.
+    """
+    check_guard(n)
+    total = 3**n
+    full = (1 << total) - 1
+    ones = []
+    for i in range(n):
+        step = 3**i
+        plane, width = ((1 << step) - 1) << step, 3 * step
+        while width < total:
+            plane |= plane << width
+            width *= 2
+        ones.append(plane & full)
+    sizes = [1]  # the size planes of the codes on the digits so far
+    for k in range(n):
+        step = 3**k
+        sizes.append(0)
+        for s in range(k + 1, 0, -1):
+            below = sizes[s - 1]
+            sizes[s] |= below << step | below << 2 * step
+    return tuple(ones), tuple(sizes)
+
+
 def code_masks(n: int) -> tuple[list[int], list[int]]:
     """The unbarred and the barred bitmask of each set, indexed by base-3 code."""
     check_guard(n)

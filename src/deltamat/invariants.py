@@ -1,12 +1,14 @@
 """Enumerative invariants: the two-variable rank enumerator, the interlace
 specialization, independence-complex face counts, and activity expansions.
 
-The enumerator is computed two ways that share no code: by its defining sum
-over the (size, g) pairs of the rank table, and by deletion/contraction/
-projection recursion on sorted mask tuples with each polynomial packed into
-one int.  The two must agree and the tests enforce it.  The interlace slice
-reads no rank table: it is the distance distribution of the feasible masks
-in the n-cube.  Activities follow the fixed index order 1 < 2 < ... < n.
+The enumerator is computed two ways that share no code: by its defining sum,
+counted on distance planes over the 3^n base-3 codes, and by deletion/
+contraction/projection recursion on sorted mask tuples with each polynomial
+packed into one int.  The two must agree and the tests enforce it.  Neither
+reads a rank table, and neither does the independence f-vector, which is
+the popcount of the independent plane by size.  The interlace slice is the
+distance distribution of the feasible masks in the n-cube.  Activities
+follow the fixed index order 1 < 2 < ... < n.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from itertools import repeat
 from operator import xor
 from typing import Iterator
 
-from .deltamatroid import DeltaMatroid
+from .deltamatroid import DeltaMatroid, distance_layers
 from .ground import (
     AdmissibleSet,
     canonical_codes,
     canonical_sizes,
     check_guard,
     code_masks,
+    code_planes,
     enumerate_admissible,
 )
 from .poly import MultiPoly
@@ -40,9 +43,22 @@ def upoly(d: DeltaMatroid, method: str = "direct") -> MultiPoly:
 
 
 def upoly_direct(d: DeltaMatroid) -> MultiPoly:
-    """Sum u^(n-|S|) v^((|S|-g(S))/2) over all admissible sets."""
-    pairs = Counter(zip(canonical_sizes(d.n), d.rank_table().values))
-    return MultiPoly(("u", "v"), {(d.n - size, (size - g) // 2): c for (size, g), c in pairs.items()})
+    """Sum u^(n-|S|) v^((|S|-g(S))/2) over all admissible sets, counted on planes.
+
+    (|S| - g(S))/2 is the cube distance d(S) of ``distance_layers``, so the
+    coefficient of u^(n-s) v^j counts the codes of size s that first appear
+    in layer j.  Distance j needs j <= s.
+    """
+    n = d.n
+    _, sizes = code_planes(n)
+    terms = {}
+    seen = 0
+    for j, layer in enumerate(distance_layers(n, d.feasible)):
+        new = layer & ~seen
+        seen = layer
+        for s in range(j, n + 1):
+            terms[(n - s, j)] = (new & sizes[s]).bit_count()
+    return MultiPoly(("u", "v"), terms)
 
 
 def upoly_recursive(d: DeltaMatroid, pivot: str = "min") -> MultiPoly:
@@ -163,12 +179,10 @@ class FVector:
 
 
 def independence_fvector(d: DeltaMatroid) -> FVector:
-    """Counts of independent sets by size; always has length n + 1.
-
-    Every feasible set is independent and has size n, so the largest size is n.
-    """
-    g = d.rank_table().values
-    return FVector.from_sizes([size for size, gv in zip(canonical_sizes(d.n), g) if gv == size])
+    """Counts of independent sets by size, read from layer 0 of ``distance_layers``; length n + 1."""
+    _, sizes = code_planes(d.n)
+    independent = next(distance_layers(d.n, d.feasible))
+    return FVector(tuple((independent & plane).bit_count() for plane in sizes))
 
 
 def pure_o_inequalities(f: FVector) -> AxiomReport:

@@ -365,8 +365,11 @@ def two_var_ulc_check(d: DeltaMatroid) -> TwoVariableReport:
     log-concavity is equivalent to the second conjectured inequality, and the
     report records that the two computations agree.
     """
-    n = d.n
-    counts = independence_fvector(d).counts
+    return two_var_ulc_from_counts(independence_fvector(d).counts, d.n)
+
+
+def two_var_ulc_from_counts(counts: Sequence[int], n: int) -> TwoVariableReport:
+    """``two_var_ulc_check`` on face counts already computed, as ``conjecture_check`` takes them."""
     a = list(counts) + [0] * (2 * n + 1 - len(counts))
     seq = tuple(Fraction(a[i], comb(2 * n, i)) for i in range(2 * n + 1))
     first_failure = None

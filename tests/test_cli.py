@@ -14,6 +14,7 @@ from deltamat import cli
 from deltamat.deltamatroid import RankTable
 from deltamat.formats import parse_document, serialize_value
 from deltamat.lorentzian import InequalityCheck, LogConcavityReport
+from deltamat.randgen import random_valid
 
 DEX = "n 3\nfeasible 1 -2 -3\nfeasible -1 2 -3\nfeasible -1 -2 3\n"
 BAD = "n 3\nfeasible 1 2 3\nfeasible -1 -2 -3\n"
@@ -113,9 +114,10 @@ def test_guard_variable_that_is_not_an_integer(dex_file, capsys, monkeypatch):
 
 def test_constructions_guard_before_enumerating(tmp_path, capsys):
     # from-gf2 reads 2^n principal minors, from-matroid --mode independents
-    # lists every subset of a basis, lorentzian reads g over all 3^n sets and
-    # the recursion and interlace read no table but may still take 3^n or
-    # 2^n steps: each must trip the guard before the work
+    # lists every subset of a basis, lorentzian reads g over all 3^n sets,
+    # upoly, fvector and logconc build planes of 3^n bits, and the recursion
+    # and interlace read no table but may still take 3^n or 2^n steps: each
+    # must trip the guard before the work
     zero = tmp_path / "zero.gf2"
     zero.write_text("gf2 17\n" + ("0 " * 16 + "0\n") * 17)
     free = tmp_path / "free.matroid"
@@ -128,6 +130,10 @@ def test_constructions_guard_before_enumerating(tmp_path, capsys):
         ["lorentzian", str(big), "--which", "indep"],
         ["lorentzian", str(big), "--which", "efls"],
         ["upoly", str(big), "--method", "recursive"],
+        ["upoly", str(big), "--method", "direct"],
+        ["upoly", str(big), "--method", "compare"],
+        ["fvector", str(big)],
+        ["logconc", str(big)],
         ["interlace", str(big)],
     ):
         code, out = run(argv)
@@ -391,6 +397,42 @@ def test_lorentzian_and_logconc(dex_file):
     assert "a: 1 6 9 3" in out
     assert "inequality (2): holds for all k" in out
     assert "normalized sequence (1, 1, 3/5, 3/20, 0, 0, 0): log-concave" in out
+
+
+GF2_9_UPOLY = (
+    "276 + 1768*u + 199*v + 4115*u^2 + 502*u*v + 35*v^2 + 5128*u^3 + 484*u^2*v + 34*u*v^2 + 2*v^3"
+    " + 3957*u^4 + 247*u^3*v + 9*u^2*v^2 + 2003*u^5 + 75*u^4*v + u^3*v^2 + 671*u^6 + 13*u^5*v"
+    " + 144*u^7 + u^6*v + 18*u^8 + u^9\n"
+)
+GF2_9_UPOLY_JSON = (
+    '{"variables":["u","v"],"terms":[[[0,0],"276"],[[1,0],"1768"],[[0,1],"199"],[[2,0],"4115"],'
+    '[[1,1],"502"],[[0,2],"35"],[[3,0],"5128"],[[2,1],"484"],[[1,2],"34"],[[0,3],"2"],[[4,0],"3957"],'
+    '[[3,1],"247"],[[2,2],"9"],[[5,0],"2003"],[[4,1],"75"],[[3,2],"1"],[[6,0],"671"],[[5,1],"13"],'
+    '[[7,0],"144"],[[6,1],"1"],[[8,0],"18"],[[9,0],"1"]]}\n'
+)
+GF2_9_FVECTOR = "1 18 144 671 2003 3957 5128 4115 1768 276\n"
+GF2_9_LOGCONC = (
+    "a: 1 18 144 671 2003 3957 5128 4115 1768 276\n"
+    "inequality (1): holds for all k\n"
+    "inequality (2): holds for all k\n"
+    "inequality (3): holds for all k\n"
+    "normalized sequence (1, 1, 16/17, 671/816, 2003/3060, 1319/2856, 1282/4641, 4115/31824, 4/99,"
+    " 69/12155, 0, 0, 0, 0, 0, 0, 0, 0, 0): log-concave\n"
+    "two-variable check agrees with inequality (2): yes\n"
+)
+
+
+def test_enumerator_and_fvector_output_pinned_at_n9(tmp_path):
+    # a seeded gf2 instance with |F| = 276; the figures were recorded from the rank-table route
+    d = random_valid(random.Random(9), 9, "gf2")
+    assert len(d.feasible) == 276
+    path = tmp_path / "gf2-9.dm"
+    path.write_text(serialize_value(d))
+    assert run(["upoly", str(path)]) == (0, GF2_9_UPOLY)
+    assert run(["upoly", str(path), "--method", "compare"]) == (0, "equal: " + GF2_9_UPOLY)
+    assert run(["upoly", str(path), "--json"]) == (0, GF2_9_UPOLY_JSON)
+    assert run(["fvector", str(path)]) == (0, GF2_9_FVECTOR)
+    assert run(["logconc", str(path)]) == (0, GF2_9_LOGCONC)
 
 
 def test_example15_compare(tmp_path):

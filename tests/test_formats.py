@@ -5,6 +5,7 @@ import pytest
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import (
     ParseError,
+    _feasible_mask,
     _logical_lines,
     _parse_ranktable,
     _ranktable_as_written,
@@ -78,6 +79,39 @@ def test_delta_matroid_parse_messages_pinned():
         assert parse_document(text).value == DeltaMatroid(0, [0])
     # repeated elements and repeated lines collapse
     assert parse_document("n 1\nfeasible 1 1\nfeasible -1\nfeasible 1\n").value == DeltaMatroid(1, [0, 1])
+
+
+def test_feasible_lines_convert_as_element_by_element(tripod):
+    # the one-sum conversion of a line of n elements must give the mask, or
+    # leave the line to the element-by-element route and its error, exactly
+    # as that route alone would; lines mix shuffled, repeated, signed-plus,
+    # zero-padded, zero, out-of-range and non-integer tokens
+    def by_element(text):
+        lines = _logical_lines(text)
+        n = int(lines[0][1][1])
+        try:
+            masks = [_feasible_mask(n, tokens, lineno) for lineno, tokens in lines[1:]]
+        except ParseError as exc:
+            return str(exc)
+        return DeltaMatroid(n, masks)
+
+    rng = random.Random(1729)
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        body = []
+        for _ in range(rng.randint(1, 4)):
+            tokens = [str(i if rng.random() < 0.5 else -i) for i in range(1, n + 1)]
+            if rng.random() < 0.6:
+                k = rng.randrange(n)
+                tokens[k] = rng.choice([tokens[rng.randrange(n)], f"+{k + 1}", f"0{k + 1}", "0", str(n + 1), "-x"])
+            rng.shuffle(tokens)
+            body.append("feasible " + " ".join(tokens))
+        text = f"n {n}\n" + "\n".join(body) + "\n"
+        try:
+            got = parse_document(text).value
+        except ParseError as exc:
+            got = str(exc)
+        assert got == by_element(text), text
 
 
 def test_comments_and_blank_lines(tripod):

@@ -11,6 +11,7 @@ from deltamat.ground import (
     canonical_codes,
     canonical_positions,
     canonical_sizes,
+    code_planes,
     combine,
     dot,
     enumerate_admissible,
@@ -68,10 +69,21 @@ def test_canonical_codes_decode_to_the_canonical_sets():
         assert [canonical_positions(n)[c] for c in codes] == list(range(3**n))
 
 
+def test_code_planes_mark_digits_and_sizes():
+    for n in range(8):
+        ones, sizes = code_planes(n)
+        assert len(ones) == n and len(sizes) == n + 1
+        for code in range(3**n):
+            digits = [code // 3**i % 3 for i in range(n)]
+            assert [one >> code & 1 for one in ones] == [dg == 1 for dg in digits]
+            assert [plane >> code & 1 for plane in sizes] == [k == n - digits.count(0) for k in range(n + 1)]
+        assert all(plane < 1 << 3**n for plane in ones + sizes)
+
+
 def test_guard_limit_and_override(monkeypatch):
     with pytest.raises(GuardLimitError):
         enumerate_admissible(17)
-    builders = (canonical_codes, canonical_positions, canonical_sizes, enumerate_admissible)
+    builders = (canonical_codes, canonical_positions, canonical_sizes, code_planes, enumerate_admissible)
     for builder in builders:
         builder(3)  # a cached callee does not check the limit again
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

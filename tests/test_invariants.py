@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from deltamat.deltamatroid import DeltaMatroid, all_full_size_masks
-from deltamat.ground import AdmissibleSet, enumerate_admissible
+from deltamat.ground import AdmissibleSet, canonical_sizes, enumerate_admissible
 from deltamat.invariants import (
     FVector,
     activity,
@@ -48,6 +48,17 @@ def test_upoly_frozen_values(tripod, coloop1, free1):
         upoly(tripod, "magic")
 
 
+def _upoly_by_table(d):
+    """Oracle: the enumerator from the (size, g) pairs of the rank table."""
+    pairs = Counter(zip(canonical_sizes(d.n), d.rank_table().values))
+    return MultiPoly(("u", "v"), {(d.n - size, (size - g) // 2): c for (size, g), c in pairs.items()})
+
+
+def _fvector_by_table(d):
+    """Oracle: the sizes of the sets with g(S) = |S| in the rank table."""
+    return FVector.from_sizes([size for size, g in zip(canonical_sizes(d.n), d.rank_table().values) if g == size])
+
+
 def test_table_invariants_match_defining_sums():
     for d in oracle_families():
         n = d.n
@@ -55,14 +66,21 @@ def test_table_invariants_match_defining_sums():
         for s in enumerate_admissible(n):
             key = (n - s.size, (s.size - d._g(s.pos, s.neg)) // 2)
             direct[key] = direct.get(key, 0) + 1
-        assert upoly_direct(d) == MultiPoly(("u", "v"), direct), d
+        assert upoly_direct(d) == MultiPoly(("u", "v"), direct) == _upoly_by_table(d), d
         slice_: dict[tuple[int], int] = {}
         for p in range(1 << n):
             key = ((n - d._g(p, ((1 << n) - 1) & ~p)) // 2,)
             slice_[key] = slice_.get(key, 0) + 1
         assert interlace(d) == MultiPoly(("v",), slice_), d
         independent_sizes = [s.size for s in enumerate_admissible(n) if d.is_independent(s)]
-        assert independence_fvector(d) == FVector.from_sizes(independent_sizes), d
+        assert independence_fvector(d) == FVector.from_sizes(independent_sizes) == _fvector_by_table(d), d
+    # the planes against the table route and the recursion on seeded valid instances
+    rng = random.Random(2718)
+    for n in (8, 9, 10):
+        for dist in ("gf2", "twist"):
+            d = random_valid(rng, n, dist)
+            assert upoly_direct(d) == _upoly_by_table(d) == upoly_recursive(d), (n, dist)
+            assert independence_fvector(d) == _fvector_by_table(d), (n, dist)
 
 
 def _upoly_recursive_by_minors(d, pivot):

@@ -12,7 +12,7 @@ from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import parse_document, serialize_value
 from deltamat.ground import canonical_codes, canonical_sizes, combine, enumerate_admissible
 from deltamat.invariants import independence_fvector, interlace, upoly_direct, upoly_recursive
-from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian
+from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian, two_var_ulc_check
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2, enveloping_check, enveloping_search
 from deltamat.rankfn import (
     _PAIR_AXIOMS,
@@ -246,6 +246,7 @@ def test_table_paths_build_no_set_objects(tmp_path):
     upoly_direct(d)
     interlace(d)
     independence_fvector(d)
+    two_var_ulc_check(d)
     assert d.lattice_point_test()
     assert check_g_axioms(g).passed
     assert all(check_h_axioms(h, system).passed for system in H_SYSTEMS)
@@ -280,8 +281,9 @@ def test_mask_paths_build_only_witness_sets(built_sets, tripod):
 
 
 def test_enumerator_paths_read_no_rank_table(monkeypatch):
-    # the recursion runs on mask tuples and interlace on the 2^n cube: neither
-    # builds the 3^n code index, a set object or a g table
+    # the recursion runs on mask tuples, interlace on the 2^n cube, and the
+    # direct enumerator and the f-vector on distance planes: none builds the
+    # 3^n code index, a set object or a g table
     d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
 
     def no_table(*args):
@@ -293,6 +295,9 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch):
     interlace(d)
     upoly_recursive(d)
     upoly_recursive(d, pivot="max")
+    upoly_direct(d)
+    independence_fvector(d)
+    two_var_ulc_check(d)
     assert canonical_codes.cache_info().misses == 0
     assert canonical_sizes.cache_info().misses == 0
     assert enumerate_admissible.cache_info().misses == 0
