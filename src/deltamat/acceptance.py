@@ -381,7 +381,7 @@ _OPERATIONS = ("project", "contract", "delete")  # by the state an index is fixe
 
 def criterion_operation_identities() -> str:
     """The rank identities under minors, twists and products, each as one comparison
-    of g lists by code: d's side from the transform, the operated side brute force."""
+    of g lists by code: d's side from the distance lanes, the operated side brute force."""
     masks = [code_masks(k) for k in range(4)]
     count = 0
     for n in range(1, 4):

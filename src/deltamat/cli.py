@@ -13,7 +13,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .formats import ParseError, parse_document, serialize_value
+from .formats import ParseError, parse_document, ranktable_chunks, serialize_value
 from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, canonical_labels, check_guard
 from .invariants import (
     activity,
@@ -124,13 +124,13 @@ def _cmd_rank(args) -> int:
 
 def _cmd_rank_table(args) -> int:
     d = _load(args.file, "delta-matroid")
-    sys.stdout.write(serialize_value(d.rank_table()))
+    sys.stdout.writelines(ranktable_chunks(d.rank_table()))
     return 0
 
 
 def _cmd_h_table(args) -> int:
     d = _load(args.file, "delta-matroid")
-    sys.stdout.write(serialize_value(d.h_table()))
+    sys.stdout.writelines(ranktable_chunks(d.h_table()))
     return 0
 
 

@@ -28,15 +28,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from . import lp
 from .ground import (
     AdmissibleSet,
     SignedPermutation,
-    canonical_codes,
-    canonical_positions,
-    canonical_sizes,
+    canonical_order,
     check_guard,
     code_planes,
     enumerate_admissible,
@@ -233,14 +233,14 @@ class DeltaMatroid:
         return g, (g + s.size) // 2
 
     def rank_table(self) -> RankTable:
-        """g over all 3^n sets in canonical order, in O(n 3^n) time."""
-        check_guard(self.n)
-        by_code = signed_rank_by_code(self.n, self.feasible)
-        return RankTable(self.n, tuple(map(by_code.__getitem__, canonical_codes(self.n))))
+        """g over all 3^n sets in canonical order, from ``g_lanes`` (which checks the guard first)."""
+        lanes = g_lanes(self.n, self.feasible)
+        return RankTable(self.n, canonical_order(self.n)(lanes))
 
     def h_table(self) -> RankTable:
-        g = self.rank_table()
-        return RankTable(self.n, tuple((gv + sz) // 2 for gv, sz in zip(g.values, canonical_sizes(self.n))))
+        """h over all 3^n sets in canonical order, from ``h_lanes`` (which checks the guard first)."""
+        lanes = h_lanes(self.n, self.feasible).to_bytes(3**self.n, "little")
+        return RankTable(self.n, canonical_order(self.n)(lanes))
 
     # -- minors and constructions ---------------------------------------------
 
@@ -312,29 +312,21 @@ class DeltaMatroid:
         return any((s.pos & ~p) == 0 and (s.neg & p) == 0 for p in self.feasible)
 
     def independents(self) -> tuple[AdmissibleSet, ...]:
-        """All admissible sets contained in a feasible set, canonical order.
-
-        S lies inside a feasible set exactly when g(S) = |S|.
-        """
-        g = self.rank_table()
-        sizes = canonical_sizes(self.n)
-        return tuple(
-            s for s, gv, sz in zip(enumerate_admissible(self.n), g.values, sizes) if gv == sz
-        )
+        """All admissible sets contained in a feasible set, canonical order."""
+        return tuple(compress(enumerate_admissible(self.n), independent_flags(self.n, self.feasible)))
 
     def lattice_point_test(self) -> bool:
         """Do the lattice points of the half-sum polytope match the independent sets?
 
         e_S is inside when max over T of <e_T, e_S> - h(T) is <= 0 (the empty T
         adds 0 <= 0), which ``max_plus_dot`` over -h gives for every S at once.
-        For any nonempty family the answer is yes when g is right: T = S
+        For any nonempty family the answer is yes when h is right: T = S
         forces h(S) = |S|, and an S inside a feasible B meets every T in at
-        most h(T) elements.  So a no means a wrong rank table.
+        most h(T) elements.  So a no means wrong h lanes (``h_lanes``).
         """
-        n = self.n
-        g, sizes = self.rank_table().values, canonical_sizes(n)
-        vals = max_plus_dot(n, [-((g[p] + sizes[p]) // 2) for p in canonical_positions(n)])
-        return all((vals[c] <= 0) == (gv == sz) for c, gv, sz in zip(canonical_codes(n), g, sizes))
+        n, total = self.n, 3**self.n
+        h, sizes = h_lanes(n, self.feasible).to_bytes(total, "little"), _size_lanes(n).to_bytes(total, "little")
+        return all((v <= 0) == (hv == size) for v, hv, size in zip(max_plus_dot(n, [-v for v in h]), h, sizes))
 
 
 def max_plus_dot(n: int, vals: list[int]) -> list[int]:
@@ -363,28 +355,55 @@ def _signs(lo: list[int], hi: list[int]) -> list[int]:
 
 
 def signed_rank_by_code(n: int, feasible: Iterable[int]) -> list[int]:
-    """g(S) for all 3^n admissible sets, indexed by base-3 code, in O(n 3^n).
+    """g(S) for all 3^n admissible sets, indexed by base-3 code (``canonical_codes``), from ``g_lanes``."""
+    return g_lanes(n, feasible).tolist()
 
-    A max-plus form of Yates' transform: start from 0 on the feasible masks
-    and a sentinel below -2n elsewhere, then turn one coordinate at a time
-    from a sign into a state of S (``_signs``).  Each pass splits off the
-    lowest remaining bit with strided slices and puts the new state on top,
-    so after n passes the entries are in code order (Good's shuffle form of
-    the transform).  The sentinel never wins: a start at -2n - 1 gains at
-    most n, and every S scores at least -n against a feasible set.  See
-    ``canonical_codes`` for the codes.
-    """
-    vals = [-2 * n - 1] * (1 << n)
-    for p in feasible:
-        vals[p] = 0
+
+def _lanes(plane: int, total: int) -> int:
+    """The plane with each bit widened to a byte: byte c of the result is bit c of the plane."""
+    return int.from_bytes(f"{plane:0{total}b}".encode().translate(bytes.maketrans(b"01", b"\0\1")), "big")
+
+
+@lru_cache(maxsize=None)
+def _size_lanes(n: int) -> int:
+    """|S| for all 3^n sets, one byte per code: digit k adds 1 to the codes from 3^k up."""
+    sizes, up = b"\0", bytes(range(1, 256)) + b"\0"
     for _ in range(n):
-        vals = _signs(vals[0::2], vals[1::2])
-    return vals
+        more = sizes.translate(up)
+        sizes += more + more
+    return int.from_bytes(sizes, "little")
+
+
+def h_lanes(n: int, feasible: Iterable[int]) -> int:
+    """h(S) = |S| - d(S) for all 3^n sets, one byte per code (byte c for code c); checks the guard first.
+
+    d(S) counts the layers of ``distance_layers`` that miss S, so the missed layers,
+    widened to bytes and summed, come off the sizes; no lane carries, as d(S) <= |S| <= n.
+    """
+    check_guard(n)
+    total = 3**n
+    missed = (_lanes(~layer & ((1 << total) - 1), total) for layer in distance_layers(n, feasible))
+    return _size_lanes(n) - sum(missed)
+
+
+def g_lanes(n: int, feasible: Iterable[int]) -> memoryview:
+    """g(S) = 2·h(S) - |S| for all 3^n sets, one signed byte per code: the lanes of g + n, less n mod 256."""
+    total = 3**n
+    shifted = 2 * h_lanes(n, feasible) - _size_lanes(n) + int.from_bytes(bytes([n]) * total, "little")
+    down = bytes((x - n) & 255 for x in range(256))
+    return memoryview(shifted.to_bytes(total, "little").translate(down)).cast("b")
+
+
+def independent_flags(n: int, feasible: Iterable[int]) -> tuple[int, ...]:
+    """1 for each independent set (layer 0) and 0 for every other, in canonical order; checks the guard first."""
+    check_guard(n)
+    return canonical_order(n)(_lanes(next(distance_layers(n, feasible)), 3**n).to_bytes(3**n, "little"))
 
 
 def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     """Planes of the codes at cube distance 0, at most 1, at most 2, ... from the family.
 
+    The one source of g and h by code (``h_lanes``) and of independence.
     Write S as a sign pattern x on its support U and let P_U be the family
     projected to U.  Then S is independent exactly when x is in P_U, and
     g(S) = |S| - 2·d(S), where d(S) is the Hamming distance from x to P_U.

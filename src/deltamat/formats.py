@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
+from typing import Iterator
 
 from .deltamatroid import DeltaMatroid, RankTable
 from .ground import AdmissibleSet, canonical_labels, signed_ground, signed_masks
@@ -243,7 +244,16 @@ def serialize_value(value) -> str:
             lines.append(" ".join(str(row >> j & 1) for j in range(value.n)))
         return "\n".join(lines) + "\n"
     if isinstance(value, RankTable):
-        lines = [f"ranktable {value.n}"]
-        lines += map("{}: {}".format, canonical_labels(value.n), value.values)
-        return "\n".join(lines) + "\n"
+        return "".join(ranktable_chunks(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_TABLE_SLICE = 1 << 16  # lines per piece: the CLI holds one piece of text at a time, not the table's
+
+
+def ranktable_chunks(table: RankTable) -> Iterator[str]:
+    """The text of ``serialize_value(table)``: the header, then pieces of ``_TABLE_SLICE`` lines."""
+    yield f"ranktable {table.n}\n"
+    labels, values, step = canonical_labels(table.n), table.values, _TABLE_SLICE
+    for i in range(0, len(values), step):
+        yield "".join(map("{}: {}\n".format, labels[i : i + step], values[i : i + step]))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 DEFAULT_GUARD_LIMIT = 16
 GUARD_ENV = "DELTAMAT_GUARD_LIMIT"
@@ -207,6 +208,14 @@ def canonical_positions(n: int) -> tuple[int, ...]:
     for p, code in enumerate(canonical_codes(n)):
         position[code] = p
     return tuple(position)
+
+
+@lru_cache(maxsize=None)
+def canonical_order(n: int) -> Callable[[Sequence], tuple]:
+    """Reads a sequence indexed by base-3 code out in canonical order, as a tuple."""
+    check_guard(n)
+    codes = canonical_codes(n)
+    return itemgetter(*codes) if n else lambda by_code: (by_code[0],)  # itemgetter of one code gives a scalar
 
 
 @lru_cache(maxsize=None)

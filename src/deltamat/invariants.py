@@ -16,11 +16,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import xor
 from typing import Iterator
 
-from .deltamatroid import DeltaMatroid, distance_layers
+from .deltamatroid import DeltaMatroid, distance_layers, independent_flags
 from .ground import (
     AdmissibleSet,
     canonical_codes,
@@ -237,16 +237,14 @@ def _active(projections: set[int], support: int, pos: int) -> tuple[int, ...]:
 def independent_activities(d: DeltaMatroid) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """(canonical position, code, active indices) of every independent set, in canonical order.
 
-    S is independent exactly when g(S) = |S|.  P_U is built once per support U.
+    The independent sets are read from layer 0 of ``distance_layers``.  P_U
+    is built once per support U.
     """
     n = d.n
+    flags = independent_flags(n, d.feasible)
     pos_by_code, neg_by_code = code_masks(n)
-    codes, sizes = canonical_codes(n), canonical_sizes(n)
     by_support: dict[int, set[int]] = {}
-    for p, g in enumerate(d.rank_table().values):
-        if g != sizes[p]:
-            continue
-        code = codes[p]
+    for p, code in compress(enumerate(canonical_codes(n)), flags):
         pos = pos_by_code[code]
         support = pos | neg_by_code[code]
         if support not in by_support:

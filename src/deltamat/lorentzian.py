@@ -1,7 +1,7 @@
 """Lorentzian-polynomial verification and the log-concavity inequality suite.
 
-The generating polynomials of a delta-matroid are built from the g
-transform: one pass over g by code counts the independent sets on each
+The generating polynomials of a delta-matroid are built from g by code
+(``signed_rank_by_code``): one pass over it counts the independent sets on each
 underline mask, and no set object is made.
 
 A homogeneous polynomial with nonnegative coefficients is Lorentzian when its

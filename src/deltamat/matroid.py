@@ -12,16 +12,15 @@ plus brute-force search for enveloping matroids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
-from .deltamatroid import DeltaMatroid, max_plus_dot, signed_rank_by_code
+from .deltamatroid import DeltaMatroid, independent_flags, max_plus_dot, signed_rank_by_code
 from .ground import (
     AdmissibleSet,
     GuardLimitError,
     canonical_codes,
     canonical_positions,
-    canonical_sizes,
     check_guard,
     element_key,
     set_of_code,
@@ -359,11 +358,11 @@ def _admissible_subsets(n: int, b: int) -> list[int]:
 
 
 def _envelope_tables(d: DeltaMatroid) -> tuple[set[int], list[bool]]:
-    """The codes of D's independent sets (g(S) = |S|), and by code whether each point x of
+    """The codes of D's independent sets (layer 0), and by code whether each point x of
     {-1, 0, 1}^n lies in P(D): max over S of <e_S, x> - g(S) <= 0 (the empty S gives 0)."""
     check_guard(d.n)
     g = signed_rank_by_code(d.n, d.feasible)
-    independent = {c for c, size in zip(canonical_codes(d.n), canonical_sizes(d.n)) if g[c] == size}
+    independent = set(compress(canonical_codes(d.n), independent_flags(d.n, d.feasible)))
     return independent, [v <= 0 for v in max_plus_dot(d.n, [-v for v in g])]
 
 

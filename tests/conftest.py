@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from deltamat import AdmissibleSet, DeltaMatroid, enumerate_admissible
+from deltamat import AdmissibleSet, DeltaMatroid, deltamatroid, enumerate_admissible
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +64,24 @@ def oracle_families():
     for n, count in ((4, 40), (5, 20), (6, 8), (7, 4)):
         for _ in range(count):
             yield DeltaMatroid(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+
+
+def max_plus_rank_by_code(n: int, feasible) -> list[int]:
+    """g(S) for all 3^n admissible sets by base-3 code, by a max-plus transform: the oracle
+    for the lane route of ``deltamatroid.signed_rank_by_code``.
+
+    A max-plus form of Yates' transform: start from 0 on the feasible masks
+    and a sentinel below -2n elsewhere, then turn one coordinate at a time
+    from a sign into a state of S (``deltamatroid._signs``).  Each pass
+    splits off the lowest remaining bit with strided slices and puts the new
+    state on top, so after n passes the entries are in code order (Good's
+    shuffle form of the transform).  The sentinel never wins: a start at
+    -2n - 1 gains at most n, and every S scores at least -n against a
+    feasible set.
+    """
+    vals = [-2 * n - 1] * (1 << n)
+    for p in feasible:
+        vals[p] = 0
+    for _ in range(n):
+        vals = deltamatroid._signs(vals[0::2], vals[1::2])
+    return vals

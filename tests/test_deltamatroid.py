@@ -4,11 +4,28 @@ from itertools import chain, combinations, permutations, product
 import pytest
 
 from deltamat import lp
-from deltamat.deltamatroid import DeltaMatroid, ValidationReport, _mask_key, _uncertified_pairs, all_full_size_masks
-from deltamat.ground import AdmissibleSet, SignedPermutation, combine, dot, enumerate_admissible
+from deltamat.deltamatroid import (
+    DeltaMatroid,
+    ValidationReport,
+    _mask_key,
+    _uncertified_pairs,
+    all_full_size_masks,
+    signed_rank_by_code,
+)
+from deltamat.ground import (
+    AdmissibleSet,
+    GuardLimitError,
+    SignedPermutation,
+    canonical_codes,
+    code_masks,
+    code_planes,
+    combine,
+    dot,
+    enumerate_admissible,
+)
 from deltamat.randgen import random_signed_permutation, random_valid
 
-from conftest import oracle_families, sset
+from conftest import max_plus_rank_by_code, oracle_families, sset
 
 
 def all_valid(n):
@@ -92,6 +109,44 @@ def test_rank_table_matches_per_set_oracle():
         assert d.rank_table().values == tuple(d._g(s.pos, s.neg) for s in sets), d
         assert d.h_table().values == tuple((d._g(s.pos, s.neg) + s.size) // 2 for s in sets), d
         assert d.independents() == tuple(s for s in sets if d.is_independent(s)), d
+
+
+def _assert_lanes_match_transform(d: DeltaMatroid) -> None:
+    g = max_plus_rank_by_code(d.n, d.feasible)
+    assert signed_rank_by_code(d.n, d.feasible) == g, d
+    canonical = tuple(map(g.__getitem__, canonical_codes(d.n)))
+    assert d.rank_table().values == canonical, d
+    sizes = tuple(s.size for s in enumerate_admissible(d.n))
+    assert d.h_table().values == tuple((gv + size) // 2 for gv, size in zip(canonical, sizes)), d
+
+
+def test_rank_lanes_match_max_plus_transform_and_brute_force():
+    # the lane route against the max-plus transform, which the brute-force
+    # max over the feasible sets checks in turn
+    instances = [DeltaMatroid(0, [0]), DeltaMatroid(1, [0]), DeltaMatroid(1, [1]), DeltaMatroid(1, [0, 1])]
+    instances += oracle_families()
+    for d in instances:
+        assert max_plus_rank_by_code(d.n, d.feasible) == list(map(d._g, *code_masks(d.n))), d
+        _assert_lanes_match_transform(d)
+    rng = random.Random(1717)
+    for n in (8, 9, 10):
+        for dist in ("gf2", "twist"):
+            d = random_valid(rng, n, dist)
+            _assert_lanes_match_transform(d)
+            pos, neg = code_masks(n)
+            g = signed_rank_by_code(n, d.feasible)
+            for code in rng.sample(range(3**n), 200):
+                assert g[code] == d._g(pos[code], neg[code]), (d, code)
+
+
+def test_rank_tables_trip_the_guard_when_cached(monkeypatch, tripod):
+    code_planes(3)
+    tripod.rank_table()
+    tripod.h_table()  # every cache at n = 3 is warm
+    monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")
+    for table in (tripod.rank_table, tripod.h_table):
+        with pytest.raises(GuardLimitError):
+            table()
 
 
 def test_rank_function_properties():

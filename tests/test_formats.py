@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from deltamat import formats
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import (
     ParseError,
@@ -10,6 +11,7 @@ from deltamat.formats import (
     _parse_ranktable,
     _ranktable_as_written,
     parse_document,
+    ranktable_chunks,
     serialize_value,
 )
 from deltamat.ground import AdmissibleSet
@@ -151,6 +153,19 @@ def test_gf2_round_trip():
         parse_document("gf2 2\n0 1\n1 0\n0 0\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_document("gf2 2\n0 1\n0 0\n")  # not symmetric
+
+
+def test_ranktable_chunks_join_to_the_serialized_text(tripod, monkeypatch):
+    # the CLI streams these pieces; any slice size gives the one text
+    zero = DeltaMatroid(0, [0])
+    assert serialize_value(zero.rank_table()) == "ranktable 0\n: 0\n"
+    for table in (zero.rank_table(), tripod.rank_table(), tripod.h_table()):
+        lines = [f"ranktable {table.n}"] + [f"{s.render()}: {v}" for s, v in table.items()]
+        text = "\n".join(lines) + "\n"
+        assert serialize_value(table) == text
+        for size in (1, 2, 5, 27):
+            monkeypatch.setattr(formats, "_TABLE_SLICE", size)
+            assert "".join(ranktable_chunks(table)) == text
 
 
 def test_ranktable_round_trip(tripod, coloop1):

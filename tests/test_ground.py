@@ -9,6 +9,7 @@ from deltamat.ground import (
     GuardLimitError,
     SignedPermutation,
     canonical_codes,
+    canonical_order,
     canonical_positions,
     canonical_sizes,
     code_planes,
@@ -83,7 +84,14 @@ def test_code_planes_mark_digits_and_sizes():
 def test_guard_limit_and_override(monkeypatch):
     with pytest.raises(GuardLimitError):
         enumerate_admissible(17)
-    builders = (canonical_codes, canonical_positions, canonical_sizes, code_planes, enumerate_admissible)
+    builders = (
+        canonical_codes,
+        canonical_order,
+        canonical_positions,
+        canonical_sizes,
+        code_planes,
+        enumerate_admissible,
+    )
     for builder in builders:
         builder(3)  # a cached callee does not check the limit again
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

@@ -303,6 +303,27 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch):
     assert enumerate_admissible.cache_info().misses == 0
 
 
+def test_table_paths_run_no_max_plus_transform(monkeypatch):
+    # rank_table, h_table, signed_rank_by_code and the independent sets read
+    # distance planes as byte lanes; the max-plus kernel (the tests' transform
+    # oracle and the envelope and lattice tests) is never reached
+    d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
+    sets = enumerate_admissible(5)
+    g = tuple(d._g(s.pos, s.neg) for s in sets)
+    independent = tuple(s for s in sets if d.is_independent(s))
+
+    def no_transform(*args):
+        raise AssertionError("max-plus transform run")
+
+    monkeypatch.setattr(deltamatroid, "_signs", no_transform)
+    monkeypatch.setattr(deltamatroid, "max_plus_dot", no_transform)
+    assert d.rank_table().values == g
+    assert d.h_table().values == tuple((gv + s.size) // 2 for gv, s in zip(g, sets))
+    by_code = deltamatroid.signed_rank_by_code(5, d.feasible)
+    assert tuple(map(by_code.__getitem__, canonical_codes(5))) == g
+    assert d.independents() == independent
+
+
 def test_g_axioms_examples(free1):
     good = check_g_axioms(free1.rank_table())
     assert good.passed and good.violations == ()
