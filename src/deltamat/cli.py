@@ -171,7 +171,7 @@ def _cmd_activity(args) -> int:
         print(f"active: {' '.join(map(str, rec.active))}".rstrip())
         return 0
     labels = canonical_labels(d.n)
-    for p, _, active in independent_activities(d):
+    for p, active in independent_activities(d):
         suffix = f" active={' '.join(map(str, active))}" if active else ""
         print(f"{{{labels[p]}}}: a={len(active)}{suffix}")
     return 0

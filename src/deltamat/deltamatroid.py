@@ -394,19 +394,26 @@ def g_lanes(n: int, feasible: Iterable[int]) -> memoryview:
     return memoryview(shifted.to_bytes(total, "little").translate(down)).cast("b")
 
 
+def plane_flags(n: int, plane: int) -> tuple[int, ...]:
+    """The bits of a plane over the 3^n codes, one 0 or 1 per set, in canonical order."""
+    return canonical_order(n)(_lanes(plane, 3**n).to_bytes(3**n, "little"))
+
+
 def independent_flags(n: int, feasible: Iterable[int]) -> tuple[int, ...]:
     """1 for each independent set (layer 0) and 0 for every other, in canonical order; checks the guard first."""
     check_guard(n)
-    return canonical_order(n)(_lanes(next(distance_layers(n, feasible)), 3**n).to_bytes(3**n, "little"))
+    return plane_flags(n, next(distance_layers(n, feasible)))
 
 
 def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     """Planes of the codes at cube distance 0, at most 1, at most 2, ... from the family.
 
-    The one source of g and h by code (``h_lanes``) and of independence.
-    Write S as a sign pattern x on its support U and let P_U be the family
-    projected to U.  Then S is independent exactly when x is in P_U, and
-    g(S) = |S| - 2·d(S), where d(S) is the Hamming distance from x to P_U.
+    The one source of g and h by code (``h_lanes``) and of independence, so
+    of the activities and the Lorentzian counts too (layer 0).  Write S as a
+    sign pattern x on its support U and let P_U be the family projected to
+    U.  Then S is independent exactly when x is in P_U, so x ⊕ e_i in P_U
+    says that S with digit i flipped is independent, and g(S) = |S| - 2·d(S),
+    where d(S) is the Hamming distance from x to P_U.
     Layer 0, the independent sets, is the downward closure of the feasible
     codes: one pass per index moves its digit from 1 or 2 to 0.  Layer k + 1
     adds to layer k its digit flips, 1 to 2 and back, a shift by 3^i under

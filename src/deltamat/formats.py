@@ -168,10 +168,10 @@ def _parse_gf2(lines) -> Gf2SymMatrix:
 def _ranktable_as_written(text: str) -> RankTable | None:
     """The table when the text is a rank table as ``serialize_value`` writes it, else None.
 
-    One check over the whole body: the heads before ": " are the canonical
-    labels as one tuple, and ``int`` reads every tail.  Any other text,
-    comments and blank lines included, is left to the line parse, which
-    accepts the same tables and words every error.
+    One check over the body, ``_TABLE_SLICE`` lines at a time: the heads
+    before ": " are the canonical labels, and ``int`` reads every tail.  Any
+    other text, comments and blank lines included, is left to the line
+    parse, which accepts the same tables and words every error.
     """
     if not text.startswith("ranktable"):
         return None
@@ -186,13 +186,16 @@ def _ranktable_as_written(text: str) -> RankTable | None:
     labels = canonical_labels(n)  # trips the size guard, as the line parse would
     if len(raw_lines) != len(labels) + 1:
         return None
-    parts = list(map(str.partition, raw_lines[1:], repeat(": ")))
-    if tuple(map(itemgetter(0), parts)) != labels:
-        return None
-    try:
-        return RankTable(n, tuple(map(int, map(itemgetter(2), parts))))
-    except ValueError:
-        return None
+    values = []
+    for i in range(0, len(labels), _TABLE_SLICE):
+        parts = list(map(str.partition, raw_lines[i + 1 : i + 1 + _TABLE_SLICE], repeat(": ")))
+        if tuple(map(itemgetter(0), parts)) != labels[i : i + _TABLE_SLICE]:
+            return None
+        try:
+            values += map(int, map(itemgetter(2), parts))
+        except ValueError:
+            return None
+    return RankTable(n, tuple(values))
 
 
 def _parse_ranktable(lines) -> RankTable:

@@ -8,28 +8,21 @@ packed into one int.  The two must agree and the tests enforce it.  Neither
 reads a rank table, and neither does the independence f-vector, which is
 the popcount of the independent plane by size.  The interlace slice is the
 distance distribution of the feasible masks in the n-cube.  Activities
-follow the fixed index order 1 < 2 < ... < n.
+follow the fixed index order 1 < 2 < ... < n; the activity expansion and
+the activity-zero complex are counted on one active plane per index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, repeat
-from operator import xor
+from operator import or_, xor
 from typing import Iterator
 
-from .deltamatroid import DeltaMatroid, distance_layers, independent_flags
-from .ground import (
-    AdmissibleSet,
-    canonical_codes,
-    canonical_sizes,
-    check_guard,
-    code_masks,
-    code_planes,
-    enumerate_admissible,
-)
+from .deltamatroid import DeltaMatroid, distance_layers, plane_flags
+from .ground import AdmissibleSet, canonical_labels, check_guard, code_planes
 from .poly import MultiPoly
 from .rankfn import AxiomReport, Violation
 
@@ -171,11 +164,7 @@ class FVector:
 
     @classmethod
     def from_sizes(cls, sizes: list[int]) -> "FVector":
-        top = max(sizes, default=0)
-        counts = [0] * (top + 1)
-        for s in sizes:
-            counts[s] += 1
-        return cls(tuple(counts))
+        return cls(tuple(map(sizes.count, range(max(sizes, default=0) + 1))))
 
 
 def independence_fvector(d: DeltaMatroid) -> FVector:
@@ -213,65 +202,68 @@ class ActivityRecord:
         return len(self.active)
 
 
-def _active(projections: set[int], support: int, pos: int) -> tuple[int, ...]:
-    """Active indices of the set with unbarred part ``pos`` on ``support``.
+def _active_planes(d: DeltaMatroid) -> tuple[int, list[int]]:
+    """Layer 0 of ``distance_layers`` and, per index, the plane of the sets it is active at; checks the guard first.
 
-    ``projections`` is P_U = {m & U : m feasible} for U = ``support``, the
-    family with every index outside U projected away.  Index i of U is
-    orientable when pos △ {i} is not in P_U, and active when moreover no
-    pos △ {i, j} with j < i in U is.
+    By the identity in ``distance_layers``, x ⊕ e_i in P_U says that S with
+    digit i flipped (1 to 2 and back) is independent.  So index i is active
+    at an independent S holding it when neither S with digit i flipped nor
+    S with digits i and j flipped, for any j < i that S holds, is
+    independent.  ``below`` ORs flip_j(I) over j < i, clear at digit j = 0.
     """
-    active = []
-    below = []  # the flips of the indices of U below i
-    for i in range(support.bit_length()):
-        bit = 1 << i
-        if not support & bit:
-            continue
-        flip = pos ^ bit
-        if flip not in projections and not any(flip ^ b in projections for b in below):
-            active.append(i + 1)
-        below.append(bit)
-    return tuple(active)
+    check_guard(d.n)
+    independent = next(distance_layers(d.n, d.feasible))
+    active, below = [], 0
+    for i, one in enumerate(code_planes(d.n)[0]):
+        step = 3**i
+        flipped, flipped_below = ((plane & one) << step | plane >> step & one for plane in (independent, below))
+        active.append(independent & (one | one << step) & ~(flipped | flipped_below))
+        below |= flipped
+    return independent, active
 
 
-def independent_activities(d: DeltaMatroid) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """(canonical position, code, active indices) of every independent set, in canonical order.
-
-    The independent sets are read from layer 0 of ``distance_layers``.  P_U
-    is built once per support U.
-    """
-    n = d.n
-    flags = independent_flags(n, d.feasible)
-    pos_by_code, neg_by_code = code_masks(n)
-    by_support: dict[int, set[int]] = {}
-    for p, code in compress(enumerate(canonical_codes(n)), flags):
-        pos = pos_by_code[code]
-        support = pos | neg_by_code[code]
-        if support not in by_support:
-            by_support[support] = {m & support for m in d.feasible}
-        yield p, code, _active(by_support[support], support, pos)
+def independent_activities(d: DeltaMatroid) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(canonical position, active indices) of every independent set, each plane read out once, in canonical order."""
+    independent, active = _active_planes(d)
+    flags = plane_flags(d.n, independent)
+    columns = [bytes(compress(plane_flags(d.n, plane), flags)) for plane in active]
+    indices = range(1, d.n + 1)
+    for p, *row in zip(compress(range(len(flags)), flags), *columns):
+        yield p, tuple(compress(indices, row))
 
 
 def activity(d: DeltaMatroid, iset: AdmissibleSet) -> ActivityRecord:
-    """Active indices of an independent set after projecting away untouched indices.
+    """Active indices of one independent set, decided on the sets with one or two of its signs flipped.
 
-    An index is orientable when flipping its sign leaves the projected family,
-    and active when additionally no smaller index admits a double sign flip
-    back into the family; ``_active`` decides both on masks.
+    Index i of S is active when S with the sign of i flipped is not
+    independent, and neither is S with the signs of i and of any smaller
+    index of S flipped: at most n(n+1)/2 independence tests, no 3^n plane.
     """
     if iset.n != d.n:
         raise ValueError("set belongs to a different ground size")
     if not d.is_independent(iset):
         raise ValueError("activity is defined for independent sets only")
-    support = iset.underline
-    return ActivityRecord(iset, _active({m & support for m in d.feasible}, support, iset.pos))
+    active, below = [], [0]  # below: no flip, then the bit of each index of S below i
+    for bit in (1 << i for i in range(d.n) if iset.underline >> i & 1):
+        if not any(d.is_independent(AdmissibleSet(d.n, iset.pos ^ bit ^ b, iset.neg ^ bit ^ b)) for b in below):
+            active.append(bit.bit_length())
+        below.append(bit)
+    return ActivityRecord(iset, tuple(active))
 
 
 def activity_expansion(d: DeltaMatroid) -> MultiPoly:
-    """Sum u^(n-|I|) v^(a(I)) over independent sets; equals the enumerator at v-1."""
-    check_guard(d.n)
-    sizes = canonical_sizes(d.n)
-    counts = Counter((d.n - sizes[p], len(active)) for p, _, active in independent_activities(d))
+    """Sum u^(n-|I|) v^(a(I)) over independent sets; equals the enumerator at v-1.
+
+    ``exactly[a]`` holds the independent sets with a active indices among
+    the planes read so far, a bit-sliced count over the active planes.
+    """
+    n = d.n
+    independent, active = _active_planes(d)
+    _, sizes = code_planes(n)
+    exactly = [independent]
+    for plane in active:
+        exactly = [at & ~plane | one_less & plane for at, one_less in zip(exactly + [0], [0] + exactly)]
+    counts = {(n - s, a): (plane & size).bit_count() for a, plane in enumerate(exactly) for s, size in enumerate(sizes)}
     return MultiPoly(("u", "v"), counts)
 
 
@@ -282,7 +274,6 @@ def substitute_v_minus_1(p: MultiPoly) -> MultiPoly:
 
 @dataclass(frozen=True)
 class ComplexReport:
-    faces: tuple[AdmissibleSet, ...]
     fvector: FVector
     pure: bool
 
@@ -290,28 +281,25 @@ class ComplexReport:
 def activity_zero_complex(d: DeltaMatroid) -> ComplexReport:
     """The independent sets of activity zero, verified to be downward closed.
 
-    On base-3 codes, dropping index i from a set subtracts its digit times
-    3^(i-1), and adding i or -i adds 3^(i-1) or 2·3^(i-1).  Once the faces are
-    known to be downward closed, a face lies inside a larger one exactly when
-    it lies inside a face one element larger, so purity reads only the
-    one-element extensions of each face.
+    On base-3 codes, dropping index i from a set moves digit i from 1 or 2
+    to 0, a shift down by 3^i or 2·3^i; ``drops`` marks the sets one face
+    reaches so.  The faces are downward closed exactly when every drop is a
+    face.  Then a face lies inside a larger one exactly when it lies inside
+    a face one element larger, that is, when it is a drop, so the maximal
+    faces are the faces that are no drop, and purity reads their sizes.
     """
     n = d.n
-    sets = enumerate_admissible(n)
-    faces = [(p, code) for p, code, active in independent_activities(d) if not active]
-    codes = {code for _, code in faces}
-    units = [3**i for i in range(n)]
-    for p, code in faces:
-        if any(code // u % 3 and code - code // u % 3 * u not in codes for u in units):
-            raise RuntimeError("activity-zero sets are not downward closed at {%s}" % sets[p].render())
-    sizes = canonical_sizes(n)
-    maximal_sizes = {
-        sizes[p]
-        for p, code in faces
-        if not any(code // u % 3 == 0 and (code + u in codes or code + 2 * u in codes) for u in units)
-    }
-    return ComplexReport(
-        tuple(sets[p] for p, _ in faces),
-        FVector.from_sizes([sizes[p] for p, _ in faces]),
-        pure=len(maximal_sizes) <= 1,
-    )
+    independent, active = _active_planes(d)
+    ones, sizes = code_planes(n)
+    faces = independent & ~reduce(or_, active, 0)
+    drops = bad = 0  # bad: the faces with a subface one smaller that is no face
+    for i, one in enumerate(ones):
+        step = 3**i
+        drops |= (faces & one) >> step | (faces & one << step) >> 2 * step
+        bad |= faces & (one & ~faces << step | one << step & ~faces << 2 * step)
+    if bad:
+        first = canonical_labels(n)[plane_flags(n, bad).index(1)]
+        raise RuntimeError("activity-zero sets are not downward closed at {%s}" % first)
+    maximal = faces & ~drops
+    counts = tuple(filter(None, ((faces & size).bit_count() for size in sizes)))  # {} is a face: sizes 0..top
+    return ComplexReport(FVector(counts), pure=sum(1 for size in sizes if maximal & size) <= 1)

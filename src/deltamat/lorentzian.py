@@ -1,8 +1,8 @@
 """Lorentzian-polynomial verification and the log-concavity inequality suite.
 
-The generating polynomials of a delta-matroid are built from g by code
-(``signed_rank_by_code``): one pass over it counts the independent sets on each
-underline mask, and no set object is made.
+The generating polynomials of a delta-matroid are built from the independent
+plane, layer 0 of ``distance_layers``: folding it digit by digit counts the
+independent sets on each underline mask, and no set object is made.
 
 A homogeneous polynomial with nonnegative coefficients is Lorentzian when its
 support is M-convex and every Hessian obtained by taking degree-minus-two
@@ -25,26 +25,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import add
 from typing import Sequence
 
-from .deltamatroid import DeltaMatroid, signed_rank_by_code
-from .ground import code_masks
+from .deltamatroid import DeltaMatroid, _lanes, distance_layers
+from .ground import check_guard
 from .invariants import independence_fvector
 from .poly import MultiPoly
 
 
 def _independent_counts(d: DeltaMatroid) -> list[tuple[int, int]]:
-    """(U, c_U) for each underline mask U that c_U > 0 independent sets have.
+    """(U, c_U) for each underline mask U that c_U > 0 independent sets have; checks the guard first.
 
-    S lies inside a feasible set exactly when g(S) = |S|, so one pass over g
-    by code counts them; ``code_masks`` checks the guard before any work.
+    Layer 0 of ``distance_layers``, one byte per base-3 code, is folded one
+    digit per pass: the lowest digit becomes the top bit of the index, clear
+    for state 0 and set for states 1 and 2 summed, so at the end entry U is c_U.
     """
-    pos, neg = code_masks(d.n)
-    counts = [0] * (1 << d.n)
-    for p, q, gv in zip(pos, neg, signed_rank_by_code(d.n, d.feasible)):
-        u = p | q
-        if gv == u.bit_count():
-            counts[u] += 1
+    n, total = d.n, 3**d.n
+    check_guard(n)
+    counts = list(_lanes(next(distance_layers(n, d.feasible)), total).to_bytes(total, "little"))
+    for _ in range(n):
+        counts = counts[0::3] + list(map(add, counts[1::3], counts[2::3]))
     return [(u, c) for u, c in enumerate(counts) if c]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -114,8 +115,8 @@ def test_guard_variable_that_is_not_an_integer(dex_file, capsys, monkeypatch):
 
 def test_constructions_guard_before_enumerating(tmp_path, capsys):
     # from-gf2 reads 2^n principal minors, from-matroid --mode independents
-    # lists every subset of a basis, lorentzian reads g over all 3^n sets,
-    # upoly, fvector and logconc build planes of 3^n bits, and the recursion
+    # lists every subset of a basis, lorentzian, upoly, fvector, logconc,
+    # activity --all and complex build planes of 3^n bits, and the recursion
     # and interlace read no table but may still take 3^n or 2^n steps: each
     # must trip the guard before the work
     zero = tmp_path / "zero.gf2"
@@ -135,10 +136,14 @@ def test_constructions_guard_before_enumerating(tmp_path, capsys):
         ["fvector", str(big)],
         ["logconc", str(big)],
         ["interlace", str(big)],
+        ["activity", str(big), "--all"],
+        ["complex", str(big)],
     ):
         code, out = run(argv)
         assert code == 3 and out == ""
         assert "exceeds the guard limit" in capsys.readouterr().err
+    # the activity of one set reads at most n(n+1)/2 flipped sets, so it needs no guard
+    assert run(["activity", str(big), "--set", "1"]) == (0, "a: 1\nactive: 1\n")
 
 
 def test_info(dex_file):
@@ -411,6 +416,8 @@ GF2_9_UPOLY_JSON = (
     '[[7,0],"144"],[[6,1],"1"],[[8,0],"18"],[[9,0],"1"]]}\n'
 )
 GF2_9_FVECTOR = "1 18 144 671 2003 3957 5128 4115 1768 276\n"
+GF2_9_COMPLEX = "f-vector: 1 18 144 670 1990 3882 4882 3640 1300 110; pure: no\n"
+GF2_9_ACTIVITY_SHA256 = "10df0cf748d2220f77fbd2ec5c10a55539301139b8b1d2da871548641654890d"
 GF2_9_LOGCONC = (
     "a: 1 18 144 671 2003 3957 5128 4115 1768 276\n"
     "inequality (1): holds for all k\n"
@@ -423,7 +430,8 @@ GF2_9_LOGCONC = (
 
 
 def test_enumerator_and_fvector_output_pinned_at_n9(tmp_path):
-    # a seeded gf2 instance with |F| = 276; the figures were recorded from the rank-table route
+    # a seeded gf2 instance with |F| = 276; the figures were recorded from the rank-table route,
+    # and the complex and activity output from the per-support activity route
     d = random_valid(random.Random(9), 9, "gf2")
     assert len(d.feasible) == 276
     path = tmp_path / "gf2-9.dm"
@@ -433,6 +441,10 @@ def test_enumerator_and_fvector_output_pinned_at_n9(tmp_path):
     assert run(["upoly", str(path), "--json"]) == (0, GF2_9_UPOLY_JSON)
     assert run(["fvector", str(path)]) == (0, GF2_9_FVECTOR)
     assert run(["logconc", str(path)]) == (0, GF2_9_LOGCONC)
+    assert run(["complex", str(path)]) == (0, GF2_9_COMPLEX)
+    code, out = run(["activity", str(path), "--all"])
+    assert (code, len(out.splitlines())) == (0, 18081)
+    assert hashlib.sha256(out.encode()).hexdigest() == GF2_9_ACTIVITY_SHA256
 
 
 def test_example15_compare(tmp_path):

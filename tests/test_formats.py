@@ -270,16 +270,19 @@ def _outcome(parse, text):
         return str(exc)
 
 
-def test_ranktable_whole_body_check_matches_line_parse():
+def test_ranktable_whole_body_check_matches_line_parse(monkeypatch):
     def line_parse(text):
         return _parse_ranktable(_logical_lines(text))
 
     def document(text):
         return parse_document(text).value
 
-    for name, (text, whole_body, expected) in _ranktable_variants().items():
-        assert (_ranktable_as_written(text) is not None) == whole_body, name
-        assert _outcome(document, text) == _outcome(line_parse, text) == expected, name
+    # the body is checked a slice at a time; slices of 1, 2 and 4 lines cut the 9 lines everywhere
+    for size in (formats._TABLE_SLICE, 1, 2, 4):
+        monkeypatch.setattr(formats, "_TABLE_SLICE", size)
+        for name, (text, whole_body, expected) in _ranktable_variants().items():
+            assert (_ranktable_as_written(text) is not None) == whole_body, (name, size)
+            assert _outcome(document, text) == _outcome(line_parse, text) == expected, (name, size)
 
 
 def test_commented_table_parse_builds_no_sets(monkeypatch):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from deltamat.deltamatroid import DeltaMatroid, all_full_size_masks
-from deltamat.ground import AdmissibleSet, canonical_sizes, enumerate_admissible
+from deltamat.ground import AdmissibleSet, GuardLimitError, canonical_sizes, enumerate_admissible
 from deltamat.invariants import (
     FVector,
     activity,
@@ -19,6 +19,7 @@ from deltamat.invariants import (
     upoly_direct,
     upoly_recursive,
 )
+from deltamat.lorentzian import efls_gen_poly, indep_gen_poly
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
 from deltamat.poly import MultiPoly, poly_u_v
 from deltamat.randgen import random_delta_matroids, random_family, random_valid
@@ -214,7 +215,7 @@ def test_activity_examples(tripod):
 def test_activity_zero_faces_match_definitions(tripod):
     # applying the two-step definition by hand over the projections
     report = activity_zero_complex(tripod)
-    rendered = {f.render() for f in report.faces}
+    rendered = {enumerate_admissible(3)[p].render() for p, active in independent_activities(tripod) if not active}
     assert rendered == {"", "1", "-1", "2", "-2", "3", "-3",
                         "1 -2", "-1 -2", "2 -3", "-2 -3", "1 -3", "-1 -3"}
     assert report.fvector.counts == (1, 6, 6)
@@ -281,8 +282,8 @@ def test_activities_match_minor_oracle():
         want = [_minor_activity(d, s) for s in independents]
         assert [activity(d, s).active for s in independents] == want, d
         kernel = list(independent_activities(d))
-        assert [enumerate_admissible(d.n)[p] for p, _, _ in kernel] == list(independents), d
-        assert [active for _, _, active in kernel] == want, d
+        assert [enumerate_admissible(d.n)[p] for p, _ in kernel] == list(independents), d
+        assert [active for _, active in kernel] == want, d
         expansion = {}
         for s, active in zip(independents, want):
             key = (d.n - s.size, len(active))
@@ -304,18 +305,34 @@ def test_complex_purity_matches_maximal_face_scan():
             report = activity_zero_complex(d)
             assert report.pure == pure, d
             faces = [s for s in d.independents() if not _minor_activity(d, s)]
-            assert report.faces == tuple(faces), d
+            assert [enumerate_admissible(d.n)[p] for p, active in independent_activities(d) if not active] == faces, d
+            assert report.fvector == FVector.from_sizes([f.size for f in faces]), d
         outcomes.add(pure)
     assert outcomes == {True, False}
+
+
+def test_plane_readers_trip_the_guard_when_cached(tripod, monkeypatch):
+    readers = (activity_expansion, activity_zero_complex, lambda d: list(independent_activities(d)),
+               indep_gen_poly, efls_gen_poly)
+    for read in readers:
+        read(tripod)  # every cache at n = 3 is warm
+    monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")
+    for read in readers:
+        with pytest.raises(GuardLimitError):
+            read(tripod)
 
 
 def test_complex_reports_a_face_without_its_subfaces(tripod, monkeypatch):
     import deltamat.invariants as invariants
 
-    real = invariants.independent_activities
-    # give the empty set an active index: {1} is then a face without its subface {}
-    spoiled = lambda d: ((p, c, (1,) if c == 0 else a) for p, c, a in real(d))
-    monkeypatch.setattr(invariants, "independent_activities", spoiled)
+    real = invariants._active_planes
+
+    def spoiled(d):
+        # give the empty set (code 0) the active index 1: {1} is then a face without its subface {}
+        independent, (first, *rest) = real(d)
+        return independent, [first | 1, *rest]
+
+    monkeypatch.setattr(invariants, "_active_planes", spoiled)
     with pytest.raises(RuntimeError, match=r"^activity-zero sets are not downward closed at \{1\}$"):
         activity_zero_complex(tripod)
 

@@ -11,7 +11,14 @@ from deltamat.acceptance import valid_delta_matroids
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import parse_document, serialize_value
 from deltamat.ground import canonical_codes, canonical_sizes, combine, enumerate_admissible
-from deltamat.invariants import independence_fvector, interlace, upoly_direct, upoly_recursive
+from deltamat.invariants import (
+    activity_expansion,
+    activity_zero_complex,
+    independence_fvector,
+    interlace,
+    upoly_direct,
+    upoly_recursive,
+)
 from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian, two_var_ulc_check
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2, enveloping_check, enveloping_search
 from deltamat.rankfn import (
@@ -280,9 +287,10 @@ def test_mask_paths_build_only_witness_sets(built_sets, tripod):
     assert enumerate_admissible.cache_info().misses == 0
 
 
-def test_enumerator_paths_read_no_rank_table(monkeypatch):
+def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
     # the recursion runs on mask tuples, interlace on the 2^n cube, and the
-    # direct enumerator and the f-vector on distance planes: none builds the
+    # direct enumerator, the f-vector, the activity counts, the activity-zero
+    # complex and the Lorentzian counts on distance planes: none builds the
     # 3^n code index, a set object or a g table
     d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
 
@@ -298,6 +306,11 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch):
     upoly_direct(d)
     independence_fvector(d)
     two_var_ulc_check(d)
+    activity_expansion(d)
+    activity_zero_complex(d)
+    indep_gen_poly(d)
+    efls_gen_poly(d)
+    assert built_sets == []
     assert canonical_codes.cache_info().misses == 0
     assert canonical_sizes.cache_info().misses == 0
     assert enumerate_admissible.cache_info().misses == 0
