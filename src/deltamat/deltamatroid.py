@@ -313,7 +313,8 @@ class DeltaMatroid:
 
     def independents(self) -> tuple[AdmissibleSet, ...]:
         """All admissible sets contained in a feasible set, canonical order."""
-        return tuple(compress(enumerate_admissible(self.n), independent_flags(self.n, self.feasible)))
+        independent = next(distance_layers(self.n, self.feasible))
+        return tuple(compress(enumerate_admissible(self.n), plane_flags(self.n, independent)))
 
     def lattice_point_test(self) -> bool:
         """Do the lattice points of the half-sum polytope match the independent sets?
@@ -366,7 +367,8 @@ def _lanes(plane: int, total: int) -> int:
 
 @lru_cache(maxsize=None)
 def _size_lanes(n: int) -> int:
-    """|S| for all 3^n sets, one byte per code: digit k adds 1 to the codes from 3^k up."""
+    """|S| for all 3^n sets, one byte per code: digit k adds 1 to the codes from 3^k up; checks the guard first."""
+    check_guard(n)
     sizes, up = b"\0", bytes(range(1, 256)) + b"\0"
     for _ in range(n):
         more = sizes.translate(up)
@@ -375,12 +377,11 @@ def _size_lanes(n: int) -> int:
 
 
 def h_lanes(n: int, feasible: Iterable[int]) -> int:
-    """h(S) = |S| - d(S) for all 3^n sets, one byte per code (byte c for code c); checks the guard first.
+    """h(S) = |S| - d(S) for all 3^n sets, one byte per code (byte c for code c).
 
     d(S) counts the layers of ``distance_layers`` that miss S, so the missed layers,
     widened to bytes and summed, come off the sizes; no lane carries, as d(S) <= |S| <= n.
     """
-    check_guard(n)
     total = 3**n
     missed = (_lanes(~layer & ((1 << total) - 1), total) for layer in distance_layers(n, feasible))
     return _size_lanes(n) - sum(missed)
@@ -399,14 +400,8 @@ def plane_flags(n: int, plane: int) -> tuple[int, ...]:
     return canonical_order(n)(_lanes(plane, 3**n).to_bytes(3**n, "little"))
 
 
-def independent_flags(n: int, feasible: Iterable[int]) -> tuple[int, ...]:
-    """1 for each independent set (layer 0) and 0 for every other, in canonical order; checks the guard first."""
-    check_guard(n)
-    return plane_flags(n, next(distance_layers(n, feasible)))
-
-
 def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
-    """Planes of the codes at cube distance 0, at most 1, at most 2, ... from the family.
+    """Planes of the codes at cube distance 0, at most 1, at most 2, ... from the family; checks the guard first.
 
     The one source of g and h by code (``h_lanes``) and of independence, so
     of the activities and the Lorentzian counts too (layer 0).  Write S as a
@@ -417,11 +412,12 @@ def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     Layer 0, the independent sets, is the downward closure of the feasible
     codes: one pass per index moves its digit from 1 or 2 to 0.  Layer k + 1
     adds to layer k its digit flips, 1 to 2 and back, a shift by 3^i under
-    the digit-1 plane (``code_planes``, which trips the guard).  The layers
-    stop at the plane of all 3^n codes, by layer n at the latest.  A feasible
-    mask m has code 3^n - 1 - int(f"{m:b}", 3): digit 1 where m holds the
-    index, 2 where it does not.
+    the digit-1 plane (``code_planes``).  The layers stop at the plane of all
+    3^n codes, by layer n at the latest.  A feasible mask m has code
+    3^n - 1 - int(f"{m:b}", 3): digit 1 where m holds the index, 2 where it
+    does not.
     """
+    check_guard(n)
     ones, _ = code_planes(n)
     total = 3**n
     marks = bytearray((total + 7) >> 3)

@@ -84,9 +84,9 @@ def _parse_delta(lines) -> DeltaMatroid:
     # "i" adds bits i - 1 and 2n + i - 1, "-i" only bit i - 1.  The low 2n
     # bits sum to at most n·2^(n-1) < 2^(2n), and n powers of two sum to
     # 2^n - 1 only when they are distinct; any other line, an unknown token
-    # included, goes through _feasible_mask, which words its error.
-    wide, full = 2 * n, (1 << n) - 1
-    low = (1 << wide) - 1
+    # included, goes through _feasible_mask, which words its error.  The
+    # masks are made with the first such line, so a huge header alone builds
+    # no huge int.
     values: dict[str, int] | None = None  # built once a line has n elements, so no larger than the input
     masks = []
     for lineno, tokens in lines[1:]:
@@ -94,6 +94,8 @@ def _parse_delta(lines) -> DeltaMatroid:
             raise _fail(lineno, f"expected 'feasible ...', got {tokens[0]!r}")
         if len(tokens) == n + 1:
             if values is None:
+                wide, full = 2 * n, (1 << n) - 1
+                low = (1 << wide) - 1
                 values = {}
                 for i in range(1, n + 1):
                     bit = 1 << (i - 1)
@@ -228,7 +230,8 @@ def _parse_ranktable(lines) -> RankTable:
 def serialize_value(value) -> str:
     if isinstance(value, DeltaMatroid):
         lines = [f"n {value.n}"]
-        lines += [f"feasible {b.render()}".rstrip() for b in value.feasible_sets()]
+        signs = [(f" {-i}", f" {i}") for i in range(1, value.n + 1)]  # index i where bit i - 1 is set, else -i
+        lines += ["feasible" + "".join(s[m >> k & 1] for k, s in enumerate(signs)) for m in value.feasible]
         return "\n".join(lines) + "\n"
     if isinstance(value, Matroid):
         size = max((abs(e) for e in value.ground), default=0)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from math import comb
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -197,32 +196,11 @@ def canonical_codes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def canonical_positions(n: int) -> tuple[int, ...]:
-    """Canonical position of each set, indexed by its base-3 code.
-
-    The inverse of ``canonical_codes``: adding k·3^i to the code of a set
-    that leaves index i+1 out adds i+1 (k = 1) or its bar (k = 2).
-    """
-    check_guard(n)
-    position = [0] * 3**n
-    for p, code in enumerate(canonical_codes(n)):
-        position[code] = p
-    return tuple(position)
-
-
-@lru_cache(maxsize=None)
 def canonical_order(n: int) -> Callable[[Sequence], tuple]:
     """Reads a sequence indexed by base-3 code out in canonical order, as a tuple."""
     check_guard(n)
     codes = canonical_codes(n)
     return itemgetter(*codes) if n else lambda by_code: (by_code[0],)  # itemgetter of one code gives a scalar
-
-
-@lru_cache(maxsize=None)
-def canonical_sizes(n: int) -> tuple[int, ...]:
-    """Size of each set in canonical order: C(n, k)·2^k sets of each size k."""
-    check_guard(n)
-    return tuple(chain.from_iterable(repeat(k, comb(n, k) << k) for k in range(n + 1)))
 
 
 @lru_cache(maxsize=None)

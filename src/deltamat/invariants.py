@@ -203,7 +203,7 @@ class ActivityRecord:
 
 
 def _active_planes(d: DeltaMatroid) -> tuple[int, list[int]]:
-    """Layer 0 of ``distance_layers`` and, per index, the plane of the sets it is active at; checks the guard first.
+    """Layer 0 of ``distance_layers`` and, per index, the plane of the sets it is active at.
 
     By the identity in ``distance_layers``, x ⊕ e_i in P_U says that S with
     digit i flipped (1 to 2 and back) is independent.  So index i is active
@@ -211,7 +211,6 @@ def _active_planes(d: DeltaMatroid) -> tuple[int, list[int]]:
     S with digits i and j flipped, for any j < i that S holds, is
     independent.  ``below`` ORs flip_j(I) over j < i, clear at digit j = 0.
     """
-    check_guard(d.n)
     independent = next(distance_layers(d.n, d.feasible))
     active, below = [], 0
     for i, one in enumerate(code_planes(d.n)[0]):

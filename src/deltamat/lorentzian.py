@@ -29,20 +29,18 @@ from operator import add
 from typing import Sequence
 
 from .deltamatroid import DeltaMatroid, _lanes, distance_layers
-from .ground import check_guard
 from .invariants import independence_fvector
 from .poly import MultiPoly
 
 
 def _independent_counts(d: DeltaMatroid) -> list[tuple[int, int]]:
-    """(U, c_U) for each underline mask U that c_U > 0 independent sets have; checks the guard first.
+    """(U, c_U) for each underline mask U that c_U > 0 independent sets have.
 
     Layer 0 of ``distance_layers``, one byte per base-3 code, is folded one
     digit per pass: the lowest digit becomes the top bit of the index, clear
     for state 0 and set for states 1 and 2 summed, so at the end entry U is c_U.
     """
     n, total = d.n, 3**d.n
-    check_guard(n)
     counts = list(_lanes(next(distance_layers(n, d.feasible)), total).to_bytes(total, "little"))
     for _ in range(n):
         counts = counts[0::3] + list(map(add, counts[1::3], counts[2::3]))

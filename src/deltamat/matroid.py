@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
-from .deltamatroid import DeltaMatroid, independent_flags, max_plus_dot, signed_rank_by_code
+from .deltamatroid import DeltaMatroid, distance_layers, max_plus_dot, plane_flags, signed_rank_by_code
 from .ground import (
     AdmissibleSet,
     GuardLimitError,
     canonical_codes,
-    canonical_positions,
     check_guard,
     element_key,
     set_of_code,
@@ -357,12 +356,12 @@ def _admissible_subsets(n: int, b: int) -> list[int]:
     return codes
 
 
-def _envelope_tables(d: DeltaMatroid) -> tuple[set[int], list[bool]]:
-    """The codes of D's independent sets (layer 0), and by code whether each point x of
+def _envelope_tables(d: DeltaMatroid) -> tuple[int, list[bool]]:
+    """The plane of D's independent sets (layer 0), and by code whether each point x of
     {-1, 0, 1}^n lies in P(D): max over S of <e_S, x> - g(S) <= 0 (the empty S gives 0)."""
     check_guard(d.n)
     g = signed_rank_by_code(d.n, d.feasible)
-    independent = set(compress(canonical_codes(d.n), independent_flags(d.n, d.feasible)))
+    independent = next(distance_layers(d.n, d.feasible))
     return independent, [v <= 0 for v in max_plus_dot(d.n, [-v for v in g])]
 
 
@@ -395,9 +394,9 @@ def enveloping_check(m: Matroid, d: DeltaMatroid) -> AxiomReport:
         if not inside[_fold_code(n, b)]:
             out.append(Violation("basis-folds-outside", (basis,), 0, 1))
     if not out:
-        in_m = set().union(*(_admissible_subsets(n, b) for b in bases))
-        for c in sorted(independent ^ in_m, key=canonical_positions(n).__getitem__):
-            out.append(Violation("independents-differ", (set_of_code(n, c),), int(c in in_m), int(c in independent)))
+        in_m = sum(1 << c for c in set().union(*(_admissible_subsets(n, b) for b in bases)))  # a plane
+        for c in compress(canonical_codes(n), plane_flags(n, independent ^ in_m)):
+            out.append(Violation("independents-differ", (set_of_code(n, c),), in_m >> c & 1, independent >> c & 1))
     return AxiomReport.from_violations(out)
 
 

@@ -6,11 +6,14 @@ reported as an informational flag.  All inequalities are evaluated in exact
 integer arithmetic; the halved term in the first h-system is handled by
 clearing denominators.
 
-Tables are read by canonical position.  Three generators, ``pair_positions``,
-``step_positions`` and ``diamond_positions``, name the sets each axiom
-compares, and each inequality is written once; the violation listings and
-the exhaustive search in ``enumerate_h_tables`` read them.  The pass/fail
-verdict reads the same inequalities as marginals (below).
+Each checker reads its table once into base-3 code order (``_by_code``)
+and indexes it by code from then on.  Three generators, ``pair_codes``,
+``step_codes`` and ``diamond_codes``, name the sets each axiom compares, as
+codes, in canonical order, and each inequality is written once; the
+violation listings and the exhaustive search in ``enumerate_h_tables`` read
+them.  Canonical order is applied only where it shows: the order in which
+violations are listed, and the tables ``enumerate_h_tables`` returns.  The
+pass/fail verdict reads the same inequalities as marginals (below).
 
 Every pairwise axiom has the form
 
@@ -47,8 +50,8 @@ step (d+ + d- >= 1) and the even criterion (d+ + d- = 0 at |X| = n - 1)
 read the same lists.  Each condition is a C-level ``map`` or ``min`` over
 strided slices, so a passing table costs O(n²·3^n) element operations and
 builds no tuple per pair.  Only a table that fails a condition goes through
-the per-position listings, and a table that fails its pair axiom is scanned
-over all 9^n ordered pairs, which lists its violations in full and in order.
+the listings, and a table that fails its pair axiom is scanned over all 9^n
+ordered pairs, which lists its violations in full and in order.
 """
 
 from __future__ import annotations
@@ -60,16 +63,8 @@ from math import inf
 from operator import add, ge, sub, xor
 from typing import Iterator, NamedTuple, Sequence
 
-from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks
-from .ground import (
-    AdmissibleSet,
-    canonical_codes,
-    canonical_positions,
-    canonical_sizes,
-    code_masks,
-    element_key,
-    set_of_code,
-)
+from .deltamatroid import DeltaMatroid, RankTable, _size_lanes, all_full_size_masks
+from .ground import AdmissibleSet, canonical_codes, canonical_order, code_masks, element_key, set_of_code
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
 
@@ -115,69 +110,74 @@ _PAIR_AXIOMS = {
 }
 
 
-def pair_positions(n: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """(i, j, meet, join, overlap) for every ordered pair of sets, by canonical position.
+def _by_code(table: RankTable) -> list[int]:
+    """The table's values indexed by base-3 code: the one read of its canonical order."""
+    v = [0] * len(table.values)
+    for code, value in zip(canonical_codes(table.n), table.values):
+        v[code] = value
+    return v
 
-    ``meet`` and ``join`` are the positions of ``ground.combine`` of the sets
-    at i and j, and ``overlap`` counts the indices the two take with opposite
+
+def pair_codes(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(s, t, meet, join, overlap) for every ordered pair of sets, as codes, in canonical order.
+
+    ``meet`` and ``join`` are the codes of ``ground.combine`` of the sets s
+    and t, and ``overlap`` counts the indices the two take with opposite
     signs, which the join drops.
     """
     pos, neg = code_masks(n)
-    masks = [(pos[c], neg[c]) for c in canonical_codes(n)]
-    position = canonical_positions(n)
+    masks = [(c, pos[c], neg[c]) for c in canonical_codes(n)]
     weight = [int(f"{m:b}", 3) for m in range(1 << n)]  # a bitmask's digits read in base 3
-    for i, (spos, sneg) in enumerate(masks):
-        for j, (tpos, tneg) in enumerate(masks):
+    for s, spos, sneg in masks:
+        for t, tpos, tneg in masks:
             upos, uneg = spos | tpos, sneg | tneg
             conflict = upos & uneg
-            meet = position[weight[spos & tpos] + 2 * weight[sneg & tneg]]
-            join = position[weight[upos ^ conflict] + 2 * weight[uneg ^ conflict]]
-            yield i, j, meet, join, conflict.bit_count()
+            meet = weight[spos & tpos] + 2 * weight[sneg & tneg]
+            join = weight[upos ^ conflict] + 2 * weight[uneg ^ conflict]
+            yield s, t, meet, join, conflict.bit_count()
 
 
-def step_positions(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """(i, k, plus, minus) for every set and every index k it leaves out.
+def step_codes(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """(x, k, plus, minus) for every set x, in canonical order, and every index k it leaves out.
 
-    ``plus`` and ``minus`` are the positions of the set with k and with -k added.
+    ``plus`` and ``minus`` are the codes of x with k and with -k added.
     """
-    codes, position = canonical_codes(n), canonical_positions(n)
     units = [3**e for e in range(n)]
-    for i, code in enumerate(codes):
+    for code in canonical_codes(n):
         for k, unit in enumerate(units, start=1):
             if not code // unit % 3:
-                yield i, k, position[code + unit], position[code + 2 * unit]
+                yield code, k, code + unit, code + 2 * unit
 
 
-def diamond_positions(n: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """(i, j, X, join, 0) for the sets X + σa and X + τb, indices a < b outside X.
+def diamond_codes(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(s, t, X, join, 0) for the sets X + σa and X + τb, indices a < b outside X.
 
-    Yields in the format of ``pair_positions``: the meet of the two sets is X,
+    Yields in the format of ``pair_codes``: the meet of the two sets is X,
     their join is X + σa + τb and they do not overlap.  Each unordered pair
-    appears once, for each X and each choice of the signs σ and τ.
+    appears once, for each X in canonical order and each choice of the signs
+    σ and τ.
     """
-    codes, position = canonical_codes(n), canonical_positions(n)
     units = [3**e for e in range(n)]
-    for x, code in enumerate(codes):
+    for code in canonical_codes(n):
         free = [unit for unit in units if not code // unit % 3]
         for p, a in enumerate(free):
             for b in free[p + 1 :]:
                 for xa in (code + a, code + 2 * a):
-                    i = position[xa]
-                    yield i, position[code + b], x, position[xa + b], 0
-                    yield i, position[code + 2 * b], x, position[xa + 2 * b], 0
+                    yield xa, code + b, code, xa + b, 0
+                    yield xa, code + 2 * b, code, xa + 2 * b, 0
 
 
 def _step_pairs(n: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Each step (X+k, X-k) as a pair: its meet and join are X, its overlap is 1."""
-    for i, _, plus, minus in step_positions(n):
-        yield plus, minus, i, i, 1
+    for x, _, plus, minus in step_codes(n):
+        yield plus, minus, x, x, 1
 
 
 def _local_pairs(n: int, disjoint: bool) -> Iterator[tuple[int, int, int, int, int]]:
     """The pairs whose inequalities decide a pair axiom (see the module docstring)."""
     if not disjoint:
         yield from _step_pairs(n)
-    yield from diamond_positions(n)
+    yield from diamond_codes(n)
 
 
 def _pair_sides(v, c: int, w: int, i: int, j: int, meet: int, join: int, overlap: int) -> tuple[int, int]:
@@ -189,9 +189,9 @@ def _pair_sides(v, c: int, w: int, i: int, j: int, meet: int, join: int, overlap
 _PAIR_STEP = (1, 1)
 
 
-def _unit_step(v, i: int) -> range:
-    """The values a set one element above the set at position i may take."""
-    return range(v[i], v[i] + 2)
+def _unit_step(v, x: int) -> range:
+    """The values a set one element above the set with code x may take."""
+    return range(v[x], v[x] + 2)
 
 
 class _LocalSummary(NamedTuple):
@@ -203,8 +203,8 @@ class _LocalSummary(NamedTuple):
     even: bool  # d+ + d- = 0 wherever |X| = n - 1
 
 
-def _local_summary(table: RankTable) -> _LocalSummary:
-    """One pass over the table in code order, one index at a time (module docstring).
+def _local_summary(n: int, v: list[int]) -> _LocalSummary:
+    """One pass over a table by code, one index at a time (module docstring).
 
     Digit i is the lowest digit when index i comes up: the strided slices
     v[k::3] are then a0, a1 and a2, and their concatenation moves digit i to
@@ -212,8 +212,6 @@ def _local_summary(table: RankTable) -> _LocalSummary:
     n-1, 0, ..., i-1, lowest first, and the same rotation brings each j > i
     down in turn for its diamonds; each unordered pair {i, j} is read once.
     """
-    n = table.n
-    v = list(map(table.values.__getitem__, canonical_positions(n)))
     least_step, unit, diamond, even = inf, True, True, True
     for i in range(n):
         a0, a1, a2 = v[0::3], v[1::3], v[2::3]
@@ -251,19 +249,17 @@ def _pair_axiom_holds(local: _LocalSummary, system: str) -> bool:
     return local.diamond and (disjoint or _steps_hold(local, c, w))
 
 
-def _witness(n: int, *positions: int) -> tuple[AdmissibleSet, ...]:
-    """The sets at these canonical positions, decoded only to report a violation."""
-    codes = canonical_codes(n)
-    return tuple(set_of_code(n, codes[p]) for p in positions)
+def _witness(n: int, *codes: int) -> tuple[AdmissibleSet, ...]:
+    """The sets with these codes, decoded only to report a violation."""
+    return tuple(set_of_code(n, c) for c in codes)
 
 
-def _pair_violations(table: RankTable, system: str) -> list[Violation]:
-    """Every ordered pair that fails the pair axiom, in canonical order."""
+def _pair_violations(n: int, v: list[int], system: str) -> list[Violation]:
+    """Every ordered pair that fails the pair axiom on the table v by code, in canonical order."""
     axiom, c, w, disjoint = _PAIR_AXIOMS[system]
-    v = table.values
     out = []
-    witness = cache(lambda p: _witness(table.n, p)[0])  # a set in many failing pairs is decoded once
-    for pair in pair_positions(table.n):
+    witness = cache(lambda code: set_of_code(n, code))  # a set in many failing pairs is decoded once
+    for pair in pair_codes(n):
         if disjoint and pair[4]:
             continue
         lhs, rhs = _pair_sides(v, c, w, *pair)
@@ -281,24 +277,25 @@ def check_g_axioms(g: RankTable) -> AxiomReport:
     satisfies the midpoint criterion characterizing even delta-matroids; it
     does not affect ``passed``.
     """
-    n, v = g.n, g.values
-    sizes = canonical_sizes(n)
-    local = _local_summary(g)
+    n, v = g.n, _by_code(g)
+    sizes = _size_lanes(n).to_bytes(len(v), "little")  # |S| by code
+    local = _local_summary(n, v)
     paired = _pair_axiom_holds(local, "g")
-    bounded = all(abs(x) <= 1 for x in v[1 : 2 * n + 1])  # the singletons, at positions 1..2n
+    bounded = all(abs(v[c]) <= 1 for c in canonical_codes(n)[1 : 2 * n + 1])  # the 2n singletons
     parity = not any(map((1).__and__, map(xor, v, sizes)))  # value - size is odd where value ^ size is
     if paired and bounded and parity and v[0] == 0:
         return AxiomReport(True, (), local.even)
     out: list[Violation] = []
     if v[0] != 0:
         out.append(Violation("normalization", _witness(n, 0), v[0], 0))
-    for p, (size, value) in enumerate(zip(sizes, v)):
+    for c in canonical_codes(n):
+        size, value = sizes[c], v[c]
         if size == 1 and abs(value) > 1:
-            out.append(Violation("boundedness", _witness(n, p), 1, abs(value)))
+            out.append(Violation("boundedness", _witness(n, c), 1, abs(value)))
         if (value - size) % 2:
-            out.append(Violation("parity", _witness(n, p), value, size))
+            out.append(Violation("parity", _witness(n, c), value, size))
     if not paired:
-        out.extend(_pair_violations(g, "g"))
+        out.extend(_pair_violations(n, v, "g"))
     return AxiomReport.from_violations(out, even=local.even)
 
 
@@ -317,11 +314,12 @@ def check_h_axioms(h: RankTable, system: str) -> AxiomReport:
     """Verify one of the three characterizations of shifted rank functions."""
     if system not in H_SYSTEMS:
         raise ValueError(f"unknown h-axiom system {system!r}; pick one of {H_SYSTEMS}")
-    n, v = h.n, h.values
-    local = _local_summary(h)
+    n, v = h.n, _by_code(h)
+    local = _local_summary(n, v)
     paired = _pair_axiom_holds(local, system)
-    if system == "larson":  # boundedness; the singletons are at positions 1..2n
-        others_hold = set(v[1 : 2 * n + 1]) <= {0, 1}
+    singletons = canonical_codes(n)[1 : 2 * n + 1]  # the 2n one-element sets, in canonical order
+    if system == "larson":  # boundedness
+        others_hold = {v[c] for c in singletons} <= {0, 1}
     else:
         others_hold = local.unit and (system != "bouchet" or _steps_hold(local, *_PAIR_STEP))
     if paired and others_hold and v[0] == 0:
@@ -330,16 +328,16 @@ def check_h_axioms(h: RankTable, system: str) -> AxiomReport:
     if v[0] != 0:
         out.append(Violation(f"{system}-normalization", _witness(n, 0), v[0], 0))
     if system == "larson":
-        for p, (size, value) in enumerate(zip(canonical_sizes(n), v)):
-            if size == 1 and value not in (0, 1):
-                out.append(Violation("larson-boundedness", _witness(n, p), value, 0))
+        for c in singletons:
+            if v[c] not in (0, 1):
+                out.append(Violation("larson-boundedness", _witness(n, c), v[c], 0))
     else:
-        for i, _, plus, minus in step_positions(n):
+        for x, _, plus, minus in step_codes(n):
             for up in (plus, minus):
-                if v[up] not in _unit_step(v, i):
-                    out.append(Violation(f"{system}-unit-step", _witness(n, i, up), v[up], v[i]))
+                if v[up] not in _unit_step(v, x):
+                    out.append(Violation(f"{system}-unit-step", _witness(n, x, up), v[up], v[x]))
     if not paired:
-        out.extend(_pair_violations(h, system))
+        out.extend(_pair_violations(n, v, system))
     if system == "bouchet":
         for pair in _step_pairs(n):
             lhs, rhs = _pair_sides(v, *_PAIR_STEP, *pair)
@@ -362,30 +360,34 @@ def enumerate_h_tables(n: int, system: str) -> list[RankTable]:
     """
     if system not in ("bouchet", "allys"):
         raise ValueError("exhaustive enumeration supports the bouchet and allys systems")
-    count = 3**n
+    codes = canonical_codes(n)
+    count = len(codes)
     below: list[list[int]] = [[] for _ in range(count)]
-    for i, _, plus, minus in step_positions(n):
-        below[plus].append(i)
-        below[minus].append(i)
+    for x, _, plus, minus in step_codes(n):
+        below[plus].append(x)
+        below[minus].append(x)
     _, c, w, disjoint = _PAIR_AXIOMS[system]
     checks = [(c, w, *pair) for pair in _local_pairs(n, disjoint)]
     if system == "bouchet":
         checks += [(*_PAIR_STEP, *pair) for pair in _step_pairs(n)]
+    # a check's last set in canonical order has its largest code: a diamond's
+    # join holds its other sets, and a step's X - k follows X + k
     checks_by_last: list[list[tuple]] = [[] for _ in range(count)]
     for check in checks:
         checks_by_last[max(check[2:6])].append(check)
 
-    values = [0] * count
+    values = [0] * count  # by code
     out: list[RankTable] = []
 
     def walk(p: int) -> None:
         if p == count:
-            out.append(RankTable(n, tuple(values)))
+            out.append(RankTable(n, canonical_order(n)(values)))
             return
-        steps = [_unit_step(values, i) for i in below[p]]
+        code = codes[p]
+        steps = [_unit_step(values, x) for x in below[code]]
         for value in range(max(r.start for r in steps), min(r.stop for r in steps)):
-            values[p] = value
-            if all(lhs >= rhs for lhs, rhs in (_pair_sides(values, *check) for check in checks_by_last[p])):
+            values[code] = value
+            if all(lhs >= rhs for lhs, rhs in (_pair_sides(values, *check) for check in checks_by_last[code])):
                 walk(p + 1)
 
     walk(1)

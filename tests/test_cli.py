@@ -90,6 +90,19 @@ def test_guard_limit_exit_code(tmp_path):
     assert code == 3
 
 
+def test_huge_ground_size_header_is_a_parse_error(tmp_path, capsys):
+    # a header alone builds no int of 2^n bits, so a huge n ends in a message, not a traceback
+    huge = tmp_path / "huge.dm"
+    for body, message in (
+        ("", "error: line 1: delta-matroid needs at least one feasible line\n"),
+        ("feasible 1\n", "error: line 2: feasible set must have size 99999999999999999999, got 1\n"),
+    ):
+        huge.write_text("n 99999999999999999999\n" + body)
+        for command in ("info", "validate", "rank-table"):
+            assert run([command, str(huge)]) == (2, "")
+            assert capsys.readouterr().err == message
+
+
 def test_scan_guard_trips_before_building_instances():
     code, out = run(["scan", "--random", "3", "--size", "17"])
     assert code == 3

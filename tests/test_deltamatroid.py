@@ -3,7 +3,7 @@ from itertools import chain, combinations, permutations, product
 
 import pytest
 
-from deltamat import lp
+from deltamat import deltamatroid, lp
 from deltamat.deltamatroid import (
     DeltaMatroid,
     ValidationReport,
@@ -147,6 +147,8 @@ def test_rank_tables_trip_the_guard_when_cached(monkeypatch, tripod):
     for table in (tripod.rank_table, tripod.h_table):
         with pytest.raises(GuardLimitError):
             table()
+    with pytest.raises(GuardLimitError):  # the size lanes check it on a cache miss
+        deltamatroid._size_lanes.__wrapped__(3)
 
 
 def test_rank_function_properties():

@@ -16,6 +16,7 @@ from deltamat.formats import (
 )
 from deltamat.ground import AdmissibleSet
 from deltamat.matroid import Gf2SymMatrix, Matroid, upper_matroid
+from deltamat.randgen import random_valid
 
 from conftest import oracle_families, sset
 
@@ -34,6 +35,16 @@ def test_delta_matroid_round_trip(tripod, coloop1):
     # serialization is canonical no matter the input order
     scrambled = "n 3\nfeasible -1 -2 3\nfeasible 1 -2 -3\nfeasible -1 2 -3\n"
     assert serialize_value(parse_document(scrambled).value) == serialize_value(tripod)
+
+
+def test_delta_matroid_output_builds_no_set(built_sets):
+    d = random_valid(random.Random(8), 8, "gf2")
+    built_sets.clear()
+    text = serialize_value(d)
+    assert built_sets == []
+    assert text == "n 8\n" + "".join(f"feasible {b.render()}\n" for b in d.feasible_sets())
+    assert len(d.feasible) > 1
+    assert serialize_value(DeltaMatroid(0, [0])) == "n 0\nfeasible\n"
 
 
 def test_delta_matroid_parse_errors():

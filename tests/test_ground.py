@@ -10,8 +10,6 @@ from deltamat.ground import (
     SignedPermutation,
     canonical_codes,
     canonical_order,
-    canonical_positions,
-    canonical_sizes,
     code_planes,
     combine,
     dot,
@@ -61,13 +59,11 @@ def test_canonical_codes_decode_to_the_canonical_sets():
     for n in range(8):
         oracle = sorted_product(n)
         assert enumerate_admissible(n) == tuple(oracle)
-        assert canonical_sizes(n) == tuple(s.size for s in oracle)
         codes = canonical_codes(n)
         for s, code in zip(oracle, codes):
             digits = [code // 3**i % 3 for i in range(n)]
             assert s.pos == sum(1 << i for i, dg in enumerate(digits) if dg == 1)
             assert s.neg == sum(1 << i for i, dg in enumerate(digits) if dg == 2)
-        assert [canonical_positions(n)[c] for c in codes] == list(range(3**n))
 
 
 def test_code_planes_mark_digits_and_sizes():
@@ -84,14 +80,7 @@ def test_code_planes_mark_digits_and_sizes():
 def test_guard_limit_and_override(monkeypatch):
     with pytest.raises(GuardLimitError):
         enumerate_admissible(17)
-    builders = (
-        canonical_codes,
-        canonical_order,
-        canonical_positions,
-        canonical_sizes,
-        code_planes,
-        enumerate_admissible,
-    )
+    builders = (canonical_codes, canonical_order, code_planes, enumerate_admissible)
     for builder in builders:
         builder(3)  # a cached callee does not check the limit again
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

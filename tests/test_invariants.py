@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from deltamat.deltamatroid import DeltaMatroid, all_full_size_masks
-from deltamat.ground import AdmissibleSet, GuardLimitError, canonical_sizes, enumerate_admissible
+from deltamat.ground import AdmissibleSet, GuardLimitError, enumerate_admissible
 from deltamat.invariants import (
     FVector,
     activity,
@@ -51,13 +51,17 @@ def test_upoly_frozen_values(tripod, coloop1, free1):
 
 def _upoly_by_table(d):
     """Oracle: the enumerator from the (size, g) pairs of the rank table."""
-    pairs = Counter(zip(canonical_sizes(d.n), d.rank_table().values))
+    pairs = Counter(zip(_sizes(d.n), d.rank_table().values))
     return MultiPoly(("u", "v"), {(d.n - size, (size - g) // 2): c for (size, g), c in pairs.items()})
 
 
 def _fvector_by_table(d):
     """Oracle: the sizes of the sets with g(S) = |S| in the rank table."""
-    return FVector.from_sizes([size for size, g in zip(canonical_sizes(d.n), d.rank_table().values) if g == size])
+    return FVector.from_sizes([size for size, g in zip(_sizes(d.n), d.rank_table().values) if g == size])
+
+
+def _sizes(n):
+    return [s.size for s in enumerate_admissible(n)]
 
 
 def test_table_invariants_match_defining_sums():
@@ -313,7 +317,8 @@ def test_complex_purity_matches_maximal_face_scan():
 
 def test_plane_readers_trip_the_guard_when_cached(tripod, monkeypatch):
     readers = (activity_expansion, activity_zero_complex, lambda d: list(independent_activities(d)),
-               indep_gen_poly, efls_gen_poly)
+               indep_gen_poly, efls_gen_poly, upoly_direct, independence_fvector, DeltaMatroid.independents,
+               DeltaMatroid.lattice_point_test)
     for read in readers:
         read(tripod)  # every cache at n = 3 is warm
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

@@ -343,6 +343,15 @@ def test_enveloping_check_matches_set_oracle():
             assert report == _check_oracle(m, d), (d, m)
             axioms += [v.axiom for v in report.violations[:1]]
     assert axioms.count("independents-differ") >= 5 and len(axioms) < 12 * 6  # and some pass
+    # two extra bases add {1, -3} and {-1, 3}: listed in canonical order, which is not code order
+    d = DeltaMatroid.from_signed_lists(4, [[1, 2, 3, 4], [1, -2, 3, -4], [-1, 2, -3, 4], [-1, -2, -3, -4]])
+    m = Matroid.signed(4, [b.elements() for b in d.feasible_sets()] + [(1, -1, 2, 4), (1, -1, 3, -3)])
+    report = enveloping_check(m, d)
+    assert report == _check_oracle(m, d)
+    assert [v.render() for v in report.violations] == [
+        "independents-differ at {1 -3}: 1 < 0",
+        "independents-differ at {-1 3}: 1 < 0",
+    ]
 
 
 def test_enveloping_search_matches_set_oracle():

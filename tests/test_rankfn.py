@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 from contextlib import redirect_stdout
@@ -10,7 +11,7 @@ from deltamat import cli, deltamatroid
 from deltamat.acceptance import valid_delta_matroids
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import parse_document, serialize_value
-from deltamat.ground import canonical_codes, canonical_sizes, combine, enumerate_admissible
+from deltamat.ground import canonical_codes, combine, enumerate_admissible, set_of_code
 from deltamat.invariants import (
     activity_expansion,
     activity_zero_complex,
@@ -27,6 +28,7 @@ from deltamat.rankfn import (
     H_SYSTEMS,
     AxiomReport,
     Violation,
+    _by_code,
     _local_pairs,
     _local_summary,
     _pair_axiom_holds,
@@ -38,34 +40,36 @@ from deltamat.rankfn import (
     check_g_axioms,
     check_h_axioms,
     delta_from_rank,
-    diamond_positions,
+    diamond_codes,
     enumerate_h_tables,
     greedy_check,
-    pair_positions,
+    pair_codes,
     polytope_membership,
-    step_positions,
+    step_codes,
 )
 
 from conftest import oracle_families, sset
 
 
 def test_position_kernels_match_set_operations():
+    # the code kernels, decoded, walk the sets in canonical order
     for n in range(5):
         sets = enumerate_admissible(n)
-        pairs = [(sets[i], sets[j], sets[m], sets[u], o) for i, j, m, u, o in pair_positions(n)]
+        dec = [set_of_code(n, c) for c in range(3**n)]
+        pairs = [(dec[i], dec[j], dec[m], dec[u], o) for i, j, m, u, o in pair_codes(n)]
         assert pairs == [
             (s, t, *combine(s, t), (s.pos & t.neg).bit_count() + (s.neg & t.pos).bit_count())
             for s in sets
             for t in sets
         ]
-        steps = [(sets[i], k, sets[plus], sets[minus]) for i, k, plus, minus in step_positions(n)]
+        steps = [(dec[i], k, dec[plus], dec[minus]) for i, k, plus, minus in step_codes(n)]
         assert steps == [
             (s, k, s.with_element(k), s.with_element(-k))
             for s in sets
             for k in range(1, n + 1)
             if k not in map(abs, s.elements())
         ]
-        diamonds = [(sets[i], sets[j], sets[m], sets[u], o) for i, j, m, u, o in diamond_positions(n)]
+        diamonds = [(dec[i], dec[j], dec[m], dec[u], o) for i, j, m, u, o in diamond_codes(n)]
         expected = []
         for s in sets:
             free = [k for k in range(1, n + 1) if k not in map(abs, s.elements())]
@@ -89,9 +93,9 @@ def _perturbed(rng, table):
 
 
 def _locally_ok(table, system):
-    """Oracle: the pair axiom on each local pair, one tuple of positions per pair."""
+    """Oracle: the pair axiom on each local pair, one tuple of codes per pair."""
     _, c, w, disjoint = _PAIR_AXIOMS[system]
-    v = table.values
+    v = _by_code(table)
     sides = (_pair_sides(v, c, w, *pair) for pair in _local_pairs(table.n, disjoint))
     return all(lhs >= rhs for lhs, rhs in sides)
 
@@ -111,10 +115,11 @@ def test_local_axioms_match_pair_scan():
         tables += _random_tables(rng, n, 10)
     passed = failed = 0
     for table in tables:
-        local_summary = _local_summary(table)
+        v = _by_code(table)
+        local_summary = _local_summary(table.n, v)
         for system in ("g",) + H_SYSTEMS:
             local = _locally_ok(table, system)
-            assert local == (not _pair_violations(table, system)), (table, system)
+            assert local == (not _pair_violations(table.n, v, system)), (table, system)
             assert _pair_axiom_holds(local_summary, system) == local, (table, system)
             passed += local
             failed += not local
@@ -122,42 +127,42 @@ def test_local_axioms_match_pair_scan():
 
 
 def _reference_g_report(g):
-    """Oracle: check_g_axioms as per-position loops, with the even flag read off the steps."""
-    n, v = g.n, g.values
-    sizes = canonical_sizes(n)
+    """Oracle: check_g_axioms as per-set loops in canonical order, with the even flag read off the steps."""
+    n, v = g.n, _by_code(g)
     out = []
     if v[0] != 0:
         out.append(Violation("normalization", _witness(n, 0), v[0], 0))
-    for p, (size, value) in enumerate(zip(sizes, v)):
+    for c in canonical_codes(n):
+        size, value = set_of_code(n, c).size, v[c]
         if size == 1 and abs(value) > 1:
-            out.append(Violation("boundedness", _witness(n, p), 1, abs(value)))
+            out.append(Violation("boundedness", _witness(n, c), 1, abs(value)))
         if (value - size) % 2:
-            out.append(Violation("parity", _witness(n, p), value, size))
+            out.append(Violation("parity", _witness(n, c), value, size))
     if not _locally_ok(g, "g"):
-        out.extend(_pair_violations(g, "g"))
+        out.extend(_pair_violations(n, v, "g"))
     even = all(
-        2 * v[i] == v[plus] + v[minus] for i, _, plus, minus in step_positions(n) if sizes[i] == n - 1
+        2 * v[x] == v[plus] + v[minus] for x, _, plus, minus in step_codes(n) if set_of_code(n, x).size == n - 1
     )
     return AxiomReport.from_violations(out, even=even)
 
 
 def _reference_h_report(h, system):
-    """Oracle: check_h_axioms as per-position loops."""
-    n, v = h.n, h.values
+    """Oracle: check_h_axioms as per-set loops in canonical order."""
+    n, v = h.n, _by_code(h)
     out = []
     if v[0] != 0:
         out.append(Violation(f"{system}-normalization", _witness(n, 0), v[0], 0))
     if system == "larson":
-        for p, (size, value) in enumerate(zip(canonical_sizes(n), v)):
-            if size == 1 and value not in (0, 1):
-                out.append(Violation("larson-boundedness", _witness(n, p), value, 0))
+        for c in canonical_codes(n):
+            if set_of_code(n, c).size == 1 and v[c] not in (0, 1):
+                out.append(Violation("larson-boundedness", _witness(n, c), v[c], 0))
     else:
-        for i, _, plus, minus in step_positions(n):
+        for x, _, plus, minus in step_codes(n):
             for up in (plus, minus):
-                if v[up] not in _unit_step(v, i):
-                    out.append(Violation(f"{system}-unit-step", _witness(n, i, up), v[up], v[i]))
+                if v[up] not in _unit_step(v, x):
+                    out.append(Violation(f"{system}-unit-step", _witness(n, x, up), v[up], v[x]))
     if not _locally_ok(h, system):
-        out.extend(_pair_violations(h, system))
+        out.extend(_pair_violations(n, v, system))
     if system == "bouchet":
         for pair in _step_pairs(n):
             lhs, rhs = _pair_sides(v, *_PAIR_STEP, *pair)
@@ -203,6 +208,29 @@ def test_axiom_reports_match_per_position_reference():
         passed += got.passed
         failed += not got.passed
     assert passed >= 1000 and failed >= 1000
+
+
+def _listing_lines():
+    """passed, even and the rendered violations of spoiled g and h tables, then the
+    enumerated h tables at n <= 3, as text lines."""
+    rng = random.Random(1901)
+    picks = {3: 0.1, 4: 0.5, 5: 0.5}
+    for d in oracle_families():
+        if d.n in picks and rng.random() < picks[d.n]:
+            g, h = _perturbed(rng, d.rank_table()), _perturbed(rng, d.h_table())
+            for report in [check_g_axioms(g)] + [check_h_axioms(h, system) for system in H_SYSTEMS]:
+                yield f"{report.passed} {report.even}"
+                yield from (v.render() for v in report.violations)
+    for n in range(4):
+        for system in ("bouchet", "allys"):
+            yield from (repr(t.values) for t in enumerate_h_tables(n, system))
+
+
+def test_violation_listings_are_pinned():
+    # the listings in full, order included; unlike the oracles above, the
+    # digest does not move with the checkers
+    digest = hashlib.sha256("\n".join(_listing_lines()).encode()).hexdigest()
+    assert digest == "a8f6369b5c3d754a003c35c47bf196db2ab2a8874acd54064af3e89e817cbce4"
 
 
 def _gf2_family(rng, n):
@@ -298,7 +326,7 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
         raise AssertionError("rank table built")
 
     monkeypatch.setattr(deltamatroid, "signed_rank_by_code", no_table)
-    for cached in (canonical_codes, canonical_sizes, enumerate_admissible):
+    for cached in (canonical_codes, enumerate_admissible):
         cached.cache_clear()
     interlace(d)
     upoly_recursive(d)
@@ -312,7 +340,6 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
     efls_gen_poly(d)
     assert built_sets == []
     assert canonical_codes.cache_info().misses == 0
-    assert canonical_sizes.cache_info().misses == 0
     assert enumerate_admissible.cache_info().misses == 0
 
 
@@ -344,6 +371,8 @@ def test_g_axioms_examples(free1):
     bounded = check_g_axioms(RankTable(1, (0, 2, 1)))
     assert not bounded.passed
     assert any(v.axiom == "boundedness" for v in bounded.violations)
+    # the last singleton breaks boundedness and nothing else
+    assert [v.render() for v in check_g_axioms(RankTable(1, (0, 1, 3))).violations] == ["boundedness at {-1}: 1 < 3"]
 
     parity = check_g_axioms(RankTable(1, (0, 0, 1)))
     assert any(v.axiom == "parity" for v in parity.violations)
