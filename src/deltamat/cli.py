@@ -171,9 +171,12 @@ def _cmd_activity(args) -> int:
         print(f"active: {' '.join(map(str, rec.active))}".rstrip())
         return 0
     labels = canonical_labels(d.n)
-    for p, active in independent_activities(d):
-        suffix = f" active={' '.join(map(str, active))}" if active else ""
-        print(f"{{{labels[p]}}}: a={len(active)}{suffix}")
+    sys.stdout.writelines(
+        f"{{{labels[p]}}}: a={len(active)} active={' '.join(map(str, active))}\n"
+        if active
+        else f"{{{labels[p]}}}: a=0\n"
+        for p, active in independent_activities(d)
+    )
     return 0
 
 
@@ -273,7 +276,7 @@ def _cmd_lorentzian(args) -> int:
     d = _load(args.file, "delta-matroid")
     p = indep_gen_poly(d) if args.which == "indep" else efls_gen_poly(d)
     if args.json:
-        print(json.dumps(p.json_obj(), separators=(",", ":")))
+        _print_poly(p, True)
     else:
         print(f"polynomial: {p.text()}")
     report = is_lorentzian(p)
@@ -468,9 +471,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GuardLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

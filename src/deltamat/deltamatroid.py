@@ -262,8 +262,10 @@ class DeltaMatroid:
         """Remove indices by contraction, deletion, or projection (pairwise disjoint).
 
         The surviving indices are relabelled 1..m preserving their order.  At
-        a loop or coloop all three operations coincide.  Removing everything
-        leaves the unique delta-matroid on the empty ground set.
+        a loop or coloop, where no mask or every mask holds the index, one
+        side of the split is empty and all three operations coincide.
+        Removing everything leaves the unique delta-matroid on the empty
+        ground set.
         """
         ops: dict[int, str] = {}
         for group, tag in ((contract, "contract"), (delete, "delete"), (project, "project")):
@@ -277,17 +279,12 @@ class DeltaMatroid:
         n = self.n
         for i in sorted(ops, reverse=True):
             bit = 1 << (i - 1)
-            union = inter = masks[0]
-            for m in masks[1:]:
-                union |= m
-                inter &= m
-            is_loop = not union & bit
-            is_coloop = bool(inter & bit)
-            tag = ops[i]
-            if tag == "contract" and not is_loop:
-                masks = [m for m in masks if m & bit]
-            elif tag == "delete" and not is_coloop:
-                masks = [m for m in masks if not m & bit]
+            holding = [m for m in masks if m & bit]
+            missing = [m for m in masks if not m & bit]
+            if ops[i] == "contract":
+                masks = holding or missing
+            elif ops[i] == "delete":
+                masks = missing or holding
             low = bit - 1
             masks = list({(m & low) | ((m >> 1) & ~low) for m in masks})
             n -= 1

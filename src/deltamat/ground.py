@@ -135,6 +135,16 @@ def signed_masks(n: int, elements: Iterable[int]) -> tuple[int, int]:
     return pos, neg
 
 
+def submasks(mask: int) -> list[int]:
+    """The submasks of ``mask`` in increasing order, each once."""
+    subs = [0]
+    sub = -mask & mask
+    while sub:
+        subs.append(sub)
+        sub = (sub - mask) & mask
+    return subs
+
+
 def element_key(e: int) -> tuple[int, int]:
     """The order of signed elements: by index, i before its bar -i."""
     return (abs(e), 0 if e > 0 else 1)

@@ -54,19 +54,19 @@ def upoly_direct(d: DeltaMatroid) -> MultiPoly:
     return MultiPoly(("u", "v"), terms)
 
 
-def upoly_recursive(d: DeltaMatroid, pivot: str = "min") -> MultiPoly:
-    """Three-way recursion on a pivot index, memoized on (ground size, masks).
+def upoly_recursive(d: DeltaMatroid) -> MultiPoly:
+    """Three-way recursion on index 1, memoized on (ground size, masks).
 
     A node is a ground size k and the sorted tuple of its feasible masks.
     The pivot is the top bit: the masks without it (a prefix of the tuple)
     are the deletion, the masks with it, cleared, are the contraction, and
     their sorted union is the projection, relabelled as ``DeltaMatroid.minor``
-    does.  ``pivot="max"`` takes index k as the top bit; ``pivot="min"``
-    reverses the bit order first, so index 1 is the top.  At a loop or
-    coloop one part is empty and the node is (1 + u + v) times the
+    does.  The bit order is reversed first, so the top bit is index 1.  At a
+    loop or coloop one part is empty and the node is (1 + u + v) times the
     projection; otherwise it is contraction + deletion + u·projection.  On a
-    valid family any pivot yields the same polynomial, which the tests
-    sample.
+    valid family any pivot order yields the same polynomial, which the tests
+    sample against a recursion on index k; on an invalid family the pivot
+    order can change the result.
 
     A polynomial is one int: the coefficient of u^i v^j sits in the w-bit
     field at offset (i·(n+1) + j)·w, w = (3^n).bit_length(), so u and v are
@@ -76,8 +76,6 @@ def upoly_recursive(d: DeltaMatroid, pivot: str = "min") -> MultiPoly:
     coefficient of a node and of every sum forming it is below 3^n < 2^w.
     A node of size k has total degree k, so j never leaves its row.
     """
-    if pivot not in ("min", "max"):
-        raise ValueError("pivot must be 'min' or 'max'")
     n = d.n
     check_guard(n)
     w = (3**n).bit_length()
@@ -104,10 +102,7 @@ def upoly_recursive(d: DeltaMatroid, pivot: str = "min") -> MultiPoly:
         memo[key] = res
         return res
 
-    masks = d.feasible
-    if pivot == "min":
-        masks = [int(format(m, f"0{n}b")[::-1], 2) for m in masks]
-    packed = rec(n, tuple(sorted(masks)))
+    packed = rec(n, tuple(sorted(int(format(m, f"0{n}b")[::-1], 2) for m in d.feasible)))
     field = (1 << w) - 1
     return MultiPoly(
         ("u", "v"),

@@ -11,6 +11,7 @@ plus brute-force search for enveloping matroids.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
@@ -24,6 +25,7 @@ from .ground import (
     element_key,
     set_of_code,
     signed_ground,
+    submasks,
 )
 from .poly import MultiPoly, poly_u_v
 from .rankfn import AxiomReport, Violation
@@ -102,14 +104,6 @@ class Matroid:
             raise ValueError("subset leaves the ground set")
         return max(len(a & b) for b in self.bases)
 
-    def independent_sets(self) -> list[frozenset[int]]:
-        seen: set[frozenset[int]] = set()
-        for b in self.bases:
-            items = sorted(b, key=element_key)
-            for k in range(len(items) + 1):
-                seen.update(frozenset(c) for c in combinations(items, k))
-        return sorted(seen, key=_set_key)
-
     def is_independent(self, subset: Iterable[int]) -> bool:
         a = frozenset(subset)
         return any(a <= b for b in self.bases)
@@ -149,18 +143,17 @@ def _exchange_failures(masks: Sequence[int], width: int, allowed: set[int]) -> I
                     yield i, j, k
 
 
+def _ranks(m: Matroid) -> list[int]:
+    """r_M of every subset by its mask over the ground tuple: the largest overlap with a basis."""
+    check_guard(len(m.ground))
+    bases = _basis_masks(m)
+    return [max((a & b).bit_count() for b in bases) for a in range(1 << len(m.ground))]
+
+
 def rank_generating(m: Matroid) -> MultiPoly:
     """Whitney rank generating function R_M(u, v) summed over all subsets."""
-    check_guard(len(m.ground))
-    u, v = poly_u_v()
-    r = m.rank
-    total = MultiPoly.zero(("u", "v"))
-    items = list(m.ground)
-    for k in range(len(items) + 1):
-        for c in combinations(items, k):
-            rk = m.rank_of(c)
-            total = total + u ** (r - rk) * v ** (k - rk)
-    return total
+    counts = Counter((m.rank - rk, a.bit_count() - rk) for a, rk in enumerate(_ranks(m)))
+    return MultiPoly(("u", "v"), counts)
 
 
 # -- delta-matroids from matroids ------------------------------------------------
@@ -173,24 +166,16 @@ def _require_plain(m: Matroid) -> int:
     return n
 
 
-def _mask(xs: Iterable[int]) -> int:
-    out = 0
-    for e in xs:
-        out |= 1 << (e - 1)
-    return out
-
-
 def dm_from_matroid(m: Matroid, mode: str) -> DeltaMatroid:
     """Feasible sets X + bar(complement of X), X over bases or independent sets."""
     n = _require_plain(m)
+    bases = _basis_masks(m)  # bit k holds element k + 1
     if mode == "bases":
-        masks = [_mask(b) for b in m.bases]
-    elif mode == "independents":
+        return DeltaMatroid(n, bases)
+    if mode == "independents":
         check_guard(n)
-        masks = [_mask(i) for i in m.independent_sets()]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return DeltaMatroid(n, masks)
+        return DeltaMatroid(n, {s for b in bases for s in submasks(b)})
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def example15_rank(m: Matroid, s: AdmissibleSet, mode: str) -> int:
@@ -222,31 +207,17 @@ def example15_upoly(m: Matroid, mode: str) -> MultiPoly:
     trust it.
     """
     n = _require_plain(m)
-    check_guard(n)
-    u, v = poly_u_v()
+    ranks = _ranks(m)
     r = m.rank
-    total = MultiPoly.zero(("u", "v"))
-    items = list(range(1, n + 1))
-    if mode == "bases":
-        for k in range(n + 1):
-            for s_sub in combinations(items, k):
-                rk_s = m.rank_of(s_sub)
-                for k2 in range(k + 1):
-                    for t_sub in combinations(s_sub, k2):
-                        rk_t = m.rank_of(t_sub)
-                        total = total + u ** (k - k2) * v ** (r - rk_s + k2 - rk_t)
-        return total
-    if mode == "independents":
-        base_u3 = u + 3
-        base_mid = 2 * u + v + 2
-        base_u1 = u + 1
-        for k in range(n + 1):
-            for a_sub in combinations(items, k):
-                rk = m.rank_of(a_sub)
-                total = total + (
-                    base_u3 ** (r - rk) * base_mid ** (k - rk) * base_u1 ** (n - r - k + rk)
-                )
-        return total
+    if mode == "bases":  # S and each T inside S: u^(|S| - |T|) v^(r - r(S) + |T| - r(T))
+        pairs = ((s, rk, t) for s, rk in enumerate(ranks) for t in submasks(s))
+        counts = Counter((s.bit_count() - t.bit_count(), r - rk + t.bit_count() - ranks[t]) for s, rk, t in pairs)
+        return MultiPoly(("u", "v"), counts)
+    if mode == "independents":  # each distinct exponent triple of the printed product, expanded once
+        u, v = poly_u_v()
+        triples = Counter((r - rk, a.bit_count() - rk, n - r - a.bit_count() + rk) for a, rk in enumerate(ranks))
+        terms = (c * (u + 3) ** i * (2 * u + v + 2) ** j * (u + 1) ** k for (i, j, k), c in triples.items())
+        return sum(terms, MultiPoly.zero(("u", "v")))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -281,39 +252,32 @@ class Gf2SymMatrix:
             rows.append(sum((1 << j) for j, x in enumerate(row) if x & 1))
         return cls(n, tuple(rows))
 
-    def principal_nonsingular(self, indices: Sequence[int]) -> bool:
-        """Is the principal submatrix on the given 1-based indices invertible?"""
-        xs = sorted(indices)
-        k = len(xs)
-        if k == 0:
-            return True  # empty matrix counts as nonsingular
-        sub = []
-        for i in xs:
-            packed = 0
-            for col, j in enumerate(xs):
-                if self.rows[i - 1] >> (j - 1) & 1:
-                    packed |= 1 << col
-            sub.append(packed)
-        for col in range(k):
-            pivot = next((r for r in range(col, k) if sub[r] >> col & 1), None)
-            if pivot is None:
-                return False
-            sub[col], sub[pivot] = sub[pivot], sub[col]
-            for r in range(k):
-                if r != col and sub[r] >> col & 1:
-                    sub[r] ^= sub[col]
-        return True
+
+def _nonsingular(rows: Sequence[int], x: int) -> bool:
+    """Is A[X] invertible (X a mask), i.e. are its rows cut to X independent over GF(2)?
+
+    ``min(v, v ^ b)`` clears the top bit of b from v, and no kept row holds
+    the top bit of an earlier one, so a reduced row holds no kept top bit:
+    it is zero exactly when the row lies in their span.
+    """
+    basis: list[int] = []
+    rest = x
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = rows[low.bit_length() - 1] & x
+        for b in basis:
+            v = min(v, v ^ b)
+        if not v:
+            return False
+        basis.append(v)
+    return True
 
 
 def dm_from_gf2(a: Gf2SymMatrix) -> DeltaMatroid:
     """Feasible sets are X + bar(complement) for X with A[X] nonsingular."""
     check_guard(a.n)
-    masks = []
-    for mask in range(1 << a.n):
-        xs = [i for i in range(1, a.n + 1) if mask >> (i - 1) & 1]
-        if a.principal_nonsingular(xs):
-            masks.append(mask)
-    return DeltaMatroid(a.n, masks)
+    return DeltaMatroid(a.n, [x for x in range(1 << a.n) if _nonsingular(a.rows, x)])
 
 
 # -- upper matroid -----------------------------------------------------------------
@@ -323,12 +287,11 @@ def upper_matroid(d: DeltaMatroid, window: AdmissibleSet) -> Matroid:
     """The matroid of maximal overlaps of feasible sets with a full-size window."""
     if window.n != d.n or window.size != d.n:
         raise ValueError("the window must be an admissible set of full size")
-    window_elems = frozenset(window.elements())
-    overlaps = []
-    for b in d.feasible_sets():
-        overlaps.append(window_elems & frozenset(b.elements()))
-    r = max(len(o) for o in overlaps)
-    return Matroid(window_elems, [o for o in overlaps if len(o) == r])
+    full = (1 << d.n) - 1
+    overlaps = {~(p ^ window.pos) & full for p in d.feasible}  # the indices where p agrees with the window
+    r = max(map(int.bit_count, overlaps))
+    signed = window.elements()  # one element per index, in index order
+    return Matroid(signed, [[e for k, e in enumerate(signed) if o >> k & 1] for o in overlaps if o.bit_count() == r])
 
 
 # -- enveloping matroids -------------------------------------------------------------
@@ -427,8 +390,8 @@ def enveloping_search(d: DeltaMatroid, limit: int = 200_000) -> EnvelopeSearch:
         raise GuardLimitError("envelope search is limited to ground size 3")
     _, inside = _envelope_tables(d)
     required = _feasible_masks(d)
-    # the full-size subsets in canonical order, as masks (_mask reads element k + 1 as bit k)
-    subsets = map(_mask, combinations(range(1, 2 * n + 1), n))
+    # the full-size subsets in canonical order, as masks (bit k holds signed_ground(n)[k])
+    subsets = (sum(1 << k for k in c) for c in combinations(range(2 * n), n))
     pool = [b for b in subsets if b not in required and inside[_fold_code(n, b)]]
 
     # sound pruning: an exchange failure between two required bases that no

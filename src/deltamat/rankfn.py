@@ -64,7 +64,7 @@ from operator import add, ge, sub, xor
 from typing import Iterator, NamedTuple, Sequence
 
 from .deltamatroid import DeltaMatroid, RankTable, _size_lanes, all_full_size_masks
-from .ground import AdmissibleSet, canonical_codes, canonical_order, code_masks, element_key, set_of_code
+from .ground import AdmissibleSet, canonical_codes, canonical_order, code_masks, element_key, set_of_code, submasks
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
 
@@ -419,8 +419,8 @@ def greedy_check(d: DeltaMatroid) -> AxiomReport:
         tp, tn = pos[c], neg[c]
         overlaps = [((tp & p).bit_count() + (tn & ~p & full).bit_count()) for p in d.feasible]
         best_t = max(overlaps)
-        for sp in _submasks(tp):
-            for sn in _submasks(tn):
+        for sp in submasks(tp):
+            for sn in submasks(tn):
                 s_overlaps = [((sp & p).bit_count() + (sn & ~p & full).bit_count()) for p in d.feasible]
                 best_s = max(s_overlaps)
                 restricted = max(o for o, so in zip(overlaps, s_overlaps) if so == best_s)
@@ -428,13 +428,3 @@ def greedy_check(d: DeltaMatroid) -> AxiomReport:
                     witness = (AdmissibleSet(n, sp, sn), AdmissibleSet(n, tp, tn))
                     out.append(Violation("greedy", witness, restricted, best_t))
     return AxiomReport.from_violations(out)
-
-
-def _submasks(mask: int) -> list[int]:
-    subs = [0]
-    m = mask
-    sub = mask
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & m
-    return sorted(set(subs))

@@ -50,6 +50,18 @@ def sset(n: int, *elements: int) -> AdmissibleSet:
     return AdmissibleSet.from_elements(n, elements)
 
 
+def symmetric_rows(n: int, bits: int) -> tuple[int, ...]:
+    """The symmetric n x n GF(2) matrix whose upper triangle, row by row, reads ``bits`` from bit 0."""
+    rows, k = [0] * n, 0
+    for i in range(n):
+        for j in range(i, n):
+            if bits >> k & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return tuple(rows)
+
+
 def oracle_families():
     """Families for checking table paths against the per-set oracle.
 

@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +15,10 @@ from deltamat import cli
 from deltamat.deltamatroid import RankTable
 from deltamat.formats import parse_document, serialize_value
 from deltamat.lorentzian import InequalityCheck, LogConcavityReport
-from deltamat.randgen import random_valid
+from deltamat.matroid import Gf2SymMatrix, Matroid, rank_generating, validate_matroid
+from deltamat.randgen import _random_matroid, random_family, random_valid
+
+from conftest import symmetric_rows
 
 DEX = "n 3\nfeasible 1 -2 -3\nfeasible -1 2 -3\nfeasible -1 -2 3\n"
 BAD = "n 3\nfeasible 1 2 3\nfeasible -1 -2 -3\n"
@@ -624,3 +627,71 @@ def test_pipeline_twice_in_one_process_is_byte_identical(dex_file, tmp_path):
 def test_twist_rejects_bad_permutation(dex_file):
     code, _ = run(["twist", dex_file, "--perm", "1 1 2"])
     assert code == 2
+
+
+def _construction_inputs():
+    """The matrices, matroids and delta-matroids whose construction output is pinned."""
+    rng = random.Random(2020)
+    matrices = [Gf2SymMatrix(n, symmetric_rows(n, bits)) for n in range(4) for bits in range(1 << n * (n + 1) // 2)]
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        matrices.append(Gf2SymMatrix(n, symmetric_rows(n, rng.getrandbits(n * (n + 1) // 2))))
+    matroids = [Matroid.uniform(r, m) for m in range(6) for r in range(m + 1)]
+    while len(matroids) < 21 + 40:
+        m = _random_matroid(rng, rng.randint(1, 7))
+        if validate_matroid(m).passed:
+            matroids.append(m)
+    families = []
+    for k in range(60):
+        n = rng.randint(1, 7)
+        if k % 2:
+            families.append(random_family(rng, n))
+        else:
+            families.append(random_valid(rng, n, ("family", "gf2", "twist")[k // 2 % 3]))
+    return rng, matrices, matroids, families
+
+
+def _construction_runs(tmp_path):
+    """(argv with the file path as FILE, exit code, stdout, stderr) of every pinned construction run."""
+    rng, matrices, matroids, families = _construction_inputs()
+    path = tmp_path / "input"
+
+    def call(value, *args):
+        path.write_text(serialize_value(value))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([args[0], str(path), *args[1:]])
+        return [args[0], "FILE", *args[1:]], code, out.getvalue(), err.getvalue()
+
+    runs = [call(a, "from-gf2") for a in matrices]
+    for m in matroids:
+        for mode in ("bases", "independents"):
+            runs.append(call(m, "from-matroid", "--mode", mode))
+            runs.append(call(m, "example15", "--mode", mode))
+            runs.append(call(m, "example15", "--mode", mode, "--compare"))
+        runs.append(["rank_generating", rank_generating(m).text()])
+    for d in families:
+        for _ in range(4):
+            window = " ".join(str(i if rng.random() < 0.5 else -i) for i in range(1, d.n + 1))
+            runs.append(call(d, "upper-matroid", "--window", window))
+        for _ in range(4):
+            groups = {"contract": [], "delete": [], "project": [], "keep": []}
+            for i in range(1, d.n + 1):
+                groups[rng.choice(tuple(groups))].append(i)
+            ops = [f"--{op}={' '.join(map(str, groups[op]))}" for op in ("contract", "delete", "project")]
+            runs.append(call(d, "minor", *ops))
+        for method in ("recursive", "compare"):
+            runs.append(call(d, "upoly", "--method", method))
+    return runs
+
+
+CONSTRUCTIONS_SHA256 = "7d2c6fb109092685adbbb5883bfb8137e4f552c93dfda6254852cef25d2af625"
+
+
+def test_construction_outputs_pinned(tmp_path):
+    # from-gf2, from-matroid, example15, upper-matroid, minor and the recursive upoly on valid
+    # and invalid families, and the text of rank_generating, as recorded from the per-subset routes
+    runs = _construction_runs(tmp_path)
+    assert len(runs) == 75 + 40 + 61 * 7 + 60 * 10
+    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+    assert digest == CONSTRUCTIONS_SHA256

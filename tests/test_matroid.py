@@ -12,6 +12,8 @@ from deltamat.matroid import (
     EnvelopeSearch,
     Gf2SymMatrix,
     Matroid,
+    _nonsingular,
+    _ranks,
     dm_from_gf2,
     dm_from_matroid,
     enveloping_check,
@@ -24,9 +26,10 @@ from deltamat.matroid import (
     validate_matroid,
 )
 from deltamat.poly import MultiPoly, poly_u_v
+from deltamat.randgen import _random_matroid
 from deltamat.rankfn import AxiomReport, Violation, polytope_membership
 
-from conftest import sset
+from conftest import sset, symmetric_rows
 
 U, V = poly_u_v()
 
@@ -397,3 +400,130 @@ def test_rank_generating_guard(monkeypatch):
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "3")
     with pytest.raises(GuardLimitError):
         rank_generating(Matroid.uniform(2, 4))
+
+
+def _principal_nonsingular_by_elimination(a, indices):
+    """Oracle: pack the principal submatrix on the 1-based indices and run Gauss-Jordan
+    elimination over GF(2) with a row swap per column."""
+    xs = sorted(indices)
+    k = len(xs)
+    sub = []
+    for i in xs:
+        packed = 0
+        for col, j in enumerate(xs):
+            if a.rows[i - 1] >> (j - 1) & 1:
+                packed |= 1 << col
+        sub.append(packed)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if sub[r] >> col & 1), None)
+        if pivot is None:
+            return False
+        sub[col], sub[pivot] = sub[pivot], sub[col]
+        for r in range(k):
+            if r != col and sub[r] >> col & 1:
+                sub[r] ^= sub[col]
+    return True  # the empty matrix counts as nonsingular
+
+
+def test_xor_basis_matches_packed_elimination():
+    # every symmetric matrix at n <= 4, then 300 seeded ones at n = 5..9, on every principal minor
+    rng = random.Random(404)
+    matrices = [Gf2SymMatrix(n, symmetric_rows(n, bits)) for n in range(5) for bits in range(1 << n * (n + 1) // 2)]
+    for _ in range(300):
+        n = rng.randint(5, 9)
+        matrices.append(Gf2SymMatrix(n, symmetric_rows(n, rng.getrandbits(n * (n + 1) // 2))))
+    singular = 0
+    for a in matrices:
+        nonsingular = []
+        for x in range(1 << a.n):
+            indices = [i + 1 for i in range(a.n) if x >> i & 1]
+            expected = _principal_nonsingular_by_elimination(a, indices)
+            assert _nonsingular(a.rows, x) == expected, (a, indices)
+            if expected:
+                nonsingular.append(x)
+            else:
+                singular += 1
+        assert dm_from_gf2(a) == DeltaMatroid(a.n, nonsingular)
+    assert len(matrices) == 1399 and singular > 10_000
+
+
+def _oracle_matroids():
+    """Every matroid by explicit basis family on at most 4 elements, the uniform
+    matroids on at most 6, and seeded valid plain matroids on 5 and 6 elements."""
+    for size in range(5):
+        for r in range(size + 1):
+            r_sets = list(combinations(range(1, size + 1), r))
+            for k in range(1, len(r_sets) + 1):
+                for fam in combinations(r_sets, k):
+                    candidate = Matroid.plain(size, fam)
+                    if validate_matroid(candidate).passed:
+                        yield candidate
+    for size in range(7):
+        for r in range(size + 1):
+            yield Matroid.uniform(r, size)
+    rng = random.Random(1505)
+    count = 0
+    while count < 90:
+        m = _random_matroid(rng, rng.choice((5, 6)))
+        if validate_matroid(m).passed:
+            count += 1
+            yield m
+
+
+_POWERS = {}
+
+
+def _power(p, k):
+    """p ** k for the four bases below, computed once per exponent."""
+    key = (str(p), k)
+    if key not in _POWERS:
+        _POWERS[key] = p**k
+    return _POWERS[key]
+
+
+def _rank_generating_by_subsets(m):
+    """Oracle: u^(r - r(A)) v^(|A| - r(A)) summed over the subsets A, one MultiPoly sum each."""
+    r = m.rank
+    total = MultiPoly.zero(("u", "v"))
+    for k in range(len(m.ground) + 1):
+        for c in combinations(m.ground, k):
+            rk = m.rank_of(c)
+            total = total + _power(U, r - rk) * _power(V, k - rk)
+    return total
+
+
+def _example15_upoly_by_subsets(m, mode):
+    """Oracle: the two closed formulas summed subset by subset, as printed at the source."""
+    n, r = len(m.ground), m.rank
+    total = MultiPoly.zero(("u", "v"))
+    for k in range(n + 1):
+        for s in combinations(m.ground, k):
+            rk_s = m.rank_of(s)
+            if mode == "independents":
+                i, j = r - rk_s, k - rk_s
+                total = total + _power(U + 3, i) * _power(2 * U + V + 2, j) * _power(U + 1, n - i - k)
+                continue
+            for k2 in range(k + 1):
+                for t in combinations(s, k2):
+                    total = total + _power(U, k - k2) * _power(V, r - rk_s + k2 - m.rank_of(t))
+    return total
+
+
+def test_ranks_by_mask_match_rank_of():
+    matroids = list(_oracle_matroids()) + [Matroid.pair_partition(n) for n in range(4)]
+    for m in matroids:
+        subsets = [[e for k, e in enumerate(m.ground) if a >> k & 1] for a in range(1 << len(m.ground))]
+        assert _ranks(m) == [m.rank_of(s) for s in subsets], m
+
+
+def test_matroid_polynomials_match_subset_sums():
+    checked = 0
+    for m in _oracle_matroids():
+        assert rank_generating(m) == _rank_generating_by_subsets(m), m
+        for mode in ("bases", "independents"):
+            assert example15_upoly(m, mode) == _example15_upoly_by_subsets(m, mode), (m, mode)
+        checked += 1
+    assert checked >= 200
+    for n in range(4):
+        m = Matroid.pair_partition(n)
+        assert rank_generating(m) == _rank_generating_by_subsets(m)

@@ -330,7 +330,6 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
         cached.cache_clear()
     interlace(d)
     upoly_recursive(d)
-    upoly_recursive(d, pivot="max")
     upoly_direct(d)
     independence_fvector(d)
     two_var_ulc_check(d)
