@@ -471,8 +471,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GuardLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GuardLimitError, MemoryError) as exc:  # the guard, and a backstop for what it admitted
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

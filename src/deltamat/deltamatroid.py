@@ -40,6 +40,7 @@ from .ground import (
     check_guard,
     code_planes,
     enumerate_admissible,
+    mask_weights,
 )
 
 
@@ -411,15 +412,16 @@ def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     adds to layer k its digit flips, 1 to 2 and back, a shift by 3^i under
     the digit-1 plane (``code_planes``).  The layers stop at the plane of all
     3^n codes, by layer n at the latest.  A feasible mask m has code
-    3^n - 1 - int(f"{m:b}", 3): digit 1 where m holds the index, 2 where it
-    does not.
+    3^n - 1 - ``mask_weights(n)[m]``: digit 1 where m holds the index, 2
+    where it does not.
     """
     check_guard(n)
     ones, _ = code_planes(n)
     total = 3**n
     marks = bytearray((total + 7) >> 3)
+    weights = mask_weights(n)
     for m in feasible:
-        c = total - 1 - int(f"{m:b}", 3)
+        c = total - 1 - weights[m]
         marks[c >> 3] |= 1 << (c & 7)
     layer = int.from_bytes(marks, "little")
     steps = [3**i for i in range(n)]
@@ -450,7 +452,7 @@ def _uncertified_pairs(feasible: Sequence[int]) -> Iterator[tuple[int, int]]:
     different supports never meet, since the support is the number of 1
     digits.  The test reads only membership in F, not the exchange axiom.
     """
-    keys = [int(f"{p:b}", 3) for p in feasible]
+    keys = list(map(mask_weights(max(feasible, default=0).bit_length()).__getitem__, feasible))
     sums = Counter()
     for i, ka in enumerate(keys):
         sums.update([ka + kb for kb in keys[i + 1 :]])

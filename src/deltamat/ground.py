@@ -245,6 +245,26 @@ def code_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(ones), tuple(sizes)
 
 
+@lru_cache(maxsize=None)
+def mask_weights(n: int) -> tuple[int, ...]:
+    """``int(f"{m:b}", 3)`` for each of the 2^n bitmasks m: bit i of m weighs 3^i; built by doubling."""
+    check_guard(n)
+    weights = [0]
+    for i in range(n):
+        weights += [w + 3**i for w in weights]
+    return tuple(weights)
+
+
+@lru_cache(maxsize=None)
+def mask_reversals(n: int) -> tuple[int, ...]:
+    """Each of the 2^n bitmasks with its n bits in reverse order: bit i goes to bit n - 1 - i."""
+    check_guard(n)
+    reversed_ = [0]
+    for _ in range(n):  # a new top bit lands at bit 0
+        reversed_ = [2 * r for r in reversed_] + [2 * r + 1 for r in reversed_]
+    return tuple(reversed_)
+
+
 def code_masks(n: int) -> tuple[list[int], list[int]]:
     """The unbarred and the barred bitmask of each set, indexed by base-3 code."""
     check_guard(n)

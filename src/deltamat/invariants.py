@@ -3,26 +3,25 @@ specialization, independence-complex face counts, and activity expansions.
 
 The enumerator is computed two ways that share no code: by its defining sum,
 counted on distance planes over the 3^n base-3 codes, and by deletion/
-contraction/projection recursion on sorted mask tuples with each polynomial
-packed into one int.  The two must agree and the tests enforce it.  Neither
-reads a rank table, and neither does the independence f-vector, which is
-the popcount of the independent plane by size.  The interlace slice is the
-distance distribution of the feasible masks in the n-cube.  Activities
-follow the fixed index order 1 < 2 < ... < n; the activity expansion and
-the activity-zero complex are counted on one active plane per index.
+contraction/projection recursion on planes of feasible masks, with each
+polynomial packed into one int.  The two must agree and the tests enforce
+it.  Neither reads a rank table, and neither does the independence
+f-vector, the popcount of the independent plane by size.  The interlace
+slice is the distance distribution of the feasible masks in the n-cube.
+Activities follow the fixed index order 1 < 2 < ... < n; the activity
+expansion and the activity-zero complex read one active plane per index.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
-from operator import or_, xor
+from itertools import compress
+from operator import or_
 from typing import Iterator
 
 from .deltamatroid import DeltaMatroid, distance_layers, plane_flags
-from .ground import AdmissibleSet, canonical_labels, check_guard, code_planes
+from .ground import AdmissibleSet, canonical_labels, check_guard, code_planes, mask_reversals
 from .poly import MultiPoly
 from .rankfn import AxiomReport, Violation
 
@@ -55,14 +54,14 @@ def upoly_direct(d: DeltaMatroid) -> MultiPoly:
 
 
 def upoly_recursive(d: DeltaMatroid) -> MultiPoly:
-    """Three-way recursion on index 1, memoized on (ground size, masks).
+    """Three-way recursion on index 1, memoized on planes of feasible masks.
 
-    A node is a ground size k and the sorted tuple of its feasible masks.
-    The pivot is the top bit: the masks without it (a prefix of the tuple)
-    are the deletion, the masks with it, cleared, are the contraction, and
-    their sorted union is the projection, relabelled as ``DeltaMatroid.minor``
-    does.  The bit order is reversed first, so the top bit is index 1.  At a
-    loop or coloop one part is empty and the node is (1 + u + v) times the
+    A node on k indices is a 2^k-bit plane whose bit m marks mask m, with
+    the bits of each mask reversed (``mask_reversals``) so index 1 is on top.
+    The low half of the plane is the deletion, the high half the contraction
+    and their OR the projection, relabelled as ``DeltaMatroid.minor`` does;
+    the memo key is the plane with a sentinel bit at 2^k.  At a loop or
+    coloop one half is empty and the node is (1 + u + v) times the
     projection; otherwise it is contraction + deletion + u·projection.  On a
     valid family any pivot order yields the same polynomial, which the tests
     sample against a recursion on index k; on an invalid family the pivot
@@ -80,34 +79,32 @@ def upoly_recursive(d: DeltaMatroid) -> MultiPoly:
     check_guard(n)
     w = (3**n).bit_length()
     su, sv = (n + 1) * w, w
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    memo: dict[int, int] = {}
 
-    def rec(k: int, masks: tuple[int, ...]) -> int:
+    def rec(k: int, plane: int) -> int:
         if k == 0:
             return 1
-        key = (k, masks)
+        key = plane | 1 << (1 << k)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        top = 1 << (k - 1)
-        cut = bisect_left(masks, top)
-        delete = masks[:cut]
-        contract = tuple(map(xor, masks[cut:], repeat(top)))
+        half = 1 << (k - 1)
+        delete, contract = plane & (1 << half) - 1, plane >> half
         if delete and contract:
-            project = tuple(sorted({*delete, *contract}))
-            res = rec(k - 1, contract) + rec(k - 1, delete) + (rec(k - 1, project) << su)
+            res = rec(k - 1, contract) + rec(k - 1, delete) + (rec(k - 1, delete | contract) << su)
         else:
             p = rec(k - 1, delete or contract)
             res = p + (p << su) + (p << sv)
         memo[key] = res
         return res
 
-    packed = rec(n, tuple(sorted(int(format(m, f"0{n}b")[::-1], 2) for m in d.feasible)))
+    marks = bytearray(((1 << n) + 7) >> 3)
+    for m in map(mask_reversals(n).__getitem__, d.feasible):
+        marks[m >> 3] |= 1 << (m & 7)
+    packed = rec(n, int.from_bytes(marks, "little"))
     field = (1 << w) - 1
-    return MultiPoly(
-        ("u", "v"),
-        {(i, j): packed >> (i * (n + 1) + j) * w & field for i in range(n + 1) for j in range(n + 1 - i)},
-    )
+    terms = {(i, j): packed >> (i * (n + 1) + j) * w & field for i in range(n + 1) for j in range(n + 1 - i)}
+    return MultiPoly(("u", "v"), terms)
 
 
 def interlace(d: DeltaMatroid) -> MultiPoly:

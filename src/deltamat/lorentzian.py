@@ -156,19 +156,18 @@ def _integer_inertia(a: list[list[int]]) -> InertiaTriple:
     b = a[i][j] yields a hyperbolic 2x2 block, one positive and one negative,
     and the rest becomes sign(b)·(b·a[r][c] − a[r][i]·a[j][c] − a[r][j]·a[i][c]),
     the Schur complement times |b|.  A positive factor keeps the inertia
-    (Sylvester's law), so every entry stays an integer.  ``a`` is overwritten.
+    (Sylvester's law), so every entry stays an integer.  An all-zero row is
+    a zero eigenvalue and never enters ``active``.  ``a`` is overwritten.
     """
-    pos = neg = zero = 0
-    active = list(range(len(a)))
+    pos = neg = 0
+    active = [i for i, row in enumerate(a) if any(row)]
+    zero = len(a) - len(active)
     while active:
         d = next((i for i in active if a[i][i]), None)
         if d is not None:
             p = a[d][d]
             sign = 1 if p > 0 else -1
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
+            pos, neg = pos + (p > 0), neg + (p < 0)
             active.remove(d)
             pivot_row = a[d]
             for r in active:
@@ -183,8 +182,7 @@ def _integer_inertia(a: list[list[int]]) -> InertiaTriple:
         i, j = off
         b = a[i][j]
         sign = 1 if b > 0 else -1
-        pos += 1
-        neg += 1
+        pos, neg = pos + 1, neg + 1
         active = [r for r in active if r not in off]
         for r in active:
             row, fi, fj = a[r], a[r][i], a[r][j]

@@ -64,7 +64,9 @@ from operator import add, ge, sub, xor
 from typing import Iterator, NamedTuple, Sequence
 
 from .deltamatroid import DeltaMatroid, RankTable, _size_lanes, all_full_size_masks
-from .ground import AdmissibleSet, canonical_codes, canonical_order, code_masks, element_key, set_of_code, submasks
+from .ground import (
+    AdmissibleSet, canonical_codes, canonical_order, code_masks, element_key, mask_weights, set_of_code, submasks
+)
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
 
@@ -127,7 +129,7 @@ def pair_codes(n: int) -> Iterator[tuple[int, int, int, int, int]]:
     """
     pos, neg = code_masks(n)
     masks = [(c, pos[c], neg[c]) for c in canonical_codes(n)]
-    weight = [int(f"{m:b}", 3) for m in range(1 << n)]  # a bitmask's digits read in base 3
+    weight = mask_weights(n)
     for s, spos, sneg in masks:
         for t, tpos, tneg in masks:
             upos, uneg = spos | tpos, sneg | tneg

@@ -154,12 +154,23 @@ def test_constructions_guard_before_enumerating(tmp_path, capsys):
         ["interlace", str(big)],
         ["activity", str(big), "--all"],
         ["complex", str(big)],
+        ["validate", str(big)],  # the polytope half reads a 2^n weight table
     ):
         code, out = run(argv)
         assert code == 3 and out == ""
         assert "exceeds the guard limit" in capsys.readouterr().err
     # the activity of one set reads at most n(n+1)/2 flipped sets, so it needs no guard
     assert run(["activity", str(big), "--set", "1"]) == (0, "a: 1\nactive: 1\n")
+    assert run(["validate", str(big), "--method", "exchange"]) == (0, "PASS\n")
+
+
+def test_out_of_memory_is_exit_3_with_a_message(dex_file, capsys, monkeypatch):
+    def exhausted(path, kind):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_load", exhausted)
+    assert run(["rank-table", dex_file]) == (3, "")
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_info(dex_file):

@@ -14,6 +14,8 @@ from deltamat.ground import (
     combine,
     dot,
     enumerate_admissible,
+    mask_reversals,
+    mask_weights,
 )
 
 from conftest import sset
@@ -77,10 +79,17 @@ def test_code_planes_mark_digits_and_sizes():
         assert all(plane < 1 << 3**n for plane in ones + sizes)
 
 
+def test_mask_tables_match_per_mask_formulas():
+    for n in range(11):
+        masks = range(1 << n)
+        assert mask_weights(n) == tuple(int(f"{m:b}", 3) for m in masks)
+        assert mask_reversals(n) == tuple(int(f"{m:0{n}b}"[::-1] or "0", 2) for m in masks)
+
+
 def test_guard_limit_and_override(monkeypatch):
     with pytest.raises(GuardLimitError):
         enumerate_admissible(17)
-    builders = (canonical_codes, canonical_order, code_planes, enumerate_admissible)
+    builders = (canonical_codes, canonical_order, code_planes, enumerate_admissible, mask_weights, mask_reversals)
     for builder in builders:
         builder(3)  # a cached callee does not check the limit again
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

@@ -124,8 +124,9 @@ def _interlace_by_table(d):
 
 def _enumerator_families():
     """Every nonempty family at n <= 2, 2,100 seeded arbitrary families at
-    n = 3..5 (valid or not, single sets included), and seeded gf2 and twist
-    instances at n = 1..9."""
+    n = 3..5 (valid or not, single sets included), seeded gf2 and twist
+    instances at n = 1..9, and 76 seeded arbitrary families at n = 6..8,
+    every other one sparse."""
     for n in range(3):
         for k in range(1, (1 << n) + 1):
             for fam in combinations(range(1 << n), k):
@@ -139,6 +140,9 @@ def _enumerator_families():
         for dist in ("gf2", "twist"):
             for _ in range(2):
                 yield random_valid(rng, n, dist)
+    for n, count in ((6, 40), (7, 24), (8, 12)):
+        for k in range(count):
+            yield random_family(rng, n, max_size=(1 << n) >> 3 if k % 2 else None)
 
 
 def test_upoly_recursive_matches_minor_oracle():
@@ -316,7 +320,7 @@ def test_complex_purity_matches_maximal_face_scan():
 def test_plane_readers_trip_the_guard_when_cached(tripod, monkeypatch):
     readers = (activity_expansion, activity_zero_complex, lambda d: list(independent_activities(d)),
                indep_gen_poly, efls_gen_poly, upoly_direct, independence_fvector, DeltaMatroid.independents,
-               DeltaMatroid.lattice_point_test)
+               DeltaMatroid.lattice_point_test, upoly_recursive)
     for read in readers:
         read(tripod)  # every cache at n = 3 is warm
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

@@ -224,6 +224,22 @@ def test_hessian_inertia_of_rational_matrices_against_charpoly_oracle():
     assert hessian_inertia([[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]]) == InertiaTriple(1, 0, 1)
 
 
+def test_hessian_inertia_with_zero_rows_between_against_charpoly_oracle():
+    # all-zero rows and columns placed among the others count as zero eigenvalues
+    rng = random.Random(717)
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        zero_rows = set(rng.sample(range(k), rng.randint(1, min(2, k))))
+        q = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                if i not in zero_rows and j not in zero_rows:
+                    q[i][j] = q[j][i] = rng.randint(-3, 3) * (i != j or rng.random() < 0.5)
+        assert hessian_inertia(q) == _charpoly_inertia(q), q
+    assert hessian_inertia([[1, 0, 2], [0, 0, 0], [2, 0, 1]]) == InertiaTriple(1, 1, 1)
+    assert hessian_inertia([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]) == InertiaTriple(1, 1, 2)
+
+
 def test_inertia_congruence_invariance():
     rng = random.Random(414)
     for _ in range(30):
