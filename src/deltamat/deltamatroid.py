@@ -29,7 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress, starmap
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from . import lp
@@ -131,31 +132,38 @@ class DeltaMatroid:
         """For feasible x, y and i in x △ y, some j in x △ y has x △ {i, j} feasible.
 
         Fix x and i, and let z = x △ {i}.  If z is feasible (j = i), no y fails
-        at i.  Otherwise let ``mask`` hold the j with z △ {j} feasible; it
-        holds i, since z △ {i} = x.  A y fails at i exactly when it agrees with
-        z on ``mask``: it differs from x at i and at no other j of ``mask``.
-        So the set of projections y & mask decides every y at once.  Those
-        sets are kept per mask, few in practice; their sizes add up to at
-        most 3^n, as a mask of k indices has at most 2^k projections.  The
-        witness is the lowest failing index of the first failing y.
+        at i.  Otherwise let the neighbour mask N(z) hold the j with z △ {j}
+        feasible; it holds i, since z △ {i} = x.  A y fails at i exactly when
+        it agrees with z on N(z): it differs from x at i and at no other j of
+        N(z).  One pass over the pairs (x, i) builds N(z) for the z outside F
+        that occur, in a dict keyed by z (empty for the free family).  The z
+        are grouped by mask, and one set of projections y & mask settles a
+        whole group; a z is stuck when its own projection is in it.  One
+        projection set is held at a time, so memory stays O(|F|) beyond the
+        masks.  The witness is the first x next to a stuck z, with the lowest
+        failing index of the first failing y.
         """
         feasible = self.feasible
         fam = set(feasible)
         flips = [1 << i for i in range(self.n)]
-        projections: dict[int, set[int]] = {}
+        neighbours: dict[int, int] = {}
         for x_mask in feasible:
-            failures = []
             for bit in flips:
                 z = x_mask ^ bit
-                if z in fam:
-                    continue
-                mask = sum(b for b in flips if z ^ b in fam)
-                if mask not in projections:
-                    projections[mask] = {y & mask for y in feasible}
-                target = z & mask
-                if target in projections[mask]:
-                    first = next(k for k, y in enumerate(feasible) if y & mask == target)
-                    failures.append((first, bit.bit_length()))
+                if z not in fam:
+                    neighbours[z] = neighbours.get(z, 0) | bit
+        by_mask: dict[int, list[int]] = {}
+        for z, mask in neighbours.items():
+            by_mask.setdefault(mask, []).append(z)
+        stuck: set[int] = set()
+        for mask, zs in by_mask.items():
+            projections = {y & mask for y in feasible}
+            stuck.update([z for z in zs if z & mask in projections])
+        for x_mask in feasible if stuck else ():
+            failures = [
+                (next(k for k, y in enumerate(feasible) if not (y ^ z) & neighbours[z]), (z ^ x_mask).bit_length())
+                for z in map(x_mask.__xor__, flips) if z in stuck
+            ]
             if failures:
                 first, index = min(failures)
                 x_set, y_set = self._as_set(x_mask), self._as_set(feasible[first])
@@ -447,18 +455,18 @@ def _uncertified_pairs(feasible: Sequence[int]) -> Iterator[tuple[int, int]]:
     the base-3 number whose digit k counts the two sets unbarred at k (the
     sum of the masks' digits read in base 3, with no carries).  If another
     feasible pair {p, q} has the same sum, [a, b] and [p, q] share a midpoint,
-    so [a, b] is not an edge.  One count of keys over all pairs finds every
-    such pair in O(|F|^2) with at most min(|F|^2, 3^n) keys; keys of
-    different supports never meet, since the support is the number of 1
-    digits.  The test reads only membership in F, not the exchange axiom.
+    so [a, b] is not an edge.  One streamed count over ``combinations``
+    keys every pair, without a list of the |F|^2/2 sums, and a second streamed
+    pass yields the pairs whose key was counted once, so memory stays
+    O(distinct keys), at most min(|F|^2, 3^n).  Keys of different supports
+    never meet, since the support is the number of 1 digits.  The test reads
+    only membership in F, not the exchange axiom.
     """
     keys = list(map(mask_weights(max(feasible, default=0).bit_length()).__getitem__, feasible))
-    sums = Counter()
-    for i, ka in enumerate(keys):
-        sums.update([ka + kb for kb in keys[i + 1 :]])
-    for i, (a, ka) in enumerate(zip(feasible, keys)):
-        rest = zip(feasible[i + 1 :], keys[i + 1 :])
-        for b in [b for b, kb in rest if sums[ka + kb] == 1 and (a ^ b).bit_count() > 2]:
+    once = {key for key, count in Counter(starmap(add, combinations(keys, 2))).items() if count == 1}
+    uncertified = map(once.__contains__, starmap(add, combinations(keys, 2)))
+    for a, b in compress(combinations(feasible, 2), uncertified):
+        if (a ^ b).bit_count() > 2:
             yield a, b
 
 

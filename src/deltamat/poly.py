@@ -34,11 +34,12 @@ class MultiPoly:
         for exps, c in (terms or {}).items():
             if len(exps) != len(vs):
                 raise ValueError("exponent vector does not match variable arity")
-            if any(e < 0 or e > 255 for e in exps):
+            if exps and (min(exps) < 0 or max(exps) > 255):
                 raise ValueError("exponents must lie in 0..255")
-            c = Fraction(c)
-            if c != 0:
-                clean[tuple(exps)] = c
+            if c or type(c) is not int:  # a zero int is dropped before any Fraction is built
+                c = c if type(c) is Fraction else Fraction(c)
+                if c:
+                    clean[tuple(exps)] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------------

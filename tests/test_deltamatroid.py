@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from itertools import chain, combinations, permutations, product
+from operator import add
 
 import pytest
 
@@ -354,15 +356,24 @@ def polytope_oracle(d: DeltaMatroid) -> ValidationReport:
 
 
 def validator_families(top: int = 6):
-    """Every family at n <= 3, then seeded gf2 outputs at n = 4..top, each with its one-set spoilings.
+    """Every family at n <= 3, free families and their drops, then seeded gf2 outputs with spoilings.
 
-    A spoiling adds one absent set or drops one feasible set; about eight of
+    The free family (a drop of None) reaches no z outside F from a feasible
+    x, and a one-set drop reaches one.  The per-pair LP oracle takes about
+    0.6 s on a 64-set family, so n = 4 takes every drop, n = 5 the first and
+    last, and n = 6 only the first, without the free family.
+
+    Each gf2 output at n = 4..top comes with its one-set spoilings.  A
+    spoiling adds one absent set or drops one feasible set; about eight of
     each kind are taken, evenly spaced.
     """
     for n in range(4):
         for k in range(1, (1 << n) + 1):
             for fam in combinations(range(1 << n), k):
                 yield DeltaMatroid(n, fam)
+    for n, dropped in (4, [None, *range(16)]), (5, [None, 0, 31]), (6, [0]):
+        for m in dropped if n <= top else ():
+            yield DeltaMatroid(n, [p for p in range(1 << n) if p != m])
     rng = random.Random(2718)
     for n in range(4, top + 1):
         for _ in range(3):
@@ -400,6 +411,46 @@ def test_pair_sum_certificate_skips_only_non_edges():
     # gives a second pair with the same sum, so no pair reaches the LP
     for n in range(3, 7):
         assert list(_uncertified_pairs(tuple(range(1 << n)))) == []
+
+
+def pair_sums_by_counter(feasible):
+    """The two-pass route: count the pair sums row by row, then rescan each row for the sums seen once."""
+    keys = [int(f"{m:b}", 3) for m in feasible]
+    sums = Counter()
+    for i, ka in enumerate(keys):
+        sums.update([ka + kb for kb in keys[i + 1 :]])
+    return [
+        (a, b)
+        for i, (a, ka) in enumerate(zip(feasible, keys))
+        for b, kb in zip(feasible[i + 1 :], keys[i + 1 :])
+        if sums[ka + kb] == 1 and (a ^ b).bit_count() > 2
+    ]
+
+
+def pair_sums_by_definition(n, feasible):
+    """The pairs of support > 2, in scan order, whose ±1 sum vector no other feasible pair has."""
+    vectors = {p: [1 if p >> k & 1 else -1 for k in range(n)] for p in feasible}
+    pairs_by_sum = {}
+    for a, b in combinations(feasible, 2):
+        pairs_by_sum.setdefault(tuple(map(add, vectors[a], vectors[b])), []).append((a, b))
+    alone = {pairs[0] for pairs in pairs_by_sum.values() if len(pairs) == 1}
+    return [(a, b) for a, b in combinations(feasible, 2) if (a, b) in alone and (a ^ b).bit_count() > 2]
+
+
+def test_uncertified_pairs_match_both_oracles():
+    # seeded gf2 outputs at n = 4..7 (no uncertified pair) and each one with
+    # an absent set added (mostly some): 10 of the 24 families list pairs
+    rng = random.Random(5)
+    listing = []
+    for n in range(4, 8):
+        for _ in range(3):
+            d = random_valid(rng, n, "gf2")
+            absent = [m for m in range(1 << n) if m not in d.feasible]
+            for fam in (d.feasible, DeltaMatroid(n, d.feasible + (rng.choice(absent),)).feasible):
+                uncertified = list(_uncertified_pairs(fam))
+                assert uncertified == pair_sums_by_counter(fam) == pair_sums_by_definition(n, fam), fam
+                listing.append(bool(uncertified))
+    assert 8 <= listing.count(True) <= 16, listing
 
 
 def test_face_lp_fallback_returns_both_verdicts(monkeypatch):

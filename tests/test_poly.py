@@ -118,3 +118,17 @@ def test_exponent_guard():
         MultiPoly(("u",), {(300,): 1})
     with pytest.raises(ValueError):
         MultiPoly(("u",), {(1, 2): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(("u", "v"), {(1, -1): 1})
+
+
+def test_construction_keeps_nonzero_fraction_terms():
+    half = Fraction(1, 2)
+    p = MultiPoly(("u", "v"), {(0, 0): 0, (1, 0): 3, (0, 1): half, (1, 1): Fraction(0), (2, 0): "2/3", (0, 2): "0"})
+    assert p.terms == {(1, 0): Fraction(3), (0, 1): half, (2, 0): Fraction(2, 3)}
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p.terms[(0, 1)] is half
+    assert MultiPoly((), {(): 5}).terms == {(): Fraction(5)}
+    assert MultiPoly.constant(0).is_zero()
+    with pytest.raises(ValueError):
+        MultiPoly(("u",), {(1,): ""})
