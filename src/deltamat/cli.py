@@ -11,10 +11,12 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
+from .deltamatroid import g_lanes, h_lanes
 from .formats import ParseError, parse_document, ranktable_chunks, serialize_value
-from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, canonical_labels, check_guard
+from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, canonical_reads, check_guard
 from .invariants import (
     activity,
     activity_zero_complex,
@@ -122,15 +124,11 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _cmd_rank_table(args) -> int:
+def _cmd_table(args) -> int:
     d = _load(args.file, "delta-matroid")
-    sys.stdout.writelines(ranktable_chunks(d.rank_table()))
-    return 0
-
-
-def _cmd_h_table(args) -> int:
-    d = _load(args.file, "delta-matroid")
-    sys.stdout.writelines(ranktable_chunks(d.h_table()))
+    signed = args.command == "rank-table"
+    by_code = g_lanes(d.n, d.feasible) if signed else h_lanes(d.n, d.feasible).to_bytes(3**d.n, "little")
+    sys.stdout.writelines(ranktable_chunks(d.n, chain.from_iterable(canonical_reads(d.n, by_code))))
     return 0
 
 
@@ -170,12 +168,9 @@ def _cmd_activity(args) -> int:
         print(f"a: {rec.a}")
         print(f"active: {' '.join(map(str, rec.active))}".rstrip())
         return 0
-    labels = canonical_labels(d.n)
     sys.stdout.writelines(
-        f"{{{labels[p]}}}: a={len(active)} active={' '.join(map(str, active))}\n"
-        if active
-        else f"{{{labels[p]}}}: a=0\n"
-        for p, active in independent_activities(d)
+        f"{{{label}}}: a={len(active)} active={' '.join(map(str, active))}\n" if active else f"{{{label}}}: a=0\n"
+        for label, active in independent_activities(d)
     )
     return 0
 
@@ -376,10 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("set", help="signed indices, e.g. '1 -2' ('' for the empty set)")
 
-    p = add("rank-table", _cmd_rank_table, "full g table in canonical order")
+    p = add("rank-table", _cmd_table, "full g table in canonical order")
     p.add_argument("file")
 
-    p = add("h-table", _cmd_h_table, "full shifted-rank table in canonical order")
+    p = add("h-table", _cmd_table, "full shifted-rank table in canonical order")
     p.add_argument("file")
 
     p = add("upoly", _cmd_upoly, "two-variable rank enumerator")

@@ -29,19 +29,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, starmap
+from itertools import chain, combinations, compress, starmap
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from . import lp
 from .ground import (
-    AdmissibleSet,
-    SignedPermutation,
-    canonical_order,
-    check_guard,
-    code_planes,
-    enumerate_admissible,
-    mask_weights,
+    AdmissibleSet, SignedPermutation, canonical_reads, canonical_tuple, check_guard, code_planes, enumerate_admissible,
+    mask_weights, set_of_code, walk_codes,
 )
 
 
@@ -243,13 +238,11 @@ class DeltaMatroid:
 
     def rank_table(self) -> RankTable:
         """g over all 3^n sets in canonical order, from ``g_lanes`` (which checks the guard first)."""
-        lanes = g_lanes(self.n, self.feasible)
-        return RankTable(self.n, canonical_order(self.n)(lanes))
+        return RankTable(self.n, canonical_tuple(self.n, g_lanes(self.n, self.feasible)))
 
     def h_table(self) -> RankTable:
         """h over all 3^n sets in canonical order, from ``h_lanes`` (which checks the guard first)."""
-        lanes = h_lanes(self.n, self.feasible).to_bytes(3**self.n, "little")
-        return RankTable(self.n, canonical_order(self.n)(lanes))
+        return RankTable(self.n, canonical_tuple(self.n, h_lanes(self.n, self.feasible).to_bytes(3**self.n, "little")))
 
     # -- minors and constructions ---------------------------------------------
 
@@ -320,7 +313,7 @@ class DeltaMatroid:
     def independents(self) -> tuple[AdmissibleSet, ...]:
         """All admissible sets contained in a feasible set, canonical order."""
         independent = next(distance_layers(self.n, self.feasible))
-        return tuple(compress(enumerate_admissible(self.n), plane_flags(self.n, independent)))
+        return tuple(set_of_code(self.n, c) for c in plane_codes(self.n, independent))
 
     def lattice_point_test(self) -> bool:
         """Do the lattice points of the half-sum polytope match the independent sets?
@@ -362,7 +355,7 @@ def _signs(lo: list[int], hi: list[int]) -> list[int]:
 
 
 def signed_rank_by_code(n: int, feasible: Iterable[int]) -> list[int]:
-    """g(S) for all 3^n admissible sets, indexed by base-3 code (``canonical_codes``), from ``g_lanes``."""
+    """g(S) for all 3^n sets by base-3 code, from ``g_lanes``; ``ground.canonical_reads`` reads out canonical order."""
     return g_lanes(n, feasible).tolist()
 
 
@@ -397,13 +390,14 @@ def g_lanes(n: int, feasible: Iterable[int]) -> memoryview:
     """g(S) = 2·h(S) - |S| for all 3^n sets, one signed byte per code: the lanes of g + n, less n mod 256."""
     total = 3**n
     shifted = 2 * h_lanes(n, feasible) - _size_lanes(n) + int.from_bytes(bytes([n]) * total, "little")
-    down = bytes((x - n) & 255 for x in range(256))
+    down = bytes(range(256 - n, 256)) + bytes(range(256 - n))  # byte x to (x - n) mod 256
     return memoryview(shifted.to_bytes(total, "little").translate(down)).cast("b")
 
 
-def plane_flags(n: int, plane: int) -> tuple[int, ...]:
-    """The bits of a plane over the 3^n codes, one 0 or 1 per set, in canonical order."""
-    return canonical_order(n)(_lanes(plane, 3**n).to_bytes(3**n, "little"))
+def plane_codes(n: int, plane: int) -> Iterator[int]:
+    """The codes a plane over the 3^n codes marks, in canonical order, its bits read block by block."""
+    flags = memoryview(_lanes(plane, 3**n).to_bytes(3**n, "little"))
+    return compress(walk_codes(n), chain.from_iterable(canonical_reads(n, flags)))
 
 
 def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:

@@ -9,18 +9,19 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored):
   rank table      ranktable <n>         then "<set>: <value>" for every
                                         admissible set in canonical order
 
-Serialization always emits canonical order, so parse(serialize(x)) == x.
+Serialization always emits canonical order, so parse(serialize(x)) == x.  Rank
+tables are written and read one block of ``ground.canonical_blocks`` at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .deltamatroid import DeltaMatroid, RankTable
-from .ground import AdmissibleSet, canonical_labels, signed_ground, signed_masks
+from .ground import AdmissibleSet, block_labels, canonical_blocks, signed_ground, signed_masks
 from .matroid import Gf2SymMatrix, Matroid, render_subset
 
 
@@ -170,9 +171,9 @@ def _parse_gf2(lines) -> Gf2SymMatrix:
 def _ranktable_as_written(text: str) -> RankTable | None:
     """The table when the text is a rank table as ``serialize_value`` writes it, else None.
 
-    One check over the body, ``_TABLE_SLICE`` lines at a time: the heads
-    before ": " are the canonical labels, and ``int`` reads every tail.  Any
-    other text, comments and blank lines included, is left to the line
+    One check over the body, a block of ``canonical_blocks`` at a time: the
+    heads before ": " are the block's labels, and ``int`` reads every tail.
+    Any other text, comments and blank lines included, is left to the line
     parse, which accepts the same tables and words every error.
     """
     if not text.startswith("ranktable"):
@@ -185,13 +186,13 @@ def _ranktable_as_written(text: str) -> RankTable | None:
         n = int(head[1])
     except ValueError:  # more digits than int reads
         return None
-    labels = canonical_labels(n)  # trips the size guard, as the line parse would
-    if len(raw_lines) != len(labels) + 1:
+    blocks = canonical_blocks(n)  # trips the size guard before the body is read, as the line parse does
+    if len(raw_lines) != 3**n + 1:
         return None
-    values = []
-    for i in range(0, len(labels), _TABLE_SLICE):
-        parts = list(map(str.partition, raw_lines[i + 1 : i + 1 + _TABLE_SLICE], repeat(": ")))
-        if tuple(map(itemgetter(0), parts)) != labels[i : i + _TABLE_SLICE]:
+    body, values = islice(raw_lines, 1, None), []
+    for _, label, _, labels, _ in blocks:
+        parts = list(map(str.partition, islice(body, len(labels)), repeat(": ")))
+        if tuple(map(itemgetter(0), parts)) != block_labels(label, labels):
             return None
         try:
             values += map(int, map(itemgetter(2), parts))
@@ -205,10 +206,11 @@ def _parse_ranktable(lines) -> RankTable:
     if len(head) != 2:
         raise _fail(lineno, "header must be 'ranktable <n>'")
     n = _int(head[1], lineno, "ground size")
-    labels = canonical_labels(n)
+    blocks = canonical_blocks(n)  # trips the size guard before the body is read
     body = lines[1:]
-    if len(body) != len(labels):
-        raise _fail(lineno, f"expected {len(labels)} table lines, got {len(body)}")
+    if len(body) != 3**n:
+        raise _fail(lineno, f"expected {3**n} table lines, got {len(body)}")
+    labels = chain.from_iterable(block_labels(label, labels) for _, label, _, labels, _ in blocks)
     values = []
     for (lineno, tokens), label in zip(body, labels):
         joined = " ".join(tokens)
@@ -250,16 +252,13 @@ def serialize_value(value) -> str:
             lines.append(" ".join(str(row >> j & 1) for j in range(value.n)))
         return "\n".join(lines) + "\n"
     if isinstance(value, RankTable):
-        return "".join(ranktable_chunks(value))
+        return "".join(ranktable_chunks(value.n, value.values))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-_TABLE_SLICE = 1 << 16  # lines per piece: the CLI holds one piece of text at a time, not the table's
-
-
-def ranktable_chunks(table: RankTable) -> Iterator[str]:
-    """The text of ``serialize_value(table)``: the header, then pieces of ``_TABLE_SLICE`` lines."""
-    yield f"ranktable {table.n}\n"
-    labels, values, step = canonical_labels(table.n), table.values, _TABLE_SLICE
-    for i in range(0, len(values), step):
-        yield "".join(map("{}: {}\n".format, labels[i : i + step], values[i : i + step]))
+def ranktable_chunks(n: int, values: Iterable[int]) -> Iterator[str]:
+    """The text of a rank table with these values in canonical order: the header, then one piece per block."""
+    yield f"ranktable {n}\n"
+    values = iter(values)
+    for _, label, _, labels, _ in canonical_blocks(n):
+        yield "".join(map("{}: {}\n".format, block_labels(label, labels), islice(values, len(labels))))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_GUARD_LIMIT = 16
 GUARD_ENV = "DELTAMAT_GUARD_LIMIT"
@@ -185,32 +185,67 @@ def dot(s: AdmissibleSet, t: AdmissibleSet) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def canonical_codes(n: int) -> tuple[int, ...]:
-    """Base-3 code of each set in canonical order (size, then signed lex).
+TAIL_WIDTH = 9  # a block's tail ranges over the top indices, so it holds at most 3^9 sets
 
-    The code of S is sum(state_i * 3^i) over indices i = 0..n-1, where state
-    0 leaves index i+1 out, 1 takes it unbarred and 2 takes it barred.  The
-    k-sets on indices i+1 and up are +(i+1), then -(i+1), each followed by the
-    (k-1)-sets above i+1, then the k-sets above i+1.  Rank tables are computed
-    in code order and read out through this permutation.
+
+def _walk(low: int, high: int) -> list[tuple[int, str, int]]:
+    """(code, label, size) of each set on the indices low+1..high in the order +i, -i, skip i, lowest i first."""
+    sets = [(0, "", 0)]
+    for i in reversed(range(low, high)):  # index i + 1, as code unit and label element, before the sets above it
+        signed = ((3**i, str(i + 1)), (2 * 3**i, str(-i - 1)))
+        sets = [(u + c, f"{e} {x}" if x else e, k + 1) for u, e in signed for c, x, k in sets] + sets
+    return sets
+
+
+@lru_cache(maxsize=None)
+def _tails(n: int) -> tuple[tuple[tuple[int, ...], tuple[str, ...], Callable[[Sequence], tuple]], ...]:
+    """(codes, labels, read) of the sets of each size on the top ``TAIL_WIDTH`` indices; all sets at n <= TAIL_WIDTH."""
+    check_guard(n)
+    if n < 0:
+        raise ValueError("ground size must be non-negative")
+    low = max(n - TAIL_WIDTH, 0)
+    sets = sorted(_walk(low, n), key=itemgetter(2))  # by size, each size in walk order
+    tails, stride = [], 3**low
+    for group in [list(group) for _, group in groupby(sets, itemgetter(2))] if low else [sets]:
+        codes, labels, _ = zip(*group)
+        local = [c // stride for c in codes]  # itemgetter of one code, which is 0, would give a scalar
+        tails.append((codes, labels, itemgetter(*local) if len(local) > 1 else lambda seq: (seq[0],)))
+    return tuple(tails)
+
+
+def canonical_blocks(n: int) -> Iterator[tuple]:
+    """The canonical order (size, then signed lex) in blocks: (prefix code and label, tail codes, labels and read).
+
+    Among the sets of one size, ``_walk`` order is canonical, so size k is walked as the prefixes on the indices
+    1..n - TAIL_WIDTH, each with the tail of the k - |prefix| sets above them: codes prefix + tail codes, labels
+    ``block_labels``, values ``read(by_code[prefix::3^(n - TAIL_WIDTH)])`` (``canonical_reads``).  At n <= TAIL_WIDTH
+    one block holds the whole order.  Checks the guard before the caller reads anything.
     """
     check_guard(n)
-    by_size = [[0]] + [[] for _ in range(n)]  # by_size[k]: the k-sets on the indices so far
-    for i in reversed(range(n)):
-        unit = 3**i
-        for k in range(n - i, 0, -1):  # by_size[k - 1] still ranges above i
-            tails = by_size[k - 1]
-            by_size[k] = [unit + c for c in tails] + [2 * unit + c for c in tails] + by_size[k]
-    return tuple(chain.from_iterable(by_size))
+    tails, heads = _tails(n), _walk(0, n - TAIL_WIDTH)  # heads: the prefixes
+    return ((code, label, *tails[k - s]) for k in range(n + 1) for code, label, s in heads if 0 <= k - s < len(tails))
 
 
-@lru_cache(maxsize=None)
-def canonical_order(n: int) -> Callable[[Sequence], tuple]:
-    """Reads a sequence indexed by base-3 code out in canonical order, as a tuple."""
-    check_guard(n)
-    codes = canonical_codes(n)
-    return itemgetter(*codes) if n else lambda by_code: (by_code[0],)  # itemgetter of one code gives a scalar
+def block_labels(label: str, labels: tuple[str, ...]) -> tuple[str, ...]:
+    """The ``render()`` of a block's sets: the prefix's label, then each tail label."""
+    return tuple(f"{label} {x}" if x else label for x in labels) if label else labels
+
+
+def canonical_reads(n: int, by_code: Sequence) -> Iterator[tuple]:
+    """A sequence indexed by code, read out one block at a time; a block reads a slice, a view of a memoryview."""
+    blocks, stride = canonical_blocks(n), 3 ** max(n - TAIL_WIDTH, 0)
+    return (read(by_code[code::stride]) for code, _, _, _, read in blocks)
+
+
+def canonical_tuple(n: int, by_code: Sequence) -> tuple:
+    """A sequence indexed by code as one tuple in canonical order: at n <= TAIL_WIDTH, the one block's read."""
+    reads = canonical_reads(n, by_code)
+    return next(reads) if n <= TAIL_WIDTH else tuple(chain.from_iterable(reads))
+
+
+def walk_codes(n: int) -> Iterator[int]:
+    """Every code in canonical order, one block at a time."""
+    return chain.from_iterable(map(c.__add__, tail) if c else tail for c, _, tail, _, _ in canonical_blocks(n))
 
 
 @lru_cache(maxsize=None)
@@ -287,28 +322,10 @@ def set_of_code(n: int, code: int) -> AdmissibleSet:
     return AdmissibleSet(n, pos, neg)
 
 
-@lru_cache(maxsize=None)
-def canonical_labels(n: int) -> tuple[str, ...]:
-    """``render()`` of each set in canonical order, built from the codes, not from sets.
-
-    By code, index i joins the labels so far as ``i`` (code + 3^(i-1)) and as
-    ``-i`` (code + 2·3^(i-1)); it is the largest index yet, so it goes last.
-    """
-    check_guard(n)
-    if n < 0:
-        raise ValueError("ground size must be non-negative")
-    labels = [""]
-    for i in range(1, n + 1):
-        plus, minus = str(i), str(-i)
-        labels += [f"{x} {plus}" if x else plus for x in labels] + [f"{x} {minus}" if x else minus for x in labels]
-    return tuple(map(labels.__getitem__, canonical_codes(n)))
-
-
-@lru_cache(maxsize=None)
 def enumerate_admissible(n: int) -> tuple[AdmissibleSet, ...]:
-    """All 3^n admissible sets in canonical order, decoded from ``canonical_codes``."""
+    """All 3^n admissible sets in canonical order, decoded from ``walk_codes``; not cached."""
     pos, neg = code_masks(n)
-    return tuple(AdmissibleSet(n, pos[c], neg[c]) for c in canonical_codes(n))
+    return tuple(AdmissibleSet(n, pos[c], neg[c]) for c in walk_codes(n))
 
 
 @dataclass(frozen=True)

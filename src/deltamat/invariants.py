@@ -20,8 +20,11 @@ from itertools import compress
 from operator import or_
 from typing import Iterator
 
-from .deltamatroid import DeltaMatroid, distance_layers, plane_flags
-from .ground import AdmissibleSet, canonical_labels, check_guard, code_planes, mask_reversals
+from .deltamatroid import DeltaMatroid, _lanes, distance_layers, plane_codes
+from .ground import (
+    AdmissibleSet, block_labels, canonical_blocks, canonical_reads, check_guard, code_planes, mask_reversals,
+    set_of_code,
+)
 from .poly import MultiPoly
 from .rankfn import AxiomReport, Violation
 
@@ -213,14 +216,15 @@ def _active_planes(d: DeltaMatroid) -> tuple[int, list[int]]:
     return independent, active
 
 
-def independent_activities(d: DeltaMatroid) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(canonical position, active indices) of every independent set, each plane read out once, in canonical order."""
+def independent_activities(d: DeltaMatroid) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(label, active indices) of every independent set in canonical order, read block by block from byte lanes."""
     independent, active = _active_planes(d)
-    flags = plane_flags(d.n, independent)
-    columns = [bytes(compress(plane_flags(d.n, plane), flags)) for plane in active]
-    indices = range(1, d.n + 1)
-    for p, *row in zip(compress(range(len(flags)), flags), *columns):
-        yield p, tuple(compress(indices, row))
+    n, total = d.n, 3**d.n
+    lanes = [canonical_reads(n, memoryview(_lanes(p, total).to_bytes(total, "little"))) for p in (independent, *active)]
+    indices = range(1, n + 1)
+    for (_, label, _, labels, _), flags, *columns in zip(canonical_blocks(n), *lanes):
+        for name, *row in compress(zip(block_labels(label, labels), *columns), flags):
+            yield name, tuple(compress(indices, row))
 
 
 def activity(d: DeltaMatroid, iset: AdmissibleSet) -> ActivityRecord:
@@ -289,7 +293,7 @@ def activity_zero_complex(d: DeltaMatroid) -> ComplexReport:
         drops |= (faces & one) >> step | (faces & one << step) >> 2 * step
         bad |= faces & (one & ~faces << step | one << step & ~faces << 2 * step)
     if bad:
-        first = canonical_labels(n)[plane_flags(n, bad).index(1)]
+        first = set_of_code(n, next(plane_codes(n, bad))).render()
         raise RuntimeError("activity-zero sets are not downward closed at {%s}" % first)
     maximal = faces & ~drops
     counts = tuple(filter(None, ((faces & size).bit_count() for size in sizes)))  # {} is a face: sizes 0..top

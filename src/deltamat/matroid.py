@@ -13,20 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .deltamatroid import DeltaMatroid, distance_layers, max_plus_dot, plane_flags, signed_rank_by_code
-from .ground import (
-    AdmissibleSet,
-    GuardLimitError,
-    canonical_codes,
-    check_guard,
-    element_key,
-    set_of_code,
-    signed_ground,
-    submasks,
-)
+from .deltamatroid import DeltaMatroid, distance_layers, max_plus_dot, plane_codes, signed_rank_by_code
+from .ground import AdmissibleSet, GuardLimitError, check_guard, element_key, set_of_code, signed_ground, submasks
 from .poly import MultiPoly, poly_u_v
 from .rankfn import AxiomReport, Violation
 
@@ -358,7 +349,7 @@ def enveloping_check(m: Matroid, d: DeltaMatroid) -> AxiomReport:
             out.append(Violation("basis-folds-outside", (basis,), 0, 1))
     if not out:
         in_m = sum(1 << c for c in set().union(*(_admissible_subsets(n, b) for b in bases)))  # a plane
-        for c in compress(canonical_codes(n), plane_flags(n, independent ^ in_m)):
+        for c in plane_codes(n, independent ^ in_m):
             out.append(Violation("independents-differ", (set_of_code(n, c),), in_m >> c & 1, independent >> c & 1))
     return AxiomReport.from_violations(out)
 

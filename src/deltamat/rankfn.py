@@ -9,11 +9,11 @@ clearing denominators.
 Each checker reads its table once into base-3 code order (``_by_code``)
 and indexes it by code from then on.  Three generators, ``pair_codes``,
 ``step_codes`` and ``diamond_codes``, name the sets each axiom compares, as
-codes, in canonical order, and each inequality is written once; the
-violation listings and the exhaustive search in ``enumerate_h_tables`` read
-them.  Canonical order is applied only where it shows: the order in which
-violations are listed, and the tables ``enumerate_h_tables`` returns.  The
-pass/fail verdict reads the same inequalities as marginals (below).
+codes, and each inequality is written once; the violation listings and the
+exhaustive search in ``enumerate_h_tables`` read them.  Canonical order,
+walked block by block (``ground.walk_codes``), shows only in the order in
+which violations are listed and in the tables ``enumerate_h_tables`` returns.
+The pass/fail verdict reads the same inequalities as marginals (below).
 
 Every pairwise axiom has the form
 
@@ -65,7 +65,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .deltamatroid import DeltaMatroid, RankTable, _size_lanes, all_full_size_masks
 from .ground import (
-    AdmissibleSet, canonical_codes, canonical_order, code_masks, element_key, mask_weights, set_of_code, submasks
+    AdmissibleSet, canonical_tuple, code_masks, element_key, mask_weights, set_of_code, submasks, walk_codes
 )
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
@@ -115,7 +115,7 @@ _PAIR_AXIOMS = {
 def _by_code(table: RankTable) -> list[int]:
     """The table's values indexed by base-3 code: the one read of its canonical order."""
     v = [0] * len(table.values)
-    for code, value in zip(canonical_codes(table.n), table.values):
+    for code, value in zip(walk_codes(table.n), table.values):
         v[code] = value
     return v
 
@@ -128,7 +128,7 @@ def pair_codes(n: int) -> Iterator[tuple[int, int, int, int, int]]:
     signs, which the join drops.
     """
     pos, neg = code_masks(n)
-    masks = [(c, pos[c], neg[c]) for c in canonical_codes(n)]
+    masks = [(c, pos[c], neg[c]) for c in walk_codes(n)]
     weight = mask_weights(n)
     for s, spos, sneg in masks:
         for t, tpos, tneg in masks:
@@ -145,7 +145,7 @@ def step_codes(n: int) -> Iterator[tuple[int, int, int, int]]:
     ``plus`` and ``minus`` are the codes of x with k and with -k added.
     """
     units = [3**e for e in range(n)]
-    for code in canonical_codes(n):
+    for code in walk_codes(n):
         for k, unit in enumerate(units, start=1):
             if not code // unit % 3:
                 yield code, k, code + unit, code + 2 * unit
@@ -160,7 +160,7 @@ def diamond_codes(n: int) -> Iterator[tuple[int, int, int, int, int]]:
     σ and τ.
     """
     units = [3**e for e in range(n)]
-    for code in canonical_codes(n):
+    for code in walk_codes(n):
         free = [unit for unit in units if not code // unit % 3]
         for p, a in enumerate(free):
             for b in free[p + 1 :]:
@@ -283,14 +283,14 @@ def check_g_axioms(g: RankTable) -> AxiomReport:
     sizes = _size_lanes(n).to_bytes(len(v), "little")  # |S| by code
     local = _local_summary(n, v)
     paired = _pair_axiom_holds(local, "g")
-    bounded = all(abs(v[c]) <= 1 for c in canonical_codes(n)[1 : 2 * n + 1])  # the 2n singletons
+    bounded = all(abs(v[sign * 3**i]) <= 1 for i in range(n) for sign in (1, 2))  # the 2n singletons
     parity = not any(map((1).__and__, map(xor, v, sizes)))  # value - size is odd where value ^ size is
     if paired and bounded and parity and v[0] == 0:
         return AxiomReport(True, (), local.even)
     out: list[Violation] = []
     if v[0] != 0:
         out.append(Violation("normalization", _witness(n, 0), v[0], 0))
-    for c in canonical_codes(n):
+    for c in walk_codes(n):
         size, value = sizes[c], v[c]
         if size == 1 and abs(value) > 1:
             out.append(Violation("boundedness", _witness(n, c), 1, abs(value)))
@@ -319,7 +319,7 @@ def check_h_axioms(h: RankTable, system: str) -> AxiomReport:
     n, v = h.n, _by_code(h)
     local = _local_summary(n, v)
     paired = _pair_axiom_holds(local, system)
-    singletons = canonical_codes(n)[1 : 2 * n + 1]  # the 2n one-element sets, in canonical order
+    singletons = [sign * 3**i for i in range(n) for sign in (1, 2)]  # the 2n one-element sets, in canonical order
     if system == "larson":  # boundedness
         others_hold = {v[c] for c in singletons} <= {0, 1}
     else:
@@ -362,7 +362,7 @@ def enumerate_h_tables(n: int, system: str) -> list[RankTable]:
     """
     if system not in ("bouchet", "allys"):
         raise ValueError("exhaustive enumeration supports the bouchet and allys systems")
-    codes = canonical_codes(n)
+    codes = list(walk_codes(n))
     count = len(codes)
     below: list[list[int]] = [[] for _ in range(count)]
     for x, _, plus, minus in step_codes(n):
@@ -383,7 +383,7 @@ def enumerate_h_tables(n: int, system: str) -> list[RankTable]:
 
     def walk(p: int) -> None:
         if p == count:
-            out.append(RankTable(n, canonical_order(n)(values)))
+            out.append(RankTable(n, canonical_tuple(n, values)))
             return
         code = codes[p]
         steps = [_unit_step(values, x) for x in below[code]]
@@ -417,7 +417,7 @@ def greedy_check(d: DeltaMatroid) -> AxiomReport:
     n, full = d.n, (1 << d.n) - 1
     pos, neg = code_masks(n)
     out: list[Violation] = []
-    for c in canonical_codes(n):
+    for c in walk_codes(n):
         tp, tn = pos[c], neg[c]
         overlaps = [((tp & p).bit_count() + (tn & ~p & full).bit_count()) for p in d.feasible]
         best_t = max(overlaps)

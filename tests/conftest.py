@@ -1,9 +1,10 @@
+import functools
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
-from deltamat import AdmissibleSet, DeltaMatroid, deltamatroid, enumerate_admissible
+from deltamat import AdmissibleSet, DeltaMatroid, deltamatroid, ground
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +32,8 @@ def free1() -> DeltaMatroid:
 def built_sets(monkeypatch) -> list[AdmissibleSet]:
     """Every AdmissibleSet constructed while the test runs, in order.
 
-    Counted through a patched ``__post_init__``; the ``enumerate_admissible``
-    cache starts empty, so a call to it shows up as 3^n sets.
+    Counted through a patched ``__post_init__``; ``enumerate_admissible`` is
+    not cached, so a call to it shows up as 3^n sets.
     """
     built: list[AdmissibleSet] = []
     check = AdmissibleSet.__post_init__
@@ -42,8 +43,38 @@ def built_sets(monkeypatch) -> list[AdmissibleSet]:
         built.append(self)
 
     monkeypatch.setattr(AdmissibleSet, "__post_init__", counting)
-    enumerate_admissible.cache_clear()
     return built
+
+
+@functools.cache
+def canonical_codes(n: int) -> tuple[int, ...]:
+    """Base-3 code of each set in canonical order (size, then signed lex): the oracle for ``ground.canonical_blocks``.
+
+    The code of S is sum(state_i * 3^i) over indices i = 0..n-1, where state
+    0 leaves index i+1 out, 1 takes it unbarred and 2 takes it barred.  The
+    k-sets on indices i+1 and up are +(i+1), then -(i+1), each followed by the
+    (k-1)-sets above i+1, then the k-sets above i+1.
+    """
+    by_size = [[0]] + [[] for _ in range(n)]  # by_size[k]: the k-sets on the indices so far
+    for i in reversed(range(n)):
+        unit = 3**i
+        for k in range(n - i, 0, -1):  # by_size[k - 1] still ranges above i
+            tails = by_size[k - 1]
+            by_size[k] = [unit + c for c in tails] + [2 * unit + c for c in tails] + by_size[k]
+    return tuple(chain.from_iterable(by_size))
+
+
+@pytest.fixture
+def tail_width(monkeypatch):
+    """Sets ``ground.TAIL_WIDTH`` for one test, with the tails rebuilt for it and again after it."""
+
+    def set_width(width: int) -> None:
+        monkeypatch.setattr(ground, "TAIL_WIDTH", width)
+        ground._tails.cache_clear()
+
+    yield set_width
+    monkeypatch.undo()
+    ground._tails.cache_clear()
 
 
 def sset(n: int, *elements: int) -> AdmissibleSet:

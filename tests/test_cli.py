@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import io
 import json
+import operator
 import os
 import random
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from deltamat import cli
+from deltamat import cli, ground
 from deltamat.deltamatroid import RankTable
 from deltamat.formats import parse_document, serialize_value
 from deltamat.lorentzian import InequalityCheck, LogConcavityReport
@@ -162,6 +164,17 @@ def test_constructions_guard_before_enumerating(tmp_path, capsys):
     # the activity of one set reads at most n(n+1)/2 flipped sets, so it needs no guard
     assert run(["activity", str(big), "--set", "1"]) == (0, "a: 1\nactive: 1\n")
     assert run(["validate", str(big), "--method", "exchange"]) == (0, "PASS\n")
+
+
+def test_table_files_guard_before_reading_the_body(tmp_path, capsys):
+    # a ranktable 17 header trips the guard in the walk before a body line is counted or read,
+    # on the one-pass route (the header first) and on the line parse (a comment first)
+    table = tmp_path / "big.rt"
+    for text in ("ranktable 17\n", "ranktable 17\n: 0\n", "# big\nranktable 17\n: 0\n"):
+        table.write_text(text)
+        for argv in (["axioms-g", str(table)], ["axioms-h", str(table), "--system", "allys"]):
+            assert run(argv) == (3, ""), (text, argv)
+            assert "exceeds the guard limit" in capsys.readouterr().err
 
 
 def test_out_of_memory_is_exit_3_with_a_message(dex_file, capsys, monkeypatch):
@@ -472,6 +485,58 @@ def test_enumerator_and_fvector_output_pinned_at_n9(tmp_path):
     code, out = run(["activity", str(path), "--all"])
     assert (code, len(out.splitlines())) == (0, 18081)
     assert hashlib.sha256(out.encode()).hexdigest() == GF2_9_ACTIVITY_SHA256
+
+
+# recorded from the route that read out through a 3^n index; at n = 11 > TAIL_WIDTH the walk
+# has prefixes on indices 1 and 2, so these cover the blocks the n = 9 pins, one block each, do not
+GF2_11_OUTPUTS = {
+    "rank-table": (177148, "fa67ebd4811eb5784931f473e61a381d5776aadf7c7813c7bc96cc042ca20bd5"),
+    "h-table": (177148, "d718976e23ce8c286ce65e3bb329f876d8da69b5b23dc4b4084c8bc187772bd9"),
+    "activity": (163410, "e70e53a1d3e95332a12d7f04db9343f7a4252c7a30c1bd69f62fdbb1d2e1c63f"),
+}
+
+
+@pytest.fixture()
+def gf2_11_file(tmp_path):
+    d = random_valid(random.Random(11), 11, "gf2")
+    assert len(d.feasible) == 967
+    path = tmp_path / "gf2-11.dm"
+    path.write_text(serialize_value(d))
+    return str(path)
+
+
+def test_block_readouts_pinned_at_n11(gf2_11_file):
+    for command, (lines, digest) in GF2_11_OUTPUTS.items():
+        code, out = run([command, gf2_11_file] + (["--all"] if command == "activity" else []))
+        assert (code, len(out.splitlines())) == (0, lines), command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def _widest(obj) -> int:
+    """The most entries of any tuple or list that obj holds, through tuples, lists and itemgetters."""
+    if isinstance(obj, operator.itemgetter):
+        obj = gc.get_referents(obj)
+    if not isinstance(obj, (tuple, list)):
+        return 0
+    return max([len(obj), *map(_widest, obj)])
+
+
+def test_no_cache_holds_an_entry_per_set(gf2_11_file, tmp_path):
+    # the read-out walks blocks of at most 3^9 sets: after the table, activity and axiom
+    # commands at n = 11, no lru_cache of deltamat holds 3^11 codes, labels or getter items
+    table = tmp_path / "g.rt"
+    code, out = run(["rank-table", gf2_11_file])
+    table.write_text(out)
+    assert run(["h-table", gf2_11_file])[0] == run(["activity", gf2_11_file, "--all"])[0] == 0
+    assert run(["axioms-g", str(table)]) == (0, "PASS\neven-criterion: no\n")
+    cached = [
+        cache[11]
+        for module in [m for name, m in sys.modules.items() if name.startswith("deltamat")]
+        for wrapper in vars(module).values() if hasattr(wrapper, "cache_info")
+        for cache in gc.get_referents(wrapper) if isinstance(cache, dict) and 11 in cache
+    ]
+    assert any(value is ground._tails(11) for value in cached)  # the commands walked the canonical order
+    assert max(map(_widest, cached)) <= 3**9
 
 
 def test_example15_compare(tmp_path):

@@ -18,7 +18,6 @@ from deltamat.ground import (
     AdmissibleSet,
     GuardLimitError,
     SignedPermutation,
-    canonical_codes,
     code_masks,
     code_planes,
     combine,
@@ -27,7 +26,7 @@ from deltamat.ground import (
 )
 from deltamat.randgen import random_signed_permutation, random_valid
 
-from conftest import max_plus_rank_by_code, oracle_families, sset
+from conftest import canonical_codes, max_plus_rank_by_code, oracle_families, sset
 
 
 def all_valid(n):

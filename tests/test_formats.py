@@ -1,9 +1,10 @@
 import random
+from itertools import chain
 
 import pytest
 
 from deltamat import formats
-from deltamat.deltamatroid import DeltaMatroid, RankTable
+from deltamat.deltamatroid import DeltaMatroid, RankTable, g_lanes, h_lanes
 from deltamat.formats import (
     ParseError,
     _feasible_mask,
@@ -14,7 +15,7 @@ from deltamat.formats import (
     ranktable_chunks,
     serialize_value,
 )
-from deltamat.ground import AdmissibleSet
+from deltamat.ground import AdmissibleSet, canonical_reads
 from deltamat.matroid import Gf2SymMatrix, Matroid, upper_matroid
 from deltamat.randgen import random_valid
 
@@ -166,17 +167,19 @@ def test_gf2_round_trip():
         parse_document("gf2 2\n0 1\n0 0\n")  # not symmetric
 
 
-def test_ranktable_chunks_join_to_the_serialized_text(tripod, monkeypatch):
-    # the CLI streams these pieces; any slice size gives the one text
+def test_ranktable_chunks_join_to_the_serialized_text(tripod, tail_width):
+    # the CLI streams one piece per block from the lanes by code; any tail width gives the one text
     zero = DeltaMatroid(0, [0])
     assert serialize_value(zero.rank_table()) == "ranktable 0\n: 0\n"
-    for table in (zero.rank_table(), tripod.rank_table(), tripod.h_table()):
-        lines = [f"ranktable {table.n}"] + [f"{s.render()}: {v}" for s, v in table.items()]
-        text = "\n".join(lines) + "\n"
-        assert serialize_value(table) == text
-        for size in (1, 2, 5, 27):
-            monkeypatch.setattr(formats, "_TABLE_SLICE", size)
-            assert "".join(ranktable_chunks(table)) == text
+    for d in (zero, tripod):
+        h_by_code = h_lanes(d.n, d.feasible).to_bytes(3**d.n, "little")
+        for table, by_code in ((d.rank_table(), g_lanes(d.n, d.feasible)), (d.h_table(), h_by_code)):
+            lines = [f"ranktable {table.n}"] + [f"{s.render()}: {v}" for s, v in table.items()]
+            text = "\n".join(lines) + "\n"
+            for width in (0, 1, 2, 9):
+                tail_width(width)
+                assert serialize_value(table) == text
+                assert "".join(ranktable_chunks(d.n, chain.from_iterable(canonical_reads(d.n, by_code)))) == text
 
 
 def test_ranktable_round_trip(tripod, coloop1):
@@ -281,19 +284,19 @@ def _outcome(parse, text):
         return str(exc)
 
 
-def test_ranktable_whole_body_check_matches_line_parse(monkeypatch):
+def test_ranktable_whole_body_check_matches_line_parse(tail_width):
     def line_parse(text):
         return _parse_ranktable(_logical_lines(text))
 
     def document(text):
         return parse_document(text).value
 
-    # the body is checked a slice at a time; slices of 1, 2 and 4 lines cut the 9 lines everywhere
-    for size in (formats._TABLE_SLICE, 1, 2, 4):
-        monkeypatch.setattr(formats, "_TABLE_SLICE", size)
+    # the body is checked a block at a time; tails of width 0 and 1 cut the 9 lines everywhere
+    for width in (9, 0, 1):
+        tail_width(width)
         for name, (text, whole_body, expected) in _ranktable_variants().items():
-            assert (_ranktable_as_written(text) is not None) == whole_body, (name, size)
-            assert _outcome(document, text) == _outcome(line_parse, text) == expected, (name, size)
+            assert (_ranktable_as_written(text) is not None) == whole_body, (name, width)
+            assert _outcome(document, text) == _outcome(line_parse, text) == expected, (name, width)
 
 
 def test_commented_table_parse_builds_no_sets(monkeypatch):

@@ -8,17 +8,22 @@ from deltamat.ground import (
     AdmissibleSet,
     GuardLimitError,
     SignedPermutation,
-    canonical_codes,
-    canonical_order,
+    _tails,
+    block_labels,
+    canonical_blocks,
+    canonical_reads,
+    canonical_tuple,
     code_planes,
     combine,
     dot,
     enumerate_admissible,
     mask_reversals,
     mask_weights,
+    set_of_code,
+    walk_codes,
 )
 
-from conftest import sset
+from conftest import canonical_codes, sset
 
 
 def admissible_sets(n: int):
@@ -68,6 +73,27 @@ def test_canonical_codes_decode_to_the_canonical_sets():
             assert s.neg == sum(1 << i for i, dg in enumerate(digits) if dg == 2)
 
 
+def test_canonical_blocks_match_the_oracle(tail_width):
+    # blocks of every width give the oracle's codes and labels, and reads by code give the values in that order
+    for n in range(11):
+        codes = canonical_codes(n)
+        labels = [set_of_code(n, c).render() for c in codes]
+        by_code = memoryview(bytes(c % 251 for c in range(3**n)))
+        values = tuple(by_code[c] for c in codes)
+        for width in (0, 1, 3, 9):
+            tail_width(width)
+            blocks = list(canonical_blocks(n))
+            assert tuple(walk_codes(n)) == codes, (n, width)
+            assert [x for _, label, _, tail, _ in blocks for x in block_labels(label, tail)] == labels, (n, width)
+            assert canonical_tuple(n, by_code) == values, (n, width)
+            assert [len(read) for read in canonical_reads(n, by_code)] == [len(tail) for _, _, _, tail, _ in blocks]
+            reads = zip(blocks, canonical_reads(n, range(3**n)))  # a block's codes share its prefix's low digits
+            assert all(c % 3 ** max(n - width, 0) == code for (code, *_), read in reads for c in read), (n, width)
+            assert max(len(tail) for _, _, _, tail, _ in blocks) <= 3**width
+            assert [code + c for code, _, tail, _, _ in blocks for c in tail] == list(codes), (n, width)
+            assert (len(blocks) == 1) == (n <= width)
+
+
 def test_code_planes_mark_digits_and_sizes():
     for n in range(8):
         ones, sizes = code_planes(n)
@@ -89,13 +115,16 @@ def test_mask_tables_match_per_mask_formulas():
 def test_guard_limit_and_override(monkeypatch):
     with pytest.raises(GuardLimitError):
         enumerate_admissible(17)
-    builders = (canonical_codes, canonical_order, code_planes, enumerate_admissible, mask_weights, mask_reversals)
+    builders = (_tails, code_planes, mask_weights, mask_reversals)
     for builder in builders:
         builder(3)  # a cached callee does not check the limit again
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")
     for builder in builders:
         with pytest.raises(GuardLimitError):
             builder.__wrapped__(3)
+    for walk in (canonical_blocks, enumerate_admissible):  # the walk checks it on every call
+        with pytest.raises(GuardLimitError):
+            walk(3)
 
 
 def test_combine_examples():

@@ -221,7 +221,7 @@ def test_activity_examples(tripod):
 def test_activity_zero_faces_match_definitions(tripod):
     # applying the two-step definition by hand over the projections
     report = activity_zero_complex(tripod)
-    rendered = {enumerate_admissible(3)[p].render() for p, active in independent_activities(tripod) if not active}
+    rendered = {label for label, active in independent_activities(tripod) if not active}
     assert rendered == {"", "1", "-1", "2", "-2", "3", "-3",
                         "1 -2", "-1 -2", "2 -3", "-2 -3", "1 -3", "-1 -3"}
     assert report.fvector.counts == (1, 6, 6)
@@ -288,7 +288,7 @@ def test_activities_match_minor_oracle():
         want = [_minor_activity(d, s) for s in independents]
         assert [activity(d, s).active for s in independents] == want, d
         kernel = list(independent_activities(d))
-        assert [enumerate_admissible(d.n)[p] for p, _ in kernel] == list(independents), d
+        assert [label for label, _ in kernel] == [s.render() for s in independents], d
         assert [active for _, active in kernel] == want, d
         expansion = {}
         for s, active in zip(independents, want):
@@ -311,7 +311,7 @@ def test_complex_purity_matches_maximal_face_scan():
             report = activity_zero_complex(d)
             assert report.pure == pure, d
             faces = [s for s in d.independents() if not _minor_activity(d, s)]
-            assert [enumerate_admissible(d.n)[p] for p, active in independent_activities(d) if not active] == faces, d
+            assert [label for label, active in independent_activities(d) if not active] == [f.render() for f in faces], d
             assert report.fvector == FVector.from_sizes([f.size for f in faces]), d
         outcomes.add(pure)
     assert outcomes == {True, False}

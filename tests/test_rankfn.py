@@ -11,7 +11,7 @@ from deltamat import cli, deltamatroid
 from deltamat.acceptance import valid_delta_matroids
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import parse_document, serialize_value
-from deltamat.ground import canonical_codes, combine, enumerate_admissible, set_of_code
+from deltamat.ground import _tails, combine, enumerate_admissible, set_of_code
 from deltamat.invariants import (
     activity_expansion,
     activity_zero_complex,
@@ -48,7 +48,7 @@ from deltamat.rankfn import (
     step_codes,
 )
 
-from conftest import oracle_families, sset
+from conftest import canonical_codes, oracle_families, sset
 
 
 def test_position_kernels_match_set_operations():
@@ -272,11 +272,10 @@ def test_rank_axioms_decide_validity():
     assert {(n, v) for n in range(3, 7) for v in (True, False)} <= verdicts
 
 
-def test_table_paths_build_no_set_objects(tmp_path):
+def test_table_paths_build_no_set_objects(tmp_path, built_sets):
     # set objects are for I/O and violation witnesses only; no table path builds them
     d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
     g_file, h_file = tmp_path / "g.rt", tmp_path / "h.rt"
-    enumerate_admissible.cache_clear()
     g, h = d.rank_table(), d.h_table()
     upoly_direct(d)
     interlace(d)
@@ -293,7 +292,7 @@ def test_table_paths_build_no_set_objects(tmp_path):
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(argv) == 0
         assert out.getvalue().startswith("PASS\n"), argv
-    assert enumerate_admissible.cache_info().misses == 0
+    assert built_sets == []
 
 
 def test_mask_paths_build_only_witness_sets(built_sets, tripod):
@@ -312,22 +311,20 @@ def test_mask_paths_build_only_witness_sets(built_sets, tripod):
     assert not report.passed
     # the pair scan decodes each set once, however many failing pairs it is in
     assert built_sets == list(dict.fromkeys(s for v in report.violations for s in v.sets))
-    assert enumerate_admissible.cache_info().misses == 0
 
 
 def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
     # the recursion runs on mask tuples, interlace on the 2^n cube, and the
     # direct enumerator, the f-vector, the activity counts, the activity-zero
-    # complex and the Lorentzian counts on distance planes: none builds the
-    # 3^n code index, a set object or a g table
+    # complex and the Lorentzian counts on distance planes: none walks the
+    # canonical order (so none builds its tails), a set object or a g table
     d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
 
     def no_table(*args):
         raise AssertionError("rank table built")
 
     monkeypatch.setattr(deltamatroid, "signed_rank_by_code", no_table)
-    for cached in (canonical_codes, enumerate_admissible):
-        cached.cache_clear()
+    _tails.cache_clear()
     interlace(d)
     upoly_recursive(d)
     upoly_direct(d)
@@ -338,8 +335,7 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
     indep_gen_poly(d)
     efls_gen_poly(d)
     assert built_sets == []
-    assert canonical_codes.cache_info().misses == 0
-    assert enumerate_admissible.cache_info().misses == 0
+    assert _tails.cache_info().misses == 0
 
 
 def test_table_paths_run_no_max_plus_transform(monkeypatch):
