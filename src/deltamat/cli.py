@@ -15,7 +15,7 @@ from itertools import chain
 from pathlib import Path
 
 from .deltamatroid import g_lanes, h_lanes
-from .formats import ParseError, parse_document, ranktable_chunks, serialize_value
+from .formats import ParseError, parse_document, ranktable_chunks, ranktable_lane, serialize_value
 from .ground import AdmissibleSet, GuardLimitError, SignedPermutation, canonical_reads, check_guard
 from .invariants import (
     activity,
@@ -44,18 +44,35 @@ from .matroid import (
 )
 from .poly import MultiPoly
 from .randgen import random_delta_matroids
-from .rankfn import H_SYSTEMS, check_g_axioms, check_h_axioms
+from .rankfn import H_SYSTEMS, g_axioms, h_axioms, table_by_code
 
 
-def _load(path: str, kind: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _parse(path: str, text: str, kind: str):
     doc = parse_document(text)
     if doc.kind != kind:
         raise ParseError(f"{path}: expected a {kind} document, found {doc.kind}")
     return doc.value
+
+
+def _load(path: str, kind: str):
+    return _parse(path, _read(path), kind)
+
+
+def _load_by_code(path: str) -> tuple[int, bytes | list[int]]:
+    """A rank-table file's n and values by code: read straight into a lane when written as ``rank-table`` writes it."""
+    text = _read(path)
+    lane = ranktable_lane(text)
+    if lane is not None:
+        return lane
+    table = _parse(path, text, "rank-table")
+    return table.n, table_by_code(table)
 
 
 def _parse_set(n: int, text: str) -> AdmissibleSet:
@@ -234,8 +251,7 @@ def _cmd_from_gf2(args) -> int:
 
 
 def _cmd_axioms_g(args) -> int:
-    table = _load(args.file, "rank-table")
-    report = check_g_axioms(table)
+    report = g_axioms(*_load_by_code(args.file))
     code = _print_report(report)
     if report.passed:
         print(f"even-criterion: {'yes' if report.even else 'no'}")
@@ -243,8 +259,7 @@ def _cmd_axioms_g(args) -> int:
 
 
 def _cmd_axioms_h(args) -> int:
-    table = _load(args.file, "rank-table")
-    return _print_report(check_h_axioms(table, args.system))
+    return _print_report(h_axioms(*_load_by_code(args.file), args.system))
 
 
 def _cmd_envelope(args) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, compress, starmap
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -40,9 +40,18 @@ from .ground import (
 )
 
 
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte with its 8 bits reversed
+
+
 def _mask_key(n: int, pos_mask: int) -> int:
-    # the barred indices as an n-bit int with index 1 on top: +i sorts before -i, index by index
-    return int(f"{~pos_mask & ((1 << n) - 1):0{n}b}"[::-1], 2)
+    """The barred indices as an n-bit int with index 1 on top: +i sorts before -i, index by index.
+
+    The bit reversal of the complement: its bytes, little-endian, with each byte's bits reversed, read
+    big-endian reverse all 8·⌈n/8⌉ bits, and the shift drops the padding.
+    """
+    width = (n + 7) >> 3
+    barred = (~pos_mask & ((1 << n) - 1)).to_bytes(width, "little")
+    return int.from_bytes(barred.translate(_REVERSED_BYTES), "big") >> (8 * width - n)
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ class DeltaMatroid:
     def __init__(self, n: int, feasible_masks: Iterable[int]):
         if n < 0:
             raise ValueError("ground size must be non-negative")
-        masks = sorted(set(feasible_masks), key=lambda m: _mask_key(n, m))
+        masks = sorted(set(feasible_masks), key=partial(_mask_key, n))
         if not masks:
             raise ValueError("a delta-matroid needs at least one feasible set")
         full = (1 << n) - 1
@@ -466,4 +475,4 @@ def _uncertified_pairs(feasible: Sequence[int]) -> Iterator[tuple[int, int]]:
 
 def all_full_size_masks(n: int) -> tuple[int, ...]:
     """Masks of all 2^n admissible sets of full size, canonical order."""
-    return tuple(sorted(range(1 << n), key=lambda m: _mask_key(n, m)))
+    return tuple(sorted(range(1 << n), key=partial(_mask_key, n)))

@@ -10,19 +10,26 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored):
                                         admissible set in canonical order
 
 Serialization always emits canonical order, so parse(serialize(x)) == x.  Rank
-tables are written and read one block of ``ground.canonical_blocks`` at a time.
+tables are written and read one block of ``ground.canonical_blocks`` at a time;
+``ranktable_lane`` reads a table as written straight into a byte lane by code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .deltamatroid import DeltaMatroid, RankTable
-from .ground import AdmissibleSet, block_labels, canonical_blocks, signed_ground, signed_masks
+from .ground import (
+    AdmissibleSet, block_labels, canonical_blocks, check_guard, code_order, signed_ground, signed_masks
+)
 from .matroid import Gf2SymMatrix, Matroid, render_subset
+from .rankfn import LANE_VALUES
+
+_LANE_TOKENS = {str(value): value - LANE_VALUES.start for value in LANE_VALUES}  # a value as written to its lane byte
+_NOT_SEPARATORS = bytes(range(256)).translate(None, b":\n")  # bytes.translate deletes these
+_CHUNK = 1 << 20  # characters of a rank table split into lines at once by ranktable_lane
 
 
 class ParseError(ValueError):
@@ -168,37 +175,95 @@ def _parse_gf2(lines) -> Gf2SymMatrix:
         raise ParseError(f"line 1: {exc}") from None
 
 
+def _written_size(head: str) -> int | None:
+    """n when the line is a header 'ranktable <n>' with n in digits, else None; checks the size guard."""
+    words = head.split()
+    if len(words) != 2 or words[0] != "ranktable" or not (words[1].isascii() and words[1].isdigit()):
+        return None
+    try:
+        n = int(words[1])
+    except ValueError:  # more digits than int reads
+        return None
+    check_guard(n)  # before the body is read, as the line parse does
+    return n
+
+
+def _written_values(n: int, body: Iterator[str]) -> Iterator[list[str] | None]:
+    """The value tokens of each block, read from body lines "<label>: <value>" as ``serialize_value`` writes them.
+
+    A block's lines joined by ": " split at ": " into head, value, head, value, ... when each line holds one ":"
+    (the block with all but its ":" and line breaks deleted shows it) followed by " " (the count of pieces shows
+    it): one C-level split per block and no tuple per line.  A block whose lines are not so, or whose heads are
+    not its labels, yields None.
+    """
+    for _, label, _, labels, _ in canonical_blocks(n):
+        lines = list(islice(body, len(labels)))
+        colons = "\n".join(lines).encode(errors="replace").translate(None, _NOT_SEPARATORS)
+        pieces = ": ".join(lines).split(": ")
+        aligned = colons == b":\n" * (len(lines) - 1) + b":" and len(pieces) == 2 * len(lines)
+        yield pieces[1::2] if aligned and tuple(pieces[0::2]) == block_labels(label, labels) else None
+
+
 def _ranktable_as_written(text: str) -> RankTable | None:
     """The table when the text is a rank table as ``serialize_value`` writes it, else None.
 
-    One check over the body, a block of ``canonical_blocks`` at a time: the
-    heads before ": " are the block's labels, and ``int`` reads every tail.
-    Any other text, comments and blank lines included, is left to the line
-    parse, which accepts the same tables and words every error.
+    One check over the body, a block of ``canonical_blocks`` at a time
+    (``_written_values``), and ``int`` reads every value.  Any other text,
+    comments and blank lines included, is left to the line parse, which
+    accepts the same tables and words every error.
     """
     if not text.startswith("ranktable"):
         return None
     raw_lines = text.splitlines()
-    head = raw_lines[0].split()
-    if len(head) != 2 or head[0] != "ranktable" or not (head[1].isascii() and head[1].isdigit()):
+    n = _written_size(raw_lines[0])
+    if n is None or len(raw_lines) != 3**n + 1:
         return None
-    try:
-        n = int(head[1])
-    except ValueError:  # more digits than int reads
-        return None
-    blocks = canonical_blocks(n)  # trips the size guard before the body is read, as the line parse does
-    if len(raw_lines) != 3**n + 1:
-        return None
-    body, values = islice(raw_lines, 1, None), []
-    for _, label, _, labels, _ in blocks:
-        parts = list(map(str.partition, islice(body, len(labels)), repeat(": ")))
-        if tuple(map(itemgetter(0), parts)) != block_labels(label, labels):
+    values: list[int] = []
+    for tokens in _written_values(n, islice(raw_lines, 1, None)):
+        if tokens is None:
             return None
         try:
-            values += map(int, map(itemgetter(2), parts))
+            values += map(int, tokens)
         except ValueError:
             return None
     return RankTable(n, tuple(values))
+
+
+def ranktable_lane(text: str) -> tuple[int, bytes] | None:
+    """n and the values by base-3 code as a lane (``rankfn.table_by_code``), when the text is exactly what
+    ``serialize_value`` writes for a table whose values all fit a lane; else None, and the caller parses the text.
+
+    The blocks are read as ``_ranktable_as_written`` reads them, from lines split a chunk of the text at a time
+    (``_chunked_lines``), each value token goes to its byte through one dict, and ``ground.code_order`` puts the
+    bytes in code order: no value becomes an int, and no list of the 3^n lines is built.
+    """
+    head = text.find("\n")
+    n = _written_size(text[:head]) if head > 0 else None
+    if n is None or text.count("\n") != 3**n + 1 or not text.endswith("\n"):  # every line ends in "\n"
+        return None
+    canonical = bytearray()
+    for tokens in _written_values(n, _chunked_lines(text, head + 1)):
+        if tokens is None:
+            return None
+        try:
+            canonical += bytes(map(_LANE_TOKENS.__getitem__, tokens))
+        except KeyError:
+            return None
+    return n, bytes(code_order(n, canonical, bytearray(len(canonical))))
+
+
+def _chunked_lines(text: str, start: int) -> Iterator[str]:
+    """The lines of text[start:], split at "\n" about ``_CHUNK`` characters at a time."""
+
+    def pieces() -> Iterator[list[str]]:
+        begin = start
+        while begin < len(text):
+            end = text.find("\n", begin + _CHUNK)
+            end = len(text) if end < 0 else end
+            yield text[begin:end].split("\n")
+            begin = end + 1
+
+    return chain.from_iterable(pieces())
 
 
 def _parse_ranktable(lines) -> RankTable:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, MutableSequence, Sequence
 
 DEFAULT_GUARD_LIMIT = 16
 GUARD_ENV = "DELTAMAT_GUARD_LIMIT"
@@ -188,42 +188,92 @@ def dot(s: AdmissibleSet, t: AdmissibleSet) -> int:
 TAIL_WIDTH = 9  # a block's tail ranges over the top indices, so it holds at most 3^9 sets
 
 
-def _walk(low: int, high: int) -> list[tuple[int, str, int]]:
-    """(code, label, size) of each set on the indices low+1..high in the order +i, -i, skip i, lowest i first."""
-    sets = [(0, "", 0)]
-    for i in reversed(range(low, high)):  # index i + 1, as code unit and label element, before the sets above it
-        signed = ((3**i, str(i + 1)), (2 * 3**i, str(-i - 1)))
-        sets = [(u + c, f"{e} {x}" if x else e, k + 1) for u, e in signed for c, x, k in sets] + sets
-    return sets
+def _walk(low: int, high: int) -> tuple[list[int], list[int]]:
+    """The code and the size of each set on the indices low+1..high in the order +i, -i, skip i, lowest i first."""
+    codes, sizes = [0], [0]
+    for i in reversed(range(low, high)):  # index i + 1, as code unit, before the sets above it
+        codes = [3**i + c for c in codes] + [2 * 3**i + c for c in codes] + codes
+        sizes = [k + 1 for k in sizes] * 2 + sizes
+    return codes, sizes
+
+
+def _walk_labels(low: int, high: int) -> list[str]:
+    """The ``render()`` label of each set of ``_walk(low, high)``, in its order."""
+    labels = [""]
+    for i in reversed(range(low, high)):
+        labels = [f"{e} {x}" if x else e for e in (str(i + 1), str(-i - 1)) for x in labels] + labels
+    return labels
+
+
+def _tail_groups(n: int, sizes: list[int], items: Iterable) -> list[tuple]:
+    """The items of the sets on the top ``TAIL_WIDTH`` indices, in walk order, with these sizes, as the tails: one
+    per size, each in walk order; all sets in one tail, by size, at n <= TAIL_WIDTH."""
+    groups: list[list] = [[] for _ in range(min(n, TAIL_WIDTH) + 1)]
+    for size, item in zip(sizes, items):
+        groups[size].append(item)
+    return [tuple(group) for group in groups] if n > TAIL_WIDTH else [tuple(chain.from_iterable(groups))]
+
+
+def _getter(positions: list[int]) -> Callable[[Sequence], tuple]:
+    """itemgetter of the positions, a tuple even for one position, which itemgetter would give as a scalar."""
+    return itemgetter(*positions) if len(positions) > 1 else lambda seq: (seq[positions[0]],)
 
 
 @lru_cache(maxsize=None)
-def _tails(n: int) -> tuple[tuple[tuple[int, ...], tuple[str, ...], Callable[[Sequence], tuple]], ...]:
-    """(codes, labels, read) of the sets of each size on the top ``TAIL_WIDTH`` indices; all sets at n <= TAIL_WIDTH."""
+def _tails(n: int) -> tuple[tuple[tuple[int, ...], Callable[[Sequence], tuple]], ...]:
+    """(codes, read) of the sets of each size on the top ``TAIL_WIDTH`` indices; all sets at n <= TAIL_WIDTH."""
     check_guard(n)
     if n < 0:
         raise ValueError("ground size must be non-negative")
     low = max(n - TAIL_WIDTH, 0)
-    sets = sorted(_walk(low, n), key=itemgetter(2))  # by size, each size in walk order
-    tails, stride = [], 3**low
-    for group in [list(group) for _, group in groupby(sets, itemgetter(2))] if low else [sets]:
-        codes, labels, _ = zip(*group)
-        local = [c // stride for c in codes]  # itemgetter of one code, which is 0, would give a scalar
-        tails.append((codes, labels, itemgetter(*local) if len(local) > 1 else lambda seq: (seq[0],)))
-    return tuple(tails)
+    codes, sizes = _walk(low, n)
+    return tuple((tail, _getter([c // 3**low for c in tail])) for tail in _tail_groups(n, sizes, codes))
+
+
+@lru_cache(maxsize=None)
+def _tail_labels(n: int) -> tuple[tuple[str, ...], ...]:
+    """The ``render()`` labels of each tail of ``_tails``: built only for the readers that print or check them."""
+    low = max(n - TAIL_WIDTH, 0)
+    return tuple(_tail_groups(n, _walk(low, n)[1], _walk_labels(low, n)))
+
+
+@lru_cache(maxsize=None)
+def _tail_places(n: int) -> Callable[[Sequence], tuple]:
+    """Reads the items of one prefix's sets, its tails in order, into the order of their codes.
+
+    Each prefix of ``canonical_blocks`` meets every tail once, in order, so one getter, the inverse of the
+    tail reads, serves every prefix (``code_order``).
+    """
+    stride = 3 ** max(n - TAIL_WIDTH, 0)
+    local = [c // stride for codes, _ in _tails(n) for c in codes]
+    places = [0] * len(local)
+    for p, c in enumerate(local):
+        places[c] = p
+    return _getter(places)
+
+
+def _blocks(n: int) -> Iterator[tuple[int, int, int]]:
+    """(prefix code, prefix position in ``_walk(0, n - TAIL_WIDTH)``, tail index) of each block, in canonical order.
+
+    Among the sets of one size, ``_walk`` order is canonical, so size k is walked as the prefixes on the indices
+    1..n - TAIL_WIDTH, each with the tail of the k - |prefix| sets above them.  Checks the guard before the caller
+    reads anything.
+    """
+    check_guard(n)
+    tails, heads = len(_tails(n)), list(enumerate(zip(*_walk(0, n - TAIL_WIDTH))))
+    return ((code, h, k - s) for k in range(n + 1) for h, (code, s) in heads if 0 <= k - s < tails)
 
 
 def canonical_blocks(n: int) -> Iterator[tuple]:
     """The canonical order (size, then signed lex) in blocks: (prefix code and label, tail codes, labels and read).
 
-    Among the sets of one size, ``_walk`` order is canonical, so size k is walked as the prefixes on the indices
-    1..n - TAIL_WIDTH, each with the tail of the k - |prefix| sets above them: codes prefix + tail codes, labels
-    ``block_labels``, values ``read(by_code[prefix::3^(n - TAIL_WIDTH)])`` (``canonical_reads``).  At n <= TAIL_WIDTH
-    one block holds the whole order.  Checks the guard before the caller reads anything.
+    A block's sets have codes prefix + tail codes, labels ``block_labels`` and values
+    ``read(by_code[prefix::3^(n - TAIL_WIDTH)])`` (``canonical_reads``).  At n <= TAIL_WIDTH one block holds the
+    whole order.  Checks the guard before the caller reads anything.
     """
-    check_guard(n)
-    tails, heads = _tails(n), _walk(0, n - TAIL_WIDTH)  # heads: the prefixes
-    return ((code, label, *tails[k - s]) for k in range(n + 1) for code, label, s in heads if 0 <= k - s < len(tails))
+    blocks, tails, labels = _blocks(n), _tails(n), _tail_labels(n)
+    heads = _walk_labels(0, n - TAIL_WIDTH)
+    return ((code, heads[h], tails[t][0], labels[t], tails[t][1]) for code, h, t in blocks)
 
 
 def block_labels(label: str, labels: tuple[str, ...]) -> tuple[str, ...]:
@@ -233,8 +283,8 @@ def block_labels(label: str, labels: tuple[str, ...]) -> tuple[str, ...]:
 
 def canonical_reads(n: int, by_code: Sequence) -> Iterator[tuple]:
     """A sequence indexed by code, read out one block at a time; a block reads a slice, a view of a memoryview."""
-    blocks, stride = canonical_blocks(n), 3 ** max(n - TAIL_WIDTH, 0)
-    return (read(by_code[code::stride]) for code, _, _, _, read in blocks)
+    blocks, tails, stride = _blocks(n), _tails(n), 3 ** max(n - TAIL_WIDTH, 0)
+    return (tails[t][1](by_code[code::stride]) for code, _, t in blocks)
 
 
 def canonical_tuple(n: int, by_code: Sequence) -> tuple:
@@ -243,9 +293,26 @@ def canonical_tuple(n: int, by_code: Sequence) -> tuple:
     return next(reads) if n <= TAIL_WIDTH else tuple(chain.from_iterable(reads))
 
 
+def code_order(n: int, canonical: Sequence, by_code: MutableSequence) -> MutableSequence:
+    """Fills ``by_code``, a list or bytearray of 3^n items, from the items in canonical order: the inverse of
+    ``canonical_reads``.  Each prefix's items, gathered from its blocks, go to its codes through one getter."""
+    blocks, tails, stride = _blocks(n), _tails(n), 3 ** max(n - TAIL_WIDTH, 0)
+    parts: dict[int, list] = {}
+    start = 0
+    for code, _, t in blocks:
+        end = start + len(tails[t][0])
+        parts.setdefault(code, []).append(canonical[start:end])
+        start = end
+    place = _tail_places(n)
+    for code, chunks in parts.items():
+        by_code[code::stride] = place(chunks[0] if len(chunks) == 1 else list(chain.from_iterable(chunks)))
+    return by_code
+
+
 def walk_codes(n: int) -> Iterator[int]:
     """Every code in canonical order, one block at a time."""
-    return chain.from_iterable(map(c.__add__, tail) if c else tail for c, _, tail, _, _ in canonical_blocks(n))
+    blocks, tails = _blocks(n), _tails(n)
+    return chain.from_iterable(map(code.__add__, tails[t][0]) if code else tails[t][0] for code, _, t in blocks)
 
 
 @lru_cache(maxsize=None)

@@ -16,12 +16,8 @@ from typing import Sequence
 
 def _reduce(row: list[int]) -> list[int]:
     """Divide the row by the gcd of its entries, a positive factor."""
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return row
-    return [x // g for x in row] if g else row
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def feasible(columns: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:

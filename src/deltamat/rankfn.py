@@ -6,14 +6,17 @@ reported as an informational flag.  All inequalities are evaluated in exact
 integer arithmetic; the halved term in the first h-system is handled by
 clearing denominators.
 
-Each checker reads its table once into base-3 code order (``_by_code``)
-and indexes it by code from then on.  Three generators, ``pair_codes``,
-``step_codes`` and ``diamond_codes``, name the sets each axiom compares, as
-codes, and each inequality is written once; the violation listings and the
-exhaustive search in ``enumerate_h_tables`` read them.  Canonical order,
-walked block by block (``ground.walk_codes``), shows only in the order in
-which violations are listed and in the tables ``enumerate_h_tables`` returns.
-The pass/fail verdict reads the same inequalities as marginals (below).
+Each checker reads its table once into base-3 code order and indexes it by
+code from then on: as a lane, one byte per set (``table_by_code``, or
+``formats.ranktable_lane`` straight from a file), when every value lies in
+``LANE_VALUES``, else as a list (``_by_code``).  Three generators,
+``pair_codes``, ``step_codes`` and ``diamond_codes``, name the sets each
+axiom compares, as codes, and each inequality is written once; the violation
+listings and the exhaustive search in ``enumerate_h_tables`` read them.
+Canonical order, walked block by block (``ground.walk_codes``), shows only in
+the order in which violations are listed and in the tables
+``enumerate_h_tables`` returns.  The pass/fail verdict reads the same
+inequalities as marginals (below).
 
 Every pairwise axiom has the form
 
@@ -47,11 +50,17 @@ f = 2c·v - w·|S| is 2c·d - w, so the step is c·(d+ + d-) >= w, and the
 diamond is d non-increasing when ±j is added to X, the same test for every
 system since w·|S| cancels.  The unit steps (0 <= d <= 1), bouchet's pair
 step (d+ + d- >= 1) and the even criterion (d+ + d- = 0 at |X| = n - 1)
-read the same lists.  Each condition is a C-level ``map`` or ``min`` over
-strided slices, so a passing table costs O(n²·3^n) element operations and
-builds no tuple per pair.  Only a table that fails a condition goes through
-the listings, and a table that fails its pair axiom is scanned over all 9^n
-ordered pairs, which lists its violations in full and in order.
+read the same lists.  On a list, each condition is a C-level ``map`` or
+``min`` over strided slices (``_local_summary``).  On a lane the slices are
+of bytes, and each list of differences is one big-int subtraction of lanes
+whose bytes cannot borrow (``_lane_summary``): ``min``, a byte count and a
+mask of top bits decide each condition, and a passing table costs
+O(n²·3^n) byte operations, builds no int per set and no tuple per pair.
+``_local_summary`` stays as the list route, for tables a lane cannot hold,
+and as the oracle of the lane route.  Only a table that fails a condition
+goes through the listings, on the list of its values, and a table that
+fails its pair axiom is scanned over all 9^n ordered pairs, which lists its
+violations in full and in order.
 """
 
 from __future__ import annotations
@@ -65,7 +74,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .deltamatroid import DeltaMatroid, RankTable, _size_lanes, all_full_size_masks
 from .ground import (
-    AdmissibleSet, canonical_tuple, code_masks, element_key, mask_weights, set_of_code, submasks, walk_codes
+    AdmissibleSet, canonical_tuple, code_masks, code_order, element_key, mask_weights, set_of_code, submasks,
+    walk_codes,
 )
 
 H_SYSTEMS = ("larson", "bouchet", "allys")
@@ -112,12 +122,26 @@ _PAIR_AXIOMS = {
 }
 
 
+# A lane holds a table by base-3 code in bytes, each value v as v + 32: with every byte below 64, no
+# difference that _lane_summary takes wraps a byte.
+LANE_VALUES = range(-32, 32)
+_BIAS = -LANE_VALUES.start
+_LANE_BYTES = {value: value + _BIAS for value in LANE_VALUES}
+_LOW_BIT = bytes(range(2)) * 128  # each byte's lowest bit
+
+
 def _by_code(table: RankTable) -> list[int]:
     """The table's values indexed by base-3 code: the one read of its canonical order."""
-    v = [0] * len(table.values)
-    for code, value in zip(walk_codes(table.n), table.values):
-        v[code] = value
-    return v
+    return code_order(table.n, table.values, [0] * len(table.values))
+
+
+def table_by_code(table: RankTable) -> bytes | list[int]:
+    """The table's values by base-3 code: a lane (``LANE_VALUES``) when every value fits one, else a list."""
+    try:
+        canonical = bytes(map(_LANE_BYTES.__getitem__, table.values))
+    except KeyError:
+        return _by_code(table)
+    return bytes(code_order(table.n, canonical, bytearray(len(canonical))))
 
 
 def pair_codes(n: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -240,6 +264,65 @@ def _nonincreasing(d: list[int], digits: int) -> bool:
     return True
 
 
+def _big(data: bytes) -> int:
+    """The bytes as one int, byte k in bits 8k to 8k + 7."""
+    return int.from_bytes(data, "little")
+
+
+def _lane_summary(n: int, lane: bytes) -> _LocalSummary:
+    """``_local_summary`` on a lane, the same slices taken of bytes and subtracted as big ints.
+
+    With every byte in 0..63, (a1 + 64) - a0 puts d+ + 64 in each byte, 1..127, so no byte
+    borrows from the next; the step bytes d+ + d- + 128 lie in 2..254, and so do the bytes
+    (d at X) - (d at X±j) + 128 that decide the diamonds (``_lane_nonincreasing``).
+    """
+    least_step, unit, diamond, even = inf, True, True, True
+    size = len(lane) // 3
+    half = _big(b"\x40" * size)  # 64 in every byte
+    units = _big(b"\xfe" * size)  # every bit but the lowest of each byte
+    for i in range(n):
+        a0, a1, a2 = lane[0::3], lane[1::3], lane[2::3]
+        lane = a0 + a1 + a2
+        low = _big(a0) - half
+        plus, minus = _big(a1) - low, _big(a2) - low
+        steps = (plus + minus).to_bytes(size, "little")
+        least_step = min(least_step, min(steps) - 128)
+        unit = unit and plus & units == minus & units == half
+        if diamond:
+            d = plus.to_bytes(size, "little") + minus.to_bytes(size, "little")
+            diamond = _lane_nonincreasing(d, n - 1 - i)
+        for _ in range(n - 1):  # keep the X that take every other index
+            steps = steps[1::3] + steps[2::3]
+        even = even and steps.count(128) == len(steps)
+    return _LocalSummary(least_step, unit, diamond, even)
+
+
+def _lane_nonincreasing(d: bytes, digits: int) -> bool:
+    """``_nonincreasing`` on the bytes d + 64: each e0 - e1 + 128 keeps its top bit exactly when e0 >= e1."""
+    top = _big(b"\x80" * (len(d) // 3))
+    for _ in range(digits):
+        e0, e1, e2 = d[0::3], d[1::3], d[2::3]
+        high = _big(e0) + top
+        if (high - _big(e1)) & (high - _big(e2)) & top != top:
+            return False
+        d = e0 + e1 + e2
+    return True
+
+
+def _summary(n: int, by_code: bytes | list[int]) -> _LocalSummary:
+    return _lane_summary(n, by_code) if isinstance(by_code, bytes) else _local_summary(n, by_code)
+
+
+def _listed(by_code: bytes | list[int]) -> list[int]:
+    """The values by code as a list, as the violation listings read them."""
+    return [b - _BIAS for b in by_code] if isinstance(by_code, bytes) else by_code
+
+
+def _singletons(n: int) -> list[int]:
+    """The codes of the 2n one-element sets, in canonical order."""
+    return [sign * 3**i for i in range(n) for sign in (1, 2)]
+
+
 def _steps_hold(local: _LocalSummary, c: int, w: int) -> bool:
     """c·(v[X+i] + v[X-i]) >= 2c·v[X] + w, i.e. c·(d+ + d-) >= w, on every step."""
     return c * local.least_step >= w
@@ -279,14 +362,23 @@ def check_g_axioms(g: RankTable) -> AxiomReport:
     satisfies the midpoint criterion characterizing even delta-matroids; it
     does not affect ``passed``.
     """
-    n, v = g.n, _by_code(g)
-    sizes = _size_lanes(n).to_bytes(len(v), "little")  # |S| by code
-    local = _local_summary(n, v)
+    return g_axioms(g.n, table_by_code(g))
+
+
+def g_axioms(n: int, by_code: bytes | list[int]) -> AxiomReport:
+    """``check_g_axioms`` on the values by base-3 code, a lane or a list (``table_by_code``)."""
+    local = _summary(n, by_code)
+    bias = _BIAS if isinstance(by_code, bytes) else 0  # even, so a value's parity is its byte's
     paired = _pair_axiom_holds(local, "g")
-    bounded = all(abs(v[sign * 3**i]) <= 1 for i in range(n) for sign in (1, 2))  # the 2n singletons
-    parity = not any(map((1).__and__, map(xor, v, sizes)))  # value - size is odd where value ^ size is
-    if paired and bounded and parity and v[0] == 0:
+    bounded = all(abs(by_code[c] - bias) <= 1 for c in _singletons(n))
+    sizes = _size_lanes(n).to_bytes(len(by_code), "little")  # |S| by code
+    if isinstance(by_code, bytes):
+        parity = by_code.translate(_LOW_BIT) == sizes.translate(_LOW_BIT)
+    else:
+        parity = not any(map((1).__and__, map(xor, by_code, sizes)))  # value - size is odd where value ^ size is
+    if paired and bounded and parity and by_code[0] == bias:
         return AxiomReport(True, (), local.even)
+    v = _listed(by_code)
     out: list[Violation] = []
     if v[0] != 0:
         out.append(Violation("normalization", _witness(n, 0), v[0], 0))
@@ -314,18 +406,24 @@ def delta_from_rank(g: RankTable) -> DeltaMatroid:
 
 def check_h_axioms(h: RankTable, system: str) -> AxiomReport:
     """Verify one of the three characterizations of shifted rank functions."""
+    return h_axioms(h.n, table_by_code(h), system)
+
+
+def h_axioms(n: int, by_code: bytes | list[int], system: str) -> AxiomReport:
+    """``check_h_axioms`` on the values by base-3 code, a lane or a list (``table_by_code``)."""
     if system not in H_SYSTEMS:
         raise ValueError(f"unknown h-axiom system {system!r}; pick one of {H_SYSTEMS}")
-    n, v = h.n, _by_code(h)
-    local = _local_summary(n, v)
+    local = _summary(n, by_code)
+    bias = _BIAS if isinstance(by_code, bytes) else 0
     paired = _pair_axiom_holds(local, system)
-    singletons = [sign * 3**i for i in range(n) for sign in (1, 2)]  # the 2n one-element sets, in canonical order
+    singletons = _singletons(n)
     if system == "larson":  # boundedness
-        others_hold = {v[c] for c in singletons} <= {0, 1}
+        others_hold = {by_code[c] - bias for c in singletons} <= {0, 1}
     else:
         others_hold = local.unit and (system != "bouchet" or _steps_hold(local, *_PAIR_STEP))
-    if paired and others_hold and v[0] == 0:
+    if paired and others_hold and by_code[0] == bias:
         return AxiomReport(True, ())
+    v = _listed(by_code)
     out: list[Violation] = []
     if v[0] != 0:
         out.append(Violation(f"{system}-normalization", _witness(n, 0), v[0], 0))

@@ -66,15 +66,19 @@ def canonical_codes(n: int) -> tuple[int, ...]:
 
 @pytest.fixture
 def tail_width(monkeypatch):
-    """Sets ``ground.TAIL_WIDTH`` for one test, with the tails rebuilt for it and again after it."""
+    """Sets ``ground.TAIL_WIDTH`` for one test, with the tails, labels and places rebuilt for it and after it."""
+
+    def clear() -> None:
+        for cached in (ground._tails, ground._tail_labels, ground._tail_places):
+            cached.cache_clear()
 
     def set_width(width: int) -> None:
         monkeypatch.setattr(ground, "TAIL_WIDTH", width)
-        ground._tails.cache_clear()
+        clear()
 
     yield set_width
     monkeypatch.undo()
-    ground._tails.cache_clear()
+    clear()
 
 
 def sset(n: int, *elements: int) -> AdmissibleSet:

@@ -418,6 +418,52 @@ def test_axioms_output_on_spoiled_tables(tmp_path):
             assert run(argv) == (1, SPOILED_OUTPUT[name, system]), (name, system)
 
 
+def _axiom_pin_tables():
+    """(n, kind, values) of the seeded gf2 g and h tables at n = 1..8 and of spoiled copies.
+
+    The shifts, the lowered value at {} and the added sizes keep every pair inequality, so
+    no spoil sends a large table to the 9^n pair scan; the shifts put a value on each lane
+    bound and one past it (31, 32, -32, -33) and at +1000.  At n <= 5 entries are also
+    replaced at random, which breaks pair inequalities too.
+    """
+    for n in range(1, 9):
+        d = random_valid(random.Random(n), n, "gf2")
+        sizes = [s.size for s in ground.enumerate_admissible(n)]
+        rng = random.Random(f"axiom-pins-{n}")
+        for kind, table in (("g", d.rank_table()), ("h", d.h_table())):
+            values = table.values
+            yield n, kind, values
+            yield n, kind, (values[0] - 2,) + values[1:]
+            yield n, kind, tuple(v + (2 if kind == "g" else 1) * s for v, s in zip(values, sizes))
+            for shift in (1000, 31 - max(values), 32 - max(values), -32 - min(values), -33 - min(values)):
+                yield n, kind, tuple(v + shift for v in values)
+            for _ in range(6 if n <= 5 else 0):
+                spoiled = list(values)
+                for k in rng.sample(range(len(values)), rng.randint(1, 2)):
+                    v = spoiled[k]
+                    spoiled[k] = rng.choice((v - 2, v - 1, v + 1, v + 2, -33, -32, 31, 32, -1000, 1000))
+                yield n, kind, tuple(spoiled)
+
+
+# stdout and exit codes as recorded before the checkers read tables into byte lanes
+AXIOM_PINS_SHA256 = "f51562b5ccc207e1f819b31c8eee86437b98f1660076ee08dbfc784142f5e665"
+
+
+def test_axiom_commands_pinned_on_seeded_tables(tmp_path):
+    # axioms-g on g tables and axioms-h for each system on h tables, on both at n <= 4
+    runs = []
+    path = tmp_path / "t.rt"
+    for n, kind, values in _axiom_pin_tables():
+        path.write_text(serialize_value(RankTable(n, values)))
+        commands = [["axioms-g"]] * (kind == "g" or n <= 4)
+        commands += [["axioms-h", "--system", s] for s in ("larson", "bouchet", "allys")] * (kind == "h" or n <= 4)
+        for command in commands:
+            runs.append([n, kind, *command, *run([command[0], str(path), *command[1:]])])
+    assert len(runs) == 600
+    assert sum(code == 0 for *_, code, _ in runs) == 36
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == AXIOM_PINS_SHA256
+
+
 def test_envelope(tmp_path, dex_file):
     d = tmp_path / "u12b.dm"
     d.write_text("n 2\nfeasible 1 -2\nfeasible -1 2\n")

@@ -59,6 +59,12 @@ def test_mask_key_orders_as_sign_tuples():
     for n in range(11):
         masks = range(1 << n)
         assert sorted(masks, key=lambda m: _mask_key(n, m)) == sorted(masks, key=lambda m: signs(n, m)), n
+    # past one byte and at widths that are not a whole number of bytes, on sampled masks
+    rng = random.Random(17)
+    for n in (17, 24, 40):
+        masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(300)]
+        assert sorted(masks, key=lambda m: _mask_key(n, m)) == sorted(masks, key=lambda m: signs(n, m)), n
+        assert all(_mask_key(n, m) == int(f"{~m & ((1 << n) - 1):0{n}b}"[::-1], 2) for m in masks), n
     # the order of the full-size sets in the canonical order of all sets
     for n in range(6):
         assert list(all_full_size_masks(n)) == [s.pos for s in enumerate_admissible(n) if s.size == n]

@@ -13,13 +13,15 @@ from deltamat.formats import (
     _ranktable_as_written,
     parse_document,
     ranktable_chunks,
+    ranktable_lane,
     serialize_value,
 )
 from deltamat.ground import AdmissibleSet, canonical_reads
 from deltamat.matroid import Gf2SymMatrix, Matroid, upper_matroid
 from deltamat.randgen import random_valid
+from deltamat.rankfn import H_SYSTEMS, g_axioms, h_axioms
 
-from conftest import oracle_families, sset
+from conftest import canonical_codes, oracle_families, sset
 
 
 def roundtrip(value):
@@ -309,3 +311,68 @@ def test_commented_table_parse_builds_no_sets(monkeypatch):
     monkeypatch.setattr(AdmissibleSet, "from_elements", refuse)
     assert _ranktable_as_written(text) is None
     assert parse_document(text).value == table
+
+
+def _lane_test_tables():
+    """Seeded gf2 g and h tables at n <= 5, as they are and spoiled: entries changed at random at n <= 4,
+    and at n = 5, where a failing pair axiom is scanned over 9^5 pairs, the value at {} lowered."""
+    rng = random.Random(4242)
+    for n in range(6):
+        d = random_valid(rng, n, "gf2")
+        for table in (d.rank_table(), d.h_table()):
+            values = list(table.values)
+            yield table
+            values[0] -= 2
+            yield RankTable(n, tuple(values))
+            for _ in range(2 if n <= 4 else 0):
+                spoiled = list(table.values)
+                for k in rng.sample(range(len(spoiled)), min(2, len(spoiled))):
+                    spoiled[k] += rng.choice((-2, -1, 1, 2))
+                yield RankTable(n, tuple(spoiled))
+
+
+def _reports(n, by_code):
+    return [
+        (report.passed, report.even, [v.render() for v in report.violations])
+        for report in [g_axioms(n, by_code)] + [h_axioms(n, by_code, system) for system in H_SYSTEMS]
+    ]
+
+
+def _oracle_by_code(table):
+    """The table's values by code, placed through the oracle's canonical order."""
+    v = [0] * len(table.values)
+    for code, value in zip(canonical_codes(table.n), table.values):
+        v[code] = value
+    return v
+
+
+def test_lane_parse_matches_line_parse(tail_width):
+    # the lane parse gathers each prefix's blocks into code order: at tail widths 0, 1 and 3 the tables at
+    # n >= 1 have prefixes, so the multi-block gather runs; verdicts, even flags and listings are those of
+    # the line parse's values, placed by code through the oracle's order
+    cases = []
+    for table in _lane_test_tables():
+        text = serialize_value(table)
+        v = _oracle_by_code(_parse_ranktable(_logical_lines(text)))
+        cases.append((table.n, text, [value + 32 for value in v], _reports(table.n, v)))
+    for width in (9, 0, 1, 3):
+        tail_width(width)
+        for n, text, lane, reports in cases:
+            assert ranktable_lane(text) == (n, bytes(lane)), (text, width)
+            assert _reports(n, bytes(lane)) == reports, (text, width)
+    # any text but the serialized one of a table inside the lane takes the line route, with the same result
+    texts = {name: text for name, (text, _, _) in _ranktable_variants().items()}
+    for value in (-33, 32, 1000):
+        texts[f"value {value}"] = serialize_value(RankTable(1, (0, value, 1)))
+    texts["in range"] = serialize_value(RankTable(1, (0, 31, -32)))
+    for width in (9, 0, 1):
+        tail_width(width)
+        for name, text in texts.items():
+            lane = ranktable_lane(text)
+            assert (lane is not None) == (name in ("as written", "in range")), (name, width)
+            if lane is not None:
+                table = parse_document(text).value
+                assert lane == (table.n, bytes(value + 32 for value in _oracle_by_code(table))), (name, width)
+            else:
+                line_parse = _outcome(lambda text: _parse_ranktable(_logical_lines(text)), text)
+                assert _outcome(lambda text: parse_document(text).value, text) == line_parse, (name, width)

@@ -11,7 +11,7 @@ from deltamat import cli, deltamatroid
 from deltamat.acceptance import valid_delta_matroids
 from deltamat.deltamatroid import DeltaMatroid, RankTable
 from deltamat.formats import parse_document, serialize_value
-from deltamat.ground import _tails, combine, enumerate_admissible, set_of_code
+from deltamat.ground import _tail_labels, _tails, combine, enumerate_admissible, set_of_code, walk_codes
 from deltamat.invariants import (
     activity_expansion,
     activity_zero_complex,
@@ -22,13 +22,16 @@ from deltamat.invariants import (
 )
 from deltamat.lorentzian import efls_gen_poly, indep_gen_poly, is_lorentzian, two_var_ulc_check
 from deltamat.matroid import Gf2SymMatrix, dm_from_gf2, enveloping_check, enveloping_search
+from deltamat.randgen import random_valid
 from deltamat.rankfn import (
     _PAIR_AXIOMS,
     _PAIR_STEP,
     H_SYSTEMS,
+    LANE_VALUES,
     AxiomReport,
     Violation,
     _by_code,
+    _lane_summary,
     _local_pairs,
     _local_summary,
     _pair_axiom_holds,
@@ -42,10 +45,13 @@ from deltamat.rankfn import (
     delta_from_rank,
     diamond_codes,
     enumerate_h_tables,
+    g_axioms,
     greedy_check,
+    h_axioms,
     pair_codes,
     polytope_membership,
     step_codes,
+    table_by_code,
 )
 
 from conftest import canonical_codes, oracle_families, sset
@@ -124,6 +130,45 @@ def test_local_axioms_match_pair_scan():
             passed += local
             failed += not local
     assert passed > 1000 and failed > 1000
+
+
+def _lane_tables(rng, n):
+    """Seeded gf2 g and h tables at ground size n, shifted onto the lane bounds and past them, with entries
+    spoiled by small steps, by values at and past the bounds, and by +-1000."""
+    d = random_valid(rng, n, "gf2")
+    for table in (d.rank_table(), d.h_table()):
+        values = table.values
+        tops, bottoms = (LANE_VALUES[-1], LANE_VALUES[-1] + 1), (LANE_VALUES[0], LANE_VALUES[0] - 1)
+        shifts = (0, 0, 0, *(top - max(values) for top in tops), *(bottom - min(values) for bottom in bottoms))
+        for shift in shifts:
+            spoiled = [v + shift for v in values]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                k = rng.randrange(len(spoiled))
+                spoiled[k] = rng.choice((spoiled[k] - 1, spoiled[k] + 1, -32, 31, -33, 32, -1000, 1000))
+            yield RankTable(n, tuple(spoiled))
+
+
+def test_lane_summary_matches_list_summary():
+    # on every table a lane holds, the lane summary is the list one, and so are the reports; past the
+    # lane bounds the table stays a list.  Reports are compared at n <= 4, as the list route scans a
+    # failing table over all 9^n pairs.
+    rng = random.Random(1729)
+    kinds = {"lane passes": 0, "lane fails": 0, "list": 0}
+    for n in [0, 1, 2, 3, 4] * 8 + [5, 6, 7]:
+        for table in _lane_tables(rng, n):
+            by_code, v = table_by_code(table), _by_code(table)
+            if not isinstance(by_code, bytes):
+                assert by_code == v and not set(table.values) <= set(LANE_VALUES)
+                kinds["list"] += 1
+                continue
+            assert list(by_code) == [x - LANE_VALUES.start for x in v]
+            assert _lane_summary(n, by_code) == _local_summary(n, v), table
+            if n <= 4:
+                reports = [g_axioms(n, by_code)] + [h_axioms(n, by_code, system) for system in H_SYSTEMS]
+                lists = [g_axioms(n, v)] + [h_axioms(n, v, system) for system in H_SYSTEMS]
+                assert list(map(_rendered, reports)) == list(map(_rendered, lists)), table
+                kinds["lane passes" if any(r.passed for r in reports) else "lane fails"] += 1
+    assert min(kinds.values()) >= 50, kinds
 
 
 def _reference_g_report(g):
@@ -336,6 +381,20 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
     efls_gen_poly(d)
     assert built_sets == []
     assert _tails.cache_info().misses == 0
+
+
+def test_code_paths_build_no_tail_labels():
+    # the tables, the walk, the set enumeration and the checkers read codes: only the readers that print
+    # labels or check them against a text build the tail labels
+    d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
+    _tail_labels.cache_clear()
+    g, h = d.rank_table(), d.h_table()
+    assert len(list(walk_codes(5))) == len(enumerate_admissible(5)) == 3**5
+    assert check_g_axioms(g).passed and all(check_h_axioms(h, system).passed for system in H_SYSTEMS)
+    assert delta_from_rank(g) == d
+    assert _tail_labels.cache_info().currsize == 0
+    assert parse_document(serialize_value(g)).value == g
+    assert _tail_labels.cache_info().currsize == 1
 
 
 def test_table_paths_run_no_max_plus_transform(monkeypatch):
