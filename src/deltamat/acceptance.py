@@ -36,7 +36,7 @@ from .lorentzian import (
     conjecture_check,
     indep_gen_poly,
     is_lorentzian,
-    two_var_ulc_from_counts,
+    two_var_ulc_from_report,
 )
 from .matroid import (
     Gf2SymMatrix,
@@ -532,7 +532,7 @@ def criterion_envelope_lorentzian() -> str:
             logconc.all_hold(inequality=2),
             lambda: f"binomial inequality fails for {d!r}: {logconc.failures()}",
         )
-        two_var = two_var_ulc_from_counts(counts, d.n)
+        two_var = two_var_ulc_from_report(logconc)
         ensure(two_var.log_concave, lambda: f"normalized sequence not log-concave for {d!r}")
         ensure(two_var.matches_binomial_inequality, lambda: f"two-variable check disagrees for {d!r}")
     negative = is_lorentzian(MultiPoly(("w1", "w2"), {(2, 0): 1, (0, 2): 1}))

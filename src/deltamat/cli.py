@@ -31,7 +31,7 @@ from .lorentzian import (
     efls_gen_poly,
     indep_gen_poly,
     is_lorentzian,
-    two_var_ulc_from_counts,
+    two_var_ulc_from_report,
 )
 from .matroid import (
     dm_from_gf2,
@@ -307,7 +307,7 @@ def _cmd_logconc(args) -> int:
             print("\n".join(violations))
         else:
             print(f"inequality ({ineq}): holds for all k")
-    two_var = two_var_ulc_from_counts(fv.counts, d.n)
+    two_var = two_var_ulc_from_report(report)
     print(two_var.render())
     print(f"two-variable check agrees with inequality (2): {'yes' if two_var.matches_binomial_inequality else 'no'}")
     if not two_var.matches_binomial_inequality:

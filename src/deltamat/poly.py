@@ -16,10 +16,6 @@ from typing import Iterable, Mapping
 Rational = int | Fraction
 
 
-def _term_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), tuple(-e for e in exps))
-
-
 class MultiPoly:
     """Immutable-by-convention sparse polynomial over the rationals."""
 
@@ -60,7 +56,11 @@ class MultiPoly:
     # -- structure ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]))
+        """The terms in canonical order, ascending degree and then descending exponents.
+
+        Sorted in reverse on (-degree, exponents), so no negated tuple is built per term.
+        """
+        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), kv[0]), reverse=True)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -53,8 +53,9 @@ step (d+ + d- >= 1) and the even criterion (d+ + d- = 0 at |X| = n - 1)
 read the same lists.  On a list, each condition is a C-level ``map`` or
 ``min`` over strided slices (``_local_summary``).  On a lane the slices are
 of bytes, and each list of differences is one big-int subtraction of lanes
-whose bytes cannot borrow (``_lane_summary``): ``min``, a byte count and a
-mask of top bits decide each condition, and a passing table costs
+whose bytes cannot borrow (``_lane_summary``): ``bytes.translate`` to step
+signs, byte counts and a mask of top bits decide each condition, as the
+checks compare the least step only with 0 and 1, and a passing table costs
 O(n²·3^n) byte operations, builds no int per set and no tuple per pair.
 ``_local_summary`` stays as the list route, for tables a lane cannot hold,
 and as the oracle of the lane route.  Only a table that fails a condition
@@ -68,7 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import inf
 from operator import add, ge, sub, xor
 from typing import Iterator, NamedTuple, Sequence
 
@@ -128,6 +128,7 @@ LANE_VALUES = range(-32, 32)
 _BIAS = -LANE_VALUES.start
 _LANE_BYTES = {value: value + _BIAS for value in LANE_VALUES}
 _LOW_BIT = bytes(range(2)) * 128  # each byte's lowest bit
+_STEP_SIGNS = bytes(128) + b"\1" + b"\2" * 127  # a step byte d+ + d- + 128 to 0, 1 or 2 as d+ + d- <, = or > 0
 
 
 def _by_code(table: RankTable) -> list[int]:
@@ -223,7 +224,7 @@ def _unit_step(v, x: int) -> range:
 class _LocalSummary(NamedTuple):
     """What the local conditions read from a table's marginals d+ and d-."""
 
-    least_step: float  # least d+ + d- over every step (X+i, X-i); inf when n = 0
+    least_step: int  # least d+ + d- over every step (X+i, X-i), clamped to -1..1; 1 when n = 0
     unit: bool  # every marginal is 0 or 1
     diamond: bool  # every marginal is non-increasing when ±j is added, j != i
     even: bool  # d+ + d- = 0 wherever |X| = n - 1
@@ -238,13 +239,13 @@ def _local_summary(n: int, v: list[int]) -> _LocalSummary:
     n-1, 0, ..., i-1, lowest first, and the same rotation brings each j > i
     down in turn for its diamonds; each unordered pair {i, j} is read once.
     """
-    least_step, unit, diamond, even = inf, True, True, True
+    least_step, unit, diamond, even = 1, True, True, True
     for i in range(n):
         a0, a1, a2 = v[0::3], v[1::3], v[2::3]
         v = a0 + a1 + a2
         plus, minus = list(map(sub, a1, a0)), list(map(sub, a2, a0))
         steps = list(map(add, plus, minus))
-        least_step = min(least_step, min(steps))
+        least_step = min(least_step, max(min(steps), -1))
         d = plus + minus
         unit = unit and min(d) >= 0 and max(d) <= 1
         diamond = diamond and _nonincreasing(d, n - 1 - i)
@@ -276,7 +277,7 @@ def _lane_summary(n: int, lane: bytes) -> _LocalSummary:
     borrows from the next; the step bytes d+ + d- + 128 lie in 2..254, and so do the bytes
     (d at X) - (d at X±j) + 128 that decide the diamonds (``_lane_nonincreasing``).
     """
-    least_step, unit, diamond, even = inf, True, True, True
+    least_step, unit, diamond, even = 1, True, True, True
     size = len(lane) // 3
     half = _big(b"\x40" * size)  # 64 in every byte
     units = _big(b"\xfe" * size)  # every bit but the lowest of each byte
@@ -286,7 +287,8 @@ def _lane_summary(n: int, lane: bytes) -> _LocalSummary:
         low = _big(a0) - half
         plus, minus = _big(a1) - low, _big(a2) - low
         steps = (plus + minus).to_bytes(size, "little")
-        least_step = min(least_step, min(steps) - 128)
+        signs = steps.translate(_STEP_SIGNS)
+        least_step = min(least_step, -1 if 0 in signs else 0 if 1 in signs else 1)
         unit = unit and plus & units == minus & units == half
         if diamond:
             d = plus.to_bytes(size, "little") + minus.to_bytes(size, "little")
@@ -324,7 +326,10 @@ def _singletons(n: int) -> list[int]:
 
 
 def _steps_hold(local: _LocalSummary, c: int, w: int) -> bool:
-    """c·(v[X+i] + v[X-i]) >= 2c·v[X] + w, i.e. c·(d+ + d-) >= w, on every step."""
+    """c·(v[X+i] + v[X-i]) >= 2c·v[X] + w, i.e. c·(d+ + d-) >= w, on every step.
+
+    Every axiom has 0 <= w <= c, so the least step clamped to -1..1 decides it.
+    """
     return c * local.least_step >= w
 
 

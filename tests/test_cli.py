@@ -817,3 +817,29 @@ def test_construction_outputs_pinned(tmp_path):
     assert len(runs) == 75 + 40 + 61 * 7 + 60 * 10
     digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
     assert digest == CONSTRUCTIONS_SHA256
+
+
+def _lorentzian_pin_instances():
+    """Seeded valid delta-matroids of each distribution and arbitrary families, n = 1-10."""
+    rng = random.Random(2525)
+    for n in range(1, 11):
+        for dist in ("gf2", "twist", "family"):
+            yield random_valid(rng, n, dist)
+        for _ in range(2 if n <= 6 else 1):
+            yield random_family(rng, n)
+
+
+# stdout and exit codes as recorded before the Hessians of full slices were read by underline mask
+LORENTZIAN_PINS_SHA256 = "02c8374999779f5f4f61f4fded26b3e4d70ce4bbc77da401532eeb3070676f67"
+
+
+def test_lorentzian_commands_pinned_on_seeded_instances(tmp_path):
+    runs = []
+    path = tmp_path / "d.dm"
+    for d in _lorentzian_pin_instances():
+        path.write_text(serialize_value(d))
+        for which in ("indep", "efls"):
+            for extra in ([], ["--json"]):
+                runs.append([d.n, which, *extra, *run(["lorentzian", str(path), "--which", which, *extra])])
+    assert len(runs) == 184 and all(code == 0 for *_, code, _ in runs)
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == LORENTZIAN_PINS_SHA256

@@ -83,14 +83,17 @@ def test_generating_polys_match_set_sums():
     dms = [random_valid(rng, n, dist) for n in range(7) for dist in DISTRIBUTIONS for _ in range(3)]
     # arbitrary families: the exchange axiom is not needed for g
     dms += [DeltaMatroid(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))) for n in range(6) for _ in range(8)]
+    # past seven digits the counts are folded as lists; the free delta-matroid has c_U = 2^|U| > 255
+    dms += [random_valid(rng, n, "gf2") for n in (8, 9)] + [DeltaMatroid(n, range(1 << n)) for n in (8, 9)]
     for d in dms:
         assert indep_gen_poly(d) == _indep_poly_by_sets(d), d.feasible
         assert efls_gen_poly(d) == _efls_poly_by_sets(d), d.feasible
 
 
-def _slice_poly(rng, n, deg, masks):
-    """c·w0^(deg - |U|)·w_U over the masks U, with random positive integer c."""
-    terms = {(deg - u.bit_count(),) + tuple((u >> i) & 1 for i in range(n)): rng.randint(1, 3) for u in masks}
+def _slice_poly(rng, n, deg, masks, coef=None):
+    """c·w0^(deg - |U|)·w_U over the masks U, with c = coef(), by default a random integer in 1..3."""
+    coef = coef or (lambda: rng.randint(1, 3))
+    terms = {(deg - u.bit_count(),) + tuple((u >> i) & 1 for i in range(n)): coef() for u in masks}
     return MultiPoly(w_vars(n), terms)
 
 
@@ -468,3 +471,73 @@ def test_two_var_matches_inequality_two_on_random():
     for d, _ in random_delta_matroids(30, 3, seed=5556):
         rep = two_var_ulc_check(d)
         assert rep.matches_binomial_inequality
+
+
+def _seeded_full_slices(rng, count):
+    """Full slices at m <= 5: random signs and fractions, positive fractions, and the multiaffine
+    parts of products of positive linear forms, which are Lorentzian."""
+    for k in range(count):
+        m = rng.randint(0, 5)
+        deg = rng.randint(2, m + 3)
+        masks = [u for u in range(1 << m) if u.bit_count() <= deg]
+        if k % 3 == 0:
+            signed = lambda: Fraction(rng.choice((1, 1, 1, -1)) * rng.randint(1, 9), rng.randint(1, 6))
+            yield _slice_poly(rng, m, deg, masks, signed)
+        elif k % 3 == 1:
+            yield _slice_poly(rng, m, deg, masks, lambda: Fraction(rng.randint(1, 9), rng.randint(1, 6)))
+        else:
+            p = MultiPoly.constant(1, w_vars(m))
+            unit = [tuple(int(i == j) for i in range(m + 1)) for j in range(m + 1)]
+            for _ in range(deg):
+                p = p * MultiPoly(w_vars(m), {e: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for e in unit})
+            yield p.multiaffine_part("w0")
+
+
+def test_mask_route_matches_scatter_route(monkeypatch):
+    # a full slice has its Hessians read by underline mask and most of them settled by the Gershgorin
+    # certificate; the verdict and the first failing (alpha, inertia) must be the scatter route's, and
+    # the full sweep's where it is small enough for the characteristic polynomial
+    import deltamat.lorentzian as lz
+    from deltamat.randgen import random_delta_matroids, random_family
+
+    calls = []
+    real = lz._integer_inertia
+    monkeypatch.setattr(lz, "_integer_inertia", lambda a: calls.append(1) or real(a))
+    rng = random.Random(6262)
+    polys = list(_seeded_full_slices(rng, 1500))
+    for n in range(1, 6):
+        dms = [d for d, _ in random_delta_matroids(6, n, seed=90 + n)] + [random_family(rng, n) for _ in range(6)]
+        polys += [gen(d) for d in dms for gen in (indep_gen_poly, efls_gen_poly)]
+    kinds = {"failing": 0, "certified": 0, "eliminated": 0}
+    for p in polys:
+        assert lz._full_slice(p), p
+        calls.clear()
+        report = is_lorentzian(p)
+        eliminations = len(calls)
+        reference = lz._scatter_witness(p)
+        assert (report.hessian_ok, report.hessian_witness) == (reference is None, reference), p
+        if len(p.variables) <= 4:
+            assert report.hessian_witness == _full_sweep_witness(p), p
+        kinds["failing" if reference else "eliminated" if eliminations else "certified"] += 1
+    assert kinds["failing"] >= 300 and kinds["certified"] >= 300 and kinds["eliminated"] >= 50, kinds
+
+
+def test_certificate_settles_gf2_independence_polynomials(monkeypatch):
+    # no elimination runs for the independence polynomial of the five n = 5 benchmark instances
+    # (two GF(2) matrices, the free delta-matroid, U(2,5) independents and U(3,5) bases) or of
+    # seeded GF(2) instances up to n = 8
+    import deltamat.lorentzian as lz
+    from deltamat.matroid import Gf2SymMatrix, dm_from_gf2
+    from deltamat.randgen import random_valid
+
+    def eliminated(a):
+        raise AssertionError("the certificate did not settle a Hessian")
+
+    monkeypatch.setattr(lz, "_integer_inertia", eliminated)
+    dms = [dm_from_gf2(Gf2SymMatrix(5, rows)) for rows in ((16, 6, 30, 28, 13), (19, 15, 22, 10, 21))]
+    dms += [DeltaMatroid(5, range(32)), dm_from_matroid(Matroid.uniform(2, 5), "independents")]
+    dms.append(dm_from_matroid(Matroid.uniform(3, 5), "bases"))
+    rng = random.Random(8080)
+    dms += [random_valid(rng, n, "gf2") for n in range(1, 9) for _ in range(3)]
+    for d in dms:
+        assert is_lorentzian(indep_gen_poly(d)).passed, d

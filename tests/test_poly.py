@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,19 @@ def test_construction_keeps_nonzero_fraction_terms():
     assert MultiPoly.constant(0).is_zero()
     with pytest.raises(ValueError):
         MultiPoly(("u",), {(1,): ""})
+
+
+def _canonical_key(exps):
+    """Oracle: ascending total degree, then descending exponents, as a key on negated tuples."""
+    return (sum(exps), tuple(-e for e in exps))
+
+
+def test_sorted_terms_match_negated_key_order():
+    # many terms share a degree, so the tie-break on the exponents decides most of the order
+    rng = random.Random(9191)
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        exps = {tuple(rng.randint(0, 3) for _ in range(width)) for _ in range(rng.randint(0, 40))}
+        p = MultiPoly([f"x{i}" for i in range(width)], {e: rng.randint(1, 5) for e in exps})
+        expected = sorted(p.terms, key=_canonical_key)
+        assert [e for e, _ in p.sorted_terms()] == expected
