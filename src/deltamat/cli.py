@@ -12,7 +12,6 @@ import json
 import sys
 from functools import cache
 from itertools import chain
-from pathlib import Path
 
 from .deltamatroid import g_lanes, h_lanes
 from .formats import ParseError, parse_document, ranktable_chunks, ranktable_lane, serialize_value
@@ -49,7 +48,8 @@ from .rankfn import H_SYSTEMS, g_axioms, h_axioms, table_by_code
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 

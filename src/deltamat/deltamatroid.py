@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import lp
 from .ground import (
-    AdmissibleSet, SignedPermutation, canonical_reads, canonical_tuple, check_guard, code_planes, enumerate_admissible,
+    AdmissibleSet, SignedPermutation, canonical_reads, canonical_tuple, check_guard, digit_planes, enumerate_admissible,
     mask_weights, set_of_code, walk_codes,
 )
 
@@ -93,6 +93,17 @@ class DeltaMatroid:
             raise ValueError("feasible mask outside the ground set")
         self.n = n
         self.feasible = tuple(masks)
+
+    @classmethod
+    def _from_canonical(cls, n: int, masks: tuple[int, ...]) -> "DeltaMatroid":
+        """The delta-matroid of masks the caller has made distinct, in 0..2^n - 1 and in canonical order.
+
+        ``__init__`` establishes these three facts with a set, a ``_mask_key`` sort and a range check; a
+        caller that has them by construction (``formats`` reading a file as written) skips that work.
+        """
+        d = cls.__new__(cls)
+        d.n, d.feasible = n, masks
+        return d
 
     @classmethod
     def from_feasible_sets(cls, n: int, sets: Iterable[AdmissibleSet]) -> "DeltaMatroid":
@@ -421,13 +432,13 @@ def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     Layer 0, the independent sets, is the downward closure of the feasible
     codes: one pass per index moves its digit from 1 or 2 to 0.  Layer k + 1
     adds to layer k its digit flips, 1 to 2 and back, a shift by 3^i under
-    the digit-1 plane (``code_planes``).  The layers stop at the plane of all
+    the digit-1 plane (``digit_planes``).  The layers stop at the plane of all
     3^n codes, by layer n at the latest.  A feasible mask m has code
     3^n - 1 - ``mask_weights(n)[m]``: digit 1 where m holds the index, 2
     where it does not.
     """
     check_guard(n)
-    ones, _ = code_planes(n)
+    ones = digit_planes(n)
     total = 3**n
     marks = bytearray((total + 7) >> 3)
     weights = mask_weights(n)

@@ -12,6 +12,21 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored):
 Serialization always emits canonical order, so parse(serialize(x)) == x.  Rank
 tables are written and read one block of ``ground.canonical_blocks`` at a time;
 ``ranktable_lane`` reads a table as written straight into a byte lane by code.
+
+A delta-matroid file as ``serialize_value`` writes it, after any leading
+full-line comments (as ``minor`` prints them), and with its feasible lines in
+any order and repeated, is read in whole-text passes (``_delta_as_written``).
+Let S be the skeleton "feasible 1 2 ... n\n" and c the number of body lines.
+The body is taken only when replacing each " -" by " " leaves S repeated c
+times.  The replace consumes " -" pairs from the left and what remains holds
+no "-", so every "-" of the body directly followed a space of S, one to a
+space; putting them back makes each line "feasible" followed by " i" or " -i"
+for i = 1..n in order.  With each " -" marked, deleting the digits and the
+letters of "feasible" leaves one sign character per index, index 1 first:
+reverse-sorted, these sign strings are the canonical order (+i before -i),
+and each read backwards in base 2 is the unbarred mask.  Any other text, n = 0
+included, goes to the line parse, which accepts the same families and words
+every error.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from .rankfn import LANE_VALUES
 
 _LANE_TOKENS = {str(value): value - LANE_VALUES.start for value in LANE_VALUES}  # a value as written to its lane byte
 _NOT_SEPARATORS = bytes(range(256)).translate(None, b":\n")  # bytes.translate deletes these
+_SIGN_BYTES = bytes.maketrans(b"x ", b"01")  # with the digits gone, a token " -i" marked "x" to 0 and " i" to 1
 _CHUNK = 1 << 20  # characters of a rank table split into lines at once by ranktable_lane
 
 
@@ -63,6 +79,9 @@ def _int(token: str, lineno: int, what: str = "integer") -> int:
 
 
 def parse_document(text: str) -> InputDocument:
+    family = _delta_as_written(text)
+    if family is not None:
+        return InputDocument("delta-matroid", family)
     table = _ranktable_as_written(text)
     if table is not None:
         return InputDocument("rank-table", table)
@@ -88,30 +107,10 @@ def _parse_delta(lines) -> DeltaMatroid:
     n = _int(head[1], lineno, "ground size")
     if n < 0:
         raise _fail(lineno, "ground size must be non-negative")
-    # A line of n elements as serialize_value writes them converts in one sum:
-    # "i" adds bits i - 1 and 2n + i - 1, "-i" only bit i - 1.  The low 2n
-    # bits sum to at most n·2^(n-1) < 2^(2n), and n powers of two sum to
-    # 2^n - 1 only when they are distinct; any other line, an unknown token
-    # included, goes through _feasible_mask, which words its error.  The
-    # masks are made with the first such line, so a huge header alone builds
-    # no huge int.
-    values: dict[str, int] | None = None  # built once a line has n elements, so no larger than the input
     masks = []
     for lineno, tokens in lines[1:]:
         if tokens[0] != "feasible":
             raise _fail(lineno, f"expected 'feasible ...', got {tokens[0]!r}")
-        if len(tokens) == n + 1:
-            if values is None:
-                wide, full = 2 * n, (1 << n) - 1
-                low = (1 << wide) - 1
-                values = {}
-                for i in range(1, n + 1):
-                    bit = 1 << (i - 1)
-                    values[str(i)], values[str(-i)] = bit | bit << wide, bit
-            total = sum(map(values.get, tokens[1:], repeat(0)))
-            if total & low == full:
-                masks.append(total >> wide)
-                continue
         masks.append(_feasible_mask(n, tokens, lineno))
     if not masks and n > 0:
         raise ParseError("line 1: delta-matroid needs at least one feasible line")
@@ -129,6 +128,44 @@ def _feasible_mask(n: int, tokens: list[str], lineno: int) -> int:
     if size != n:
         raise _fail(lineno, f"feasible set must have size {n}, got {size}")
     return pos
+
+
+def _delta_as_written(text: str) -> DeltaMatroid | None:
+    """The family when the text is a delta-matroid file as ``serialize_value`` writes it, else None.
+
+    Leading full-line comments, then "n <k>" with k >= 1, then "feasible" lines
+    whose tokens are " i" or " -i" for i = 1..k in index order, each line ending
+    in "\n"; lines may come in any order and repeat.  Whole-text passes decide
+    it, with no token list per line and no sort key per mask (the module
+    docstring has the argument).  A comment must hold no other line break of
+    ``str.splitlines``, which the line parse splits at.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    if len(text[:start].splitlines()) != text.count("\n", 0, start):  # a comment holding a line break of splitlines
+        return None
+    end = text.find("\n", start)
+    if end < 0 or not text.startswith("n ", start):  # before any slice, so another kind of document is not copied
+        return None
+    digits, body = text[start + 2 : end], text[end + 1 :]
+    if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+        return None
+    if len(digits) > len(str(len(body))):  # more digits than the body has characters, which int() may refuse
+        return None
+    n = int(digits)
+    if 2 * n + 9 > len(body):  # a line is "feasible\n" and at least two characters an index
+        return None
+    written = body.encode("ascii", "replace")  # a non-ASCII character becomes "?", which fails
+    skeleton = ("feasible" + "".join(map(" {}".format, range(1, n + 1))) + "\n").encode()
+    squeezed, count = written.replace(b" -", b" "), written.count(b"\n")
+    if len(squeezed) != len(skeleton) * count or squeezed != skeleton * count:  # lengths first: no skeletons past it
+        return None
+    signs = written.replace(b" -", b"x").translate(_SIGN_BYTES, b"0123456789feasibl")
+    lines = sorted(set(signs.split(b"\n")[:-1]), reverse=True)  # canonical order: +i before -i, index 1 first
+    return DeltaMatroid._from_canonical(n, tuple(map(int, b"\n".join(lines)[::-1].split(b"\n"), repeat(2)))[::-1])
 
 
 def _parse_matroid(lines) -> Matroid:

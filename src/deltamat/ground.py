@@ -316,15 +316,13 @@ def walk_codes(n: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def code_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Planes over the base-3 codes: the digit-1 plane of each index and the plane of each size.
+def digit_planes(n: int) -> tuple[int, ...]:
+    """The digit-1 plane of each index over the base-3 codes.
 
-    A plane is one int with bit c standing for the set with code c.
-    ``ones[i]`` marks the codes whose digit i is 1: the middle 3^i bits of
-    every period of 3^(i+1).  It is built by doubling shifts, as long
-    division at 3^n bits is quadratic.  ``sizes[s]`` marks the codes with s
-    nonzero digits; adding digit k takes size s - 1 to size s at offsets
-    3^k and 2·3^k.
+    A plane is one int with bit c standing for the set with code c.  Plane i
+    marks the codes whose digit i is 1: the middle 3^i bits of every period
+    of 3^(i+1).  It is built by doubling shifts, as long division at 3^n bits
+    is quadratic.
     """
     check_guard(n)
     total = 3**n
@@ -337,6 +335,16 @@ def code_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             plane |= plane << width
             width *= 2
         ones.append(plane & full)
+    return tuple(ones)
+
+
+@lru_cache(maxsize=None)
+def size_planes(n: int) -> tuple[int, ...]:
+    """The plane of each size 0..n over the base-3 codes: plane s marks the codes with s nonzero digits.
+
+    Adding digit k takes size s - 1 to size s at offsets 3^k and 2·3^k.
+    """
+    check_guard(n)
     sizes = [1]  # the size planes of the codes on the digits so far
     for k in range(n):
         step = 3**k
@@ -344,7 +352,7 @@ def code_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for s in range(k + 1, 0, -1):
             below = sizes[s - 1]
             sizes[s] |= below << step | below << 2 * step
-    return tuple(ones), tuple(sizes)
+    return tuple(sizes)
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,8 @@ from typing import Iterator
 
 from .deltamatroid import DeltaMatroid, _lanes, distance_layers, plane_codes
 from .ground import (
-    AdmissibleSet, block_labels, canonical_blocks, canonical_reads, check_guard, code_planes, mask_reversals,
-    set_of_code,
+    AdmissibleSet, block_labels, canonical_blocks, canonical_reads, check_guard, digit_planes, mask_reversals,
+    set_of_code, size_planes,
 )
 from .poly import MultiPoly
 from .rankfn import AxiomReport, Violation
@@ -45,7 +45,7 @@ def upoly_direct(d: DeltaMatroid) -> MultiPoly:
     in layer j.  Distance j needs j <= s.
     """
     n = d.n
-    _, sizes = code_planes(n)
+    sizes = size_planes(n)
     terms = {}
     seen = 0
     for j, layer in enumerate(distance_layers(n, d.feasible)):
@@ -164,7 +164,7 @@ class FVector:
 
 def independence_fvector(d: DeltaMatroid) -> FVector:
     """Counts of independent sets by size, read from layer 0 of ``distance_layers``; length n + 1."""
-    _, sizes = code_planes(d.n)
+    sizes = size_planes(d.n)
     independent = next(distance_layers(d.n, d.feasible))
     return FVector(tuple((independent & plane).bit_count() for plane in sizes))
 
@@ -208,7 +208,7 @@ def _active_planes(d: DeltaMatroid) -> tuple[int, list[int]]:
     """
     independent = next(distance_layers(d.n, d.feasible))
     active, below = [], 0
-    for i, one in enumerate(code_planes(d.n)[0]):
+    for i, one in enumerate(digit_planes(d.n)):
         step = 3**i
         flipped, flipped_below = ((plane & one) << step | plane >> step & one for plane in (independent, below))
         active.append(independent & (one | one << step) & ~(flipped | flipped_below))
@@ -254,7 +254,7 @@ def activity_expansion(d: DeltaMatroid) -> MultiPoly:
     """
     n = d.n
     independent, active = _active_planes(d)
-    _, sizes = code_planes(n)
+    sizes = size_planes(n)
     exactly = [independent]
     for plane in active:
         exactly = [at & ~plane | one_less & plane for at, one_less in zip(exactly + [0], [0] + exactly)]
@@ -285,7 +285,7 @@ def activity_zero_complex(d: DeltaMatroid) -> ComplexReport:
     """
     n = d.n
     independent, active = _active_planes(d)
-    ones, sizes = code_planes(n)
+    ones, sizes = digit_planes(n), size_planes(n)
     faces = independent & ~reduce(or_, active, 0)
     drops = bad = 0  # bad: the faces with a subface one smaller that is no face
     for i, one in enumerate(ones):

@@ -403,13 +403,13 @@ def conjecture_check(a: Sequence[int], n: int) -> LogConcavityReport:
     for k in range(1, n):
         lhs = Fraction(a[k] * a[k])
         outer = a[k + 1] * a[k - 1]
-        factors = {
-            1: Fraction(n - k + 1, n - k),
-            2: Fraction(2 * n - k + 1, 2 * n - k) * Fraction(k + 1, k),
-            3: Fraction(n - k + 1, n - k) * Fraction(k + 1, k),
-        }
-        for ineq, factor in factors.items():
-            checks.append(InequalityCheck(k, ineq, lhs, factor * outer))
+        factors = (  # the factor p/q of each inequality's right-hand side p·outer/q
+            (n - k + 1, n - k),
+            ((2 * n - k + 1) * (k + 1), (2 * n - k) * k),
+            ((n - k + 1) * (k + 1), (n - k) * k),
+        )
+        for ineq, (p, q) in enumerate(factors, 1):
+            checks.append(InequalityCheck(k, ineq, lhs, Fraction(p * outer, q)))
     return LogConcavityReport(n, tuple(a), tuple(checks))
 
 
@@ -442,10 +442,11 @@ def two_var_ulc_from_report(report: LogConcavityReport) -> TwoVariableReport:
     """``two_var_ulc_check`` on the face counts of a ``conjecture_check`` report, read against its inequality (2)."""
     n = report.n
     a = list(report.a) + [0] * (2 * n + 1 - len(report.a))
-    seq = tuple(Fraction(a[i], comb(2 * n, i)) for i in range(2 * n + 1))
+    binomials = [comb(2 * n, i) for i in range(2 * n + 1)]
+    seq = tuple(map(Fraction, a, binomials))
     first_failure = None
-    for i in range(1, 2 * n):
-        if seq[i] * seq[i] < seq[i - 1] * seq[i + 1]:
+    for i in range(1, 2 * n):  # (a_i/b_i)^2 < (a_(i-1)/b_(i-1))·(a_(i+1)/b_(i+1)), times the positive b's
+        if a[i] * a[i] * binomials[i - 1] * binomials[i + 1] < a[i - 1] * a[i + 1] * binomials[i] * binomials[i]:
             first_failure = i
             break
     lc = first_failure is None

@@ -585,6 +585,18 @@ def test_no_cache_holds_an_entry_per_set(gf2_11_file, tmp_path):
     assert max(map(_widest, cached)) <= 3**9
 
 
+def test_table_and_lorentzian_commands_build_no_size_planes(tmp_path):
+    # they read the digit-1 planes only; the n + 1 size planes are left to the commands that count by size
+    path = tmp_path / "d.dm"
+    path.write_text(serialize_value(random_valid(random.Random(6), 6, "gf2")))
+    ground.size_planes.cache_clear()
+    for argv in (["rank-table"], ["h-table"], ["lorentzian"], ["lorentzian", "--which", "efls"]):
+        assert run([argv[0], str(path), *argv[1:]])[0] == 0
+    assert ground.size_planes.cache_info().currsize == 0
+    assert run(["fvector", str(path)])[0] == 0
+    assert ground.size_planes.cache_info().currsize == 1
+
+
 def test_example15_compare(tmp_path):
     m = tmp_path / "u11.matroid"
     m.write_text("ground plain 1\nbasis 1\n")
@@ -843,3 +855,63 @@ def test_lorentzian_commands_pinned_on_seeded_instances(tmp_path):
                 runs.append([d.n, which, *extra, *run(["lorentzian", str(path), "--which", which, *extra])])
     assert len(runs) == 184 and all(code == 0 for *_, code, _ in runs)
     assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == LORENTZIAN_PINS_SHA256
+
+
+def _delta_pin_files():
+    """(name, text) of seeded families at n = 0-9: each as ``serialize_value`` writes it, then its
+    lines shuffled with some repeated, which reads as the same family."""
+    for n in range(10):
+        rng = random.Random(f"dm-pins-{n}")
+        families = [random_valid(rng, n, dist) for dist in ("gf2", "twist", "family")]
+        families.append(random_family(rng, n, max_size=2 * n + 2))
+        for k, d in enumerate(families):
+            text = serialize_value(d)
+            head, *body = text.splitlines()
+            body += rng.choices(body, k=rng.randint(1, len(body)))
+            rng.shuffle(body)
+            yield f"{n}-{k}", text
+            yield f"{n}-{k}-shuffled", "\n".join([head, *body]) + "\n"
+
+
+def _delta_pin_commands(d, rng):
+    """The argument lists after FILE of every command that reads a delta-matroid file, for this family."""
+    n = d.n
+    some_set = " ".join(str(i if rng.random() < 0.5 else -i) for i in range(1, n + 1) if rng.random() < 0.6)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    groups = {"contract": [], "delete": [], "project": [], "keep": []}
+    for i in range(1, n + 1):
+        groups[rng.choice(tuple(groups))].append(i)
+    minor = [f"--{op}={' '.join(map(str, groups[op]))}" for op in ("contract", "delete", "project")]
+    return [
+        ["validate"], ["validate", "--method", "exchange"], ["validate", "--method", "polytope"], ["info"],
+        ["rank", some_set], ["rank-table"], ["h-table"],
+        ["upoly"], ["upoly", "--json"], ["upoly", "--method", "recursive"], ["upoly", "--method", "compare"],
+        ["interlace"], ["interlace", "--json"], ["fvector"], ["activity", "--all"], ["activity", "--set", some_set],
+        ["complex"], ["minor", *minor],
+        ["twist", "--perm", " ".join(str(p if rng.random() < 0.5 else -p) for p in perm)],
+        ["upper-matroid", "--window", " ".join(str(i if rng.random() < 0.5 else -i) for i in range(1, n + 1))],
+        ["envelope", "--search", "--limit", "30"],
+        ["lorentzian"], ["lorentzian", "--which", "efls", "--json"], ["logconc"],
+    ]
+
+
+# stdout and exit codes as recorded before delta-matroid files were read in whole-text passes
+DELTA_PINS_SHA256 = "2335911f16957351ab5aa58e90a68b6b58e78776d2116cfd910a3e256c82fb67"
+
+
+def test_delta_matroid_commands_pinned(tmp_path):
+    # every command that reads a delta-matroid file, on files as written and as shuffled
+    runs = []
+    path, other, matroid = tmp_path / "d.dm", tmp_path / "other.dm", tmp_path / "m.matroid"
+    other.write_text(DCO + "feasible -1\n")
+    for name, text in _delta_pin_files():
+        path.write_text(text)
+        d = parse_document(text).value
+        matroid.write_text(serialize_value(Matroid.signed(d.n, [s.elements() for s in d.feasible_sets()])))
+        commands = _delta_pin_commands(d, random.Random(name.removesuffix("-shuffled")))
+        commands += [["product", str(other)], ["envelope", "--check", str(matroid)]]
+        for command in commands:
+            runs.append([name, *command[:1], *run([command[0], str(path), *command[1:]])])
+    assert len(runs) == 2080 and sum(code == 0 for *_, code, _ in runs) == 1952
+    assert hashlib.sha256(json.dumps(runs).encode()).hexdigest() == DELTA_PINS_SHA256

@@ -19,8 +19,8 @@ from deltamat.ground import (
     GuardLimitError,
     SignedPermutation,
     code_masks,
-    code_planes,
     combine,
+    digit_planes,
     dot,
     enumerate_admissible,
 )
@@ -147,7 +147,7 @@ def test_rank_lanes_match_max_plus_transform_and_brute_force():
 
 
 def test_rank_tables_trip_the_guard_when_cached(monkeypatch, tripod):
-    code_planes(3)
+    digit_planes(3)
     tripod.rank_table()
     tripod.h_table()  # every cache at n = 3 is warm
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -97,14 +98,40 @@ def test_delta_matroid_parse_messages_pinned():
     assert parse_document("n 1\nfeasible 1 1\nfeasible -1\nfeasible 1\n").value == DeltaMatroid(1, [0, 1])
 
 
+def _spoiled_token(token, rng):
+    """A token with one defect, or the token joined to its neighbour by a tab; some still read as an index."""
+    return rng.choice(("-" + token, token.replace("-", "- "), token + "-", "+" + token, "0" + token, "\t" + token))
+
+
+def _spoiled_text(text, n, rng):
+    """The text with one defect of the whole document; some leave a file the line parse accepts."""
+    head, *body = text.splitlines()
+    k = rng.randrange(len(body))
+    spoils = (
+        lambda: text.replace("\n", "\r\n"),
+        lambda: text[:-1],
+        lambda: "\n".join([head, *body[:k], "# a comment", *body[k:]]) + "\n",
+        lambda: "\n".join([f"n 0{n}", *body]) + "\n",
+        lambda: "\n".join(["n 0", *body]) + "\n",
+        lambda: "\n".join([head, *body[:k], body[k] + rng.choice((" ", " -")), *body[k + 1 :]]) + "\n",
+        lambda: "# a" + rng.choice(("\r", "\x0b", "\x85", "\u2028")) + body[k] + "\n" + text,  # splitlines breaks it
+    )
+    return rng.choice(spoils)()
+
+
 def test_feasible_lines_convert_as_element_by_element(tripod):
-    # the one-sum conversion of a line of n elements must give the mask, or
-    # leave the line to the element-by-element route and its error, exactly
-    # as that route alone would; lines mix shuffled, repeated, signed-plus,
-    # zero-padded, zero, out-of-range and non-integer tokens
+    # the whole-text route must give the family of the line route, element by
+    # element, or leave the text to it and its error, exactly as that route
+    # alone would.  Half the documents keep tokens in index order, as written,
+    # some with leading comments and repeated lines; the spoils aim at the
+    # route's checks.  The other half mix shuffled, repeated, signed-plus,
+    # zero-padded, zero, out-of-range and non-integer tokens.
     def by_element(text):
         lines = _logical_lines(text)
-        n = int(lines[0][1][1])
+        lineno, head = lines[0]
+        if head[0] != "n":
+            return f"line {lineno}: unknown document header {head[0]!r}"
+        n = int(head[1])
         try:
             masks = [_feasible_mask(n, tokens, lineno) for lineno, tokens in lines[1:]]
         except ParseError as exc:
@@ -112,22 +139,69 @@ def test_feasible_lines_convert_as_element_by_element(tripod):
         return DeltaMatroid(n, masks)
 
     rng = random.Random(1729)
+    as_written = 0
     for _ in range(3000):
         n = rng.randint(1, 5)
+        ordered = rng.random() < 0.5
         body = []
         for _ in range(rng.randint(1, 4)):
             tokens = [str(i if rng.random() < 0.5 else -i) for i in range(1, n + 1)]
-            if rng.random() < 0.6:
+            if ordered and rng.random() < 0.3:
                 k = rng.randrange(n)
-                tokens[k] = rng.choice([tokens[rng.randrange(n)], f"+{k + 1}", f"0{k + 1}", "0", str(n + 1), "-x"])
-            rng.shuffle(tokens)
+                tokens[k] = _spoiled_token(tokens[k], rng)
+            elif not ordered:
+                if rng.random() < 0.6:
+                    k = rng.randrange(n)
+                    tokens[k] = rng.choice([tokens[rng.randrange(n)], f"+{k + 1}", f"0{k + 1}", "0", str(n + 1), "-x"])
+                rng.shuffle(tokens)
             body.append("feasible " + " ".join(tokens))
+        if ordered and rng.random() < 0.5:
+            body += rng.choices(body, k=rng.randint(1, 3))
         text = f"n {n}\n" + "\n".join(body) + "\n"
+        if ordered and rng.random() < 0.3:
+            text = _spoiled_text(text, n, rng)
+        text = "# kept 1 3\n#\n" * (rng.random() < 0.2) + text
+        as_written += formats._delta_as_written(text) is not None
         try:
             got = parse_document(text).value
         except ParseError as exc:
             got = str(exc)
         assert got == by_element(text), text
+        if isinstance(got, DeltaMatroid):
+            assert got.feasible == DeltaMatroid(got.n, got.feasible).feasible  # distinct, canonical order
+    assert as_written > 500
+
+
+def test_delta_files_as_written_skip_the_line_parse(monkeypatch):
+    # files as serialize_value writes them, with leading comments as minor
+    # prints them, or with lines shuffled and repeated, take one whole-text pass
+    rng = random.Random(26)
+    cases = []
+    for d in oracle_families():
+        head, *body = serialize_value(d).splitlines()
+        body += rng.choices(body, k=rng.randint(0, 3))
+        rng.shuffle(body)
+        comments = "# kept 1 2\n" * rng.randint(0, 2)
+        cases.append((d, comments + "\n".join([head, *body]) + "\n"))
+    refuse = lambda *args: pytest.fail("a file as written reached the line parse")  # noqa: E731
+    monkeypatch.setattr(formats, "_logical_lines", refuse)
+    monkeypatch.setattr(formats, "_feasible_mask", refuse)
+    for d, text in cases:
+        if d.n:
+            assert parse_document(text).value.feasible == d.feasible, text
+    # a huge header is declined before a line of that size is built, and many
+    # short lines before the skeleton is repeated for each (240 MB here)
+    huge = "n 99999999999999999999\nfeasible 1\n"
+    tracemalloc.start()
+    try:
+        for text in (huge, "n " + "9" * 5000 + "\nfeasible 1\n", "n 5000\n" + "\n" * 10009):
+            assert formats._delta_as_written(text) is None
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    with pytest.raises(ParseError, match="line 2: feasible set must have size 99999999999999999999, got 1"):
+        parse_document(huge)
 
 
 def test_comments_and_blank_lines(tripod):

@@ -13,13 +13,14 @@ from deltamat.ground import (
     canonical_blocks,
     canonical_reads,
     canonical_tuple,
-    code_planes,
     combine,
+    digit_planes,
     dot,
     enumerate_admissible,
     mask_reversals,
     mask_weights,
     set_of_code,
+    size_planes,
     walk_codes,
 )
 
@@ -94,9 +95,9 @@ def test_canonical_blocks_match_the_oracle(tail_width):
             assert (len(blocks) == 1) == (n <= width)
 
 
-def test_code_planes_mark_digits_and_sizes():
+def test_digit_and_size_planes_mark_digits_and_sizes():
     for n in range(8):
-        ones, sizes = code_planes(n)
+        ones, sizes = digit_planes(n), size_planes(n)
         assert len(ones) == n and len(sizes) == n + 1
         for code in range(3**n):
             digits = [code // 3**i % 3 for i in range(n)]
@@ -115,7 +116,7 @@ def test_mask_tables_match_per_mask_formulas():
 def test_guard_limit_and_override(monkeypatch):
     with pytest.raises(GuardLimitError):
         enumerate_admissible(17)
-    builders = (_tails, code_planes, mask_weights, mask_reversals)
+    builders = (_tails, digit_planes, size_planes, mask_weights, mask_reversals)
     for builder in builders:
         builder(3)  # a cached callee does not check the limit again
     monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "2")

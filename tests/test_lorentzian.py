@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from deltamat.deltamatroid import DeltaMatroid
 from deltamat.lorentzian import (
+    InequalityCheck,
     InertiaTriple,
+    LogConcavityReport,
     conjecture_check,
     efls_gen_poly,
     hessian_inertia,
@@ -16,6 +18,7 @@ from deltamat.lorentzian import (
     is_lorentzian,
     mconvex_support,
     two_var_ulc_check,
+    two_var_ulc_from_report,
 )
 from deltamat.matroid import Matroid, dm_from_matroid
 from deltamat.poly import MultiPoly
@@ -441,6 +444,48 @@ def test_conjecture_check_values():
         conjecture_check((1, 2), 2)
     with pytest.raises(ValueError):
         conjecture_check((1, -1, 1), 2)
+
+
+def _conjecture_check_by_fractions(a, n):
+    """``conjecture_check`` as each right-hand side's factor of Fractions times the outer product."""
+    checks = []
+    for k in range(1, n):
+        lhs, outer = Fraction(a[k] * a[k]), a[k + 1] * a[k - 1]
+        factors = {
+            1: Fraction(n - k + 1, n - k),
+            2: Fraction(2 * n - k + 1, 2 * n - k) * Fraction(k + 1, k),
+            3: Fraction(n - k + 1, n - k) * Fraction(k + 1, k),
+        }
+        checks += [InequalityCheck(k, ineq, lhs, factor * outer) for ineq, factor in factors.items()]
+    return LogConcavityReport(n, tuple(a), tuple(checks))
+
+
+def _first_failure_by_fractions(report):
+    """The first index where the binomial-normalized face counts fail log-concavity, compared as Fractions."""
+    n = report.n
+    a = list(report.a) + [0] * (2 * n + 1 - len(report.a))
+    seq = [Fraction(a[i], comb(2 * n, i)) for i in range(2 * n + 1)]
+    return next((i for i in range(1, 2 * n) if seq[i] * seq[i] < seq[i - 1] * seq[i + 1]), None)
+
+
+def test_log_concavity_reports_match_the_fraction_formulas():
+    rng = random.Random(2305)
+    failing = 0
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        top = rng.choice((3, 20, 10**6))
+        if rng.random() < 0.4:  # log-concave, as products of binomials and geometric sequences are
+            m, r = n + rng.randint(0, n), rng.randint(1, 3)
+            a = [comb(m, k) * r**k for k in range(n + 1)]
+        else:
+            a = [1] + [rng.randint(0, top) if rng.random() < 0.9 else 0 for _ in range(n)]
+        report, oracle = conjecture_check(a, n), _conjecture_check_by_fractions(a, n)
+        assert report == oracle and report.violations() == oracle.violations()
+        two_var = two_var_ulc_from_report(report)
+        assert two_var.first_failure == _first_failure_by_fractions(oracle)
+        assert two_var.sequence == tuple(Fraction(x, comb(2 * n, i)) for i, x in enumerate(a + [0] * n))
+        failing += two_var.first_failure is not None
+    assert 300 < failing < 2700
 
 
 def test_inequality_factor_comparison_is_what_it_claims():
