@@ -17,7 +17,7 @@ from itertools import chain, combinations, permutations, product
 from pathlib import Path
 from typing import Callable
 
-from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks, signed_rank_by_code
+from .deltamatroid import DeltaMatroid, RankTable, all_full_size_masks, g_lanes
 from .formats import serialize_value
 from .ground import AdmissibleSet, SignedPermutation, code_masks, enumerate_admissible, set_of_code
 from .invariants import (
@@ -387,7 +387,7 @@ def criterion_operation_identities() -> str:
     for n in range(1, 4):
         units = {e: (1 if e > 0 else 2) * 3 ** (abs(e) - 1) for i in range(1, n + 1) for e in (i, -i)}
         for d in valid_delta_matroids(n):
-            g = signed_rank_by_code(n, d.feasible)
+            g = g_lanes(n, d.feasible).tolist()
             for states in _minor_states(n):
                 groups = {op: [i for i, t in states.items() if t == k] for k, op in enumerate(_OPERATIONS)}
                 shifted = _fixed(g, states)
@@ -432,9 +432,9 @@ def criterion_operation_identities() -> str:
     pairs = 0
     for n1, n2 in ((1, 1), (1, 2), (2, 1)):
         for d1 in valid_delta_matroids(n1):
-            g1 = signed_rank_by_code(n1, d1.feasible)
+            g1 = g_lanes(n1, d1.feasible)
             for d2 in valid_delta_matroids(n2):
-                g2 = signed_rank_by_code(n2, d2.feasible)
+                g2 = g_lanes(n2, d2.feasible)
                 _agree(
                     n1 + n2,
                     _brute_g(d1.product(d2), masks),

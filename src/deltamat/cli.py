@@ -66,11 +66,18 @@ def _load(path: str, kind: str):
 
 
 def _load_by_code(path: str) -> tuple[int, bytes | list[int]]:
-    """A rank-table file's n and values by code: read straight into a lane when written as ``rank-table`` writes it."""
-    text = _read(path)
-    lane = ranktable_lane(text)
-    if lane is not None:
-        return lane
+    """A rank-table file's n and values by code: streamed into a lane when written as ``rank-table`` writes it,
+    else parsed from its whole text, read again from the start (a file that cannot seek is only read whole)."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            if file.seekable():
+                lane = ranktable_lane(file)
+                if lane is not None:
+                    return lane
+                file.seek(0)
+            text = file.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     table = _parse(path, text, "rank-table")
     return table.n, table_by_code(table)
 

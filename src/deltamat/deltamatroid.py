@@ -374,11 +374,6 @@ def _signs(lo: list[int], hi: list[int]) -> list[int]:
     return out
 
 
-def signed_rank_by_code(n: int, feasible: Iterable[int]) -> list[int]:
-    """g(S) for all 3^n sets by base-3 code, from ``g_lanes``; ``ground.canonical_reads`` reads out canonical order."""
-    return g_lanes(n, feasible).tolist()
-
-
 def _lanes(plane: int, total: int) -> int:
     """The plane with each bit widened to a byte: byte c of the result is bit c of the plane."""
     return int.from_bytes(f"{plane:0{total}b}".encode().translate(bytes.maketrans(b"01", b"\0\1")), "big")

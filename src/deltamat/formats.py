@@ -10,8 +10,12 @@ Grammar (UTF-8, '#' starts a comment, blank lines ignored):
                                         admissible set in canonical order
 
 Serialization always emits canonical order, so parse(serialize(x)) == x.  Rank
-tables are written and read one block of ``ground.canonical_blocks`` at a time;
-``ranktable_lane`` reads a table as written straight into a byte lane by code.
+tables are written one block of ``ground.canonical_blocks`` at a time, and a
+table exactly as written, with every value in ``rankfn.LANE_VALUES``, is read
+the same way by ``ranktable_lane``, from any iterable of lines (an open file,
+or ``parse_document``'s lazy lines of its text), straight into a byte lane by
+code.  Any other table text goes to the line parse, which accepts the same
+tables and words every error.
 
 A delta-matroid file as ``serialize_value`` writes it, after any leading
 full-line comments (as ``minor`` prints them), and with its feasible lines in
@@ -31,21 +35,20 @@ every error.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator
 
 from .deltamatroid import DeltaMatroid, RankTable
 from .ground import (
-    AdmissibleSet, block_labels, canonical_blocks, check_guard, code_order, signed_ground, signed_masks
+    AdmissibleSet, canonical_blocks, canonical_tuple, check_guard, code_order, signed_ground, signed_masks
 )
 from .matroid import Gf2SymMatrix, Matroid, render_subset
-from .rankfn import LANE_VALUES
+from .rankfn import LANE_TOKENS, lane_values
 
-_LANE_TOKENS = {str(value): value - LANE_VALUES.start for value in LANE_VALUES}  # a value as written to its lane byte
 _NOT_SEPARATORS = bytes(range(256)).translate(None, b":\n")  # bytes.translate deletes these
 _SIGN_BYTES = bytes.maketrans(b"x ", b"01")  # with the digits gone, a token " -i" marked "x" to 0 and " i" to 1
-_CHUNK = 1 << 20  # characters of a rank table split into lines at once by ranktable_lane
 
 
 class ParseError(ValueError):
@@ -82,9 +85,10 @@ def parse_document(text: str) -> InputDocument:
     family = _delta_as_written(text)
     if family is not None:
         return InputDocument("delta-matroid", family)
-    table = _ranktable_as_written(text)
-    if table is not None:
-        return InputDocument("rank-table", table)
+    lane = ranktable_lane(_lines(text)) if text.startswith("ranktable") else None
+    if lane is not None:
+        n, by_code = lane
+        return InputDocument("rank-table", RankTable(n, canonical_tuple(n, lane_values(by_code))))
     lines = _logical_lines(text)
     if not lines:
         raise ParseError("line 1: empty document")
@@ -98,6 +102,12 @@ def parse_document(text: str) -> InputDocument:
     if head[0] == "ranktable":
         return InputDocument("rank-table", _parse_ranktable(lines))
     raise _fail(lineno, f"unknown document header {head[0]!r}")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of the text, each with its "\n", read lazily from its UTF-8 bytes, one byte per ASCII character.
+    A lone surrogate, which those bytes keep, does not decode, so ``ranktable_lane`` declines the text."""
+    return io.TextIOWrapper(io.BytesIO(text.encode(errors="surrogatepass")), encoding="utf-8", newline="\n")
 
 
 def _parse_delta(lines) -> DeltaMatroid:
@@ -225,82 +235,37 @@ def _written_size(head: str) -> int | None:
     return n
 
 
-def _written_values(n: int, body: Iterator[str]) -> Iterator[list[str] | None]:
-    """The value tokens of each block, read from body lines "<label>: <value>" as ``serialize_value`` writes them.
-
-    A block's lines joined by ": " split at ": " into head, value, head, value, ... when each line holds one ":"
-    (the block with all but its ":" and line breaks deleted shows it) followed by " " (the count of pieces shows
-    it): one C-level split per block and no tuple per line.  A block whose lines are not so, or whose heads are
-    not its labels, yields None.
-    """
-    for _, label, _, labels, _ in canonical_blocks(n):
-        lines = list(islice(body, len(labels)))
-        colons = "\n".join(lines).encode(errors="replace").translate(None, _NOT_SEPARATORS)
-        pieces = ": ".join(lines).split(": ")
-        aligned = colons == b":\n" * (len(lines) - 1) + b":" and len(pieces) == 2 * len(lines)
-        yield pieces[1::2] if aligned and tuple(pieces[0::2]) == block_labels(label, labels) else None
-
-
-def _ranktable_as_written(text: str) -> RankTable | None:
-    """The table when the text is a rank table as ``serialize_value`` writes it, else None.
-
-    One check over the body, a block of ``canonical_blocks`` at a time
-    (``_written_values``), and ``int`` reads every value.  Any other text,
-    comments and blank lines included, is left to the line parse, which
-    accepts the same tables and words every error.
-    """
-    if not text.startswith("ranktable"):
-        return None
-    raw_lines = text.splitlines()
-    n = _written_size(raw_lines[0])
-    if n is None or len(raw_lines) != 3**n + 1:
-        return None
-    values: list[int] = []
-    for tokens in _written_values(n, islice(raw_lines, 1, None)):
-        if tokens is None:
-            return None
-        try:
-            values += map(int, tokens)
-        except ValueError:
-            return None
-    return RankTable(n, tuple(values))
-
-
-def ranktable_lane(text: str) -> tuple[int, bytes] | None:
-    """n and the values by base-3 code as a lane (``rankfn.table_by_code``), when the text is exactly what
+def ranktable_lane(lines: Iterable[str]) -> tuple[int, bytes] | None:
+    """n and the values by base-3 code as a lane (``rankfn.table_by_code``), when the lines are exactly what
     ``serialize_value`` writes for a table whose values all fit a lane; else None, and the caller parses the text.
 
-    The blocks are read as ``_ranktable_as_written`` reads them, from lines split a chunk of the text at a time
-    (``_chunked_lines``), each value token goes to its byte through one dict, and ``ground.code_order`` puts the
-    bytes in code order: no value becomes an int, and no list of the 3^n lines is built.
+    The lines, each ending in "\n" (an open file, say), are read one block of ``ground.canonical_blocks`` at a
+    time: the block's text must hold one ":" and then one "\n" per line (its bytes with all others deleted show
+    it), and split once at "\n" and ": " it gives the block's labels as heads, each followed by a value token
+    that goes to its byte through one dict.  ``ground.code_order`` puts the bytes in code order: no value
+    becomes an int, and only a block of the text is held at a time.  Text that does not decode is left to the
+    caller's whole-text read, which reports where.
     """
-    head = text.find("\n")
-    n = _written_size(text[:head]) if head > 0 else None
-    if n is None or text.count("\n") != 3**n + 1 or not text.endswith("\n"):  # every line ends in "\n"
+    lines = iter(lines)
+    try:
+        n = _written_size(next(lines, ""))
+        if n is None:
+            return None
+        canonical = bytearray()
+        for labels in canonical_blocks(n):
+            block = "".join(islice(lines, len(labels)))
+            if block.encode(errors="replace").translate(None, _NOT_SEPARATORS) != b":\n" * len(labels):
+                return None
+            pieces = block.replace("\n", ": ").split(": ")  # head, value, ..., head, value and the "" after the last
+            if tuple(pieces[0:-1:2]) != labels:
+                return None
+            canonical += bytes(map(LANE_TOKENS.__getitem__, pieces[1::2]))
+            del block, pieces  # before the next block's labels and lines are built
+        if any(lines):
+            return None
+    except (KeyError, UnicodeDecodeError):
         return None
-    canonical = bytearray()
-    for tokens in _written_values(n, _chunked_lines(text, head + 1)):
-        if tokens is None:
-            return None
-        try:
-            canonical += bytes(map(_LANE_TOKENS.__getitem__, tokens))
-        except KeyError:
-            return None
     return n, bytes(code_order(n, canonical, bytearray(len(canonical))))
-
-
-def _chunked_lines(text: str, start: int) -> Iterator[str]:
-    """The lines of text[start:], split at "\n" about ``_CHUNK`` characters at a time."""
-
-    def pieces() -> Iterator[list[str]]:
-        begin = start
-        while begin < len(text):
-            end = text.find("\n", begin + _CHUNK)
-            end = len(text) if end < 0 else end
-            yield text[begin:end].split("\n")
-            begin = end + 1
-
-    return chain.from_iterable(pieces())
 
 
 def _parse_ranktable(lines) -> RankTable:
@@ -312,7 +277,7 @@ def _parse_ranktable(lines) -> RankTable:
     body = lines[1:]
     if len(body) != 3**n:
         raise _fail(lineno, f"expected {3**n} table lines, got {len(body)}")
-    labels = chain.from_iterable(block_labels(label, labels) for _, label, _, labels, _ in blocks)
+    labels = chain.from_iterable(blocks)
     values = []
     for (lineno, tokens), label in zip(body, labels):
         joined = " ".join(tokens)
@@ -362,5 +327,5 @@ def ranktable_chunks(n: int, values: Iterable[int]) -> Iterator[str]:
     """The text of a rank table with these values in canonical order: the header, then one piece per block."""
     yield f"ranktable {n}\n"
     values = iter(values)
-    for _, label, _, labels, _ in canonical_blocks(n):
-        yield "".join(map("{}: {}\n".format, block_labels(label, labels), islice(values, len(labels))))
+    for labels in canonical_blocks(n):
+        yield "".join(map("{}: {}\n".format, labels, islice(values, len(labels))))

@@ -241,7 +241,7 @@ def _tail_labels(n: int) -> tuple[tuple[str, ...], ...]:
 def _tail_places(n: int) -> Callable[[Sequence], tuple]:
     """Reads the items of one prefix's sets, its tails in order, into the order of their codes.
 
-    Each prefix of ``canonical_blocks`` meets every tail once, in order, so one getter, the inverse of the
+    Each prefix of ``_blocks`` meets every tail once, in order, so one getter, the inverse of the
     tail reads, serves every prefix (``code_order``).
     """
     stride = 3 ** max(n - TAIL_WIDTH, 0)
@@ -264,19 +264,18 @@ def _blocks(n: int) -> Iterator[tuple[int, int, int]]:
     return ((code, h, k - s) for k in range(n + 1) for h, (code, s) in heads if 0 <= k - s < tails)
 
 
-def canonical_blocks(n: int) -> Iterator[tuple]:
-    """The canonical order (size, then signed lex) in blocks: (prefix code and label, tail codes, labels and read).
+def canonical_blocks(n: int) -> Iterator[tuple[str, ...]]:
+    """The ``render()`` labels of the canonical order (size, then signed lex), one tuple per block.
 
-    A block's sets have codes prefix + tail codes, labels ``block_labels`` and values
-    ``read(by_code[prefix::3^(n - TAIL_WIDTH)])`` (``canonical_reads``).  At n <= TAIL_WIDTH one block holds the
-    whole order.  Checks the guard before the caller reads anything.
+    The values of a block are its read in ``canonical_reads``.  At n <= TAIL_WIDTH one block holds the whole
+    order.  Checks the guard before the caller reads anything.
     """
-    blocks, tails, labels = _blocks(n), _tails(n), _tail_labels(n)
+    blocks, labels = _blocks(n), _tail_labels(n)
     heads = _walk_labels(0, n - TAIL_WIDTH)
-    return ((code, heads[h], tails[t][0], labels[t], tails[t][1]) for code, h, t in blocks)
+    return (_block_labels(heads[h], labels[t]) for _, h, t in blocks)
 
 
-def block_labels(label: str, labels: tuple[str, ...]) -> tuple[str, ...]:
+def _block_labels(label: str, labels: tuple[str, ...]) -> tuple[str, ...]:
     """The ``render()`` of a block's sets: the prefix's label, then each tail label."""
     return tuple(f"{label} {x}" if x else label for x in labels) if label else labels
 

@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .deltamatroid import DeltaMatroid, _lanes, distance_layers, plane_codes
 from .ground import (
-    AdmissibleSet, block_labels, canonical_blocks, canonical_reads, check_guard, digit_planes, mask_reversals,
+    AdmissibleSet, canonical_blocks, canonical_reads, check_guard, digit_planes, mask_reversals,
     set_of_code, size_planes,
 )
 from .poly import MultiPoly
@@ -222,8 +222,8 @@ def independent_activities(d: DeltaMatroid) -> Iterator[tuple[str, tuple[int, ..
     n, total = d.n, 3**d.n
     lanes = [canonical_reads(n, memoryview(_lanes(p, total).to_bytes(total, "little"))) for p in (independent, *active)]
     indices = range(1, n + 1)
-    for (_, label, _, labels, _), flags, *columns in zip(canonical_blocks(n), *lanes):
-        for name, *row in compress(zip(block_labels(label, labels), *columns), flags):
+    for labels, flags, *columns in zip(canonical_blocks(n), *lanes):
+        for name, *row in compress(zip(labels, *columns), flags):
             yield name, tuple(compress(indices, row))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .deltamatroid import DeltaMatroid, distance_layers, max_plus_dot, plane_codes, signed_rank_by_code
+from .deltamatroid import DeltaMatroid, distance_layers, g_lanes, max_plus_dot, plane_codes
 from .ground import AdmissibleSet, GuardLimitError, check_guard, element_key, set_of_code, signed_ground, submasks
 from .poly import MultiPoly, poly_u_v
 from .rankfn import AxiomReport, Violation
@@ -314,7 +314,7 @@ def _envelope_tables(d: DeltaMatroid) -> tuple[int, list[bool]]:
     """The plane of D's independent sets (layer 0), and by code whether each point x of
     {-1, 0, 1}^n lies in P(D): max over S of <e_S, x> - g(S) <= 0 (the empty S gives 0)."""
     check_guard(d.n)
-    g = signed_rank_by_code(d.n, d.feasible)
+    g = g_lanes(d.n, d.feasible)
     independent = next(distance_layers(d.n, d.feasible))
     return independent, [v <= 0 for v in max_plus_dot(d.n, [-v for v in g])]
 

@@ -127,6 +127,8 @@ _PAIR_AXIOMS = {
 LANE_VALUES = range(-32, 32)
 _BIAS = -LANE_VALUES.start
 _LANE_BYTES = {value: value + _BIAS for value in LANE_VALUES}
+LANE_TOKENS = {str(value): byte for value, byte in _LANE_BYTES.items()}  # a value as written to its byte
+_UNBIASED = bytes((byte - _BIAS) % 256 for byte in range(256))  # a byte to its value as a signed byte
 _LOW_BIT = bytes(range(2)) * 128  # each byte's lowest bit
 _STEP_SIGNS = bytes(128) + b"\1" + b"\2" * 127  # a step byte d+ + d- + 128 to 0, 1 or 2 as d+ + d- <, = or > 0
 
@@ -315,9 +317,14 @@ def _summary(n: int, by_code: bytes | list[int]) -> _LocalSummary:
     return _lane_summary(n, by_code) if isinstance(by_code, bytes) else _local_summary(n, by_code)
 
 
+def lane_values(lane: bytes) -> memoryview:
+    """The values a lane holds, in its order, as signed bytes."""
+    return memoryview(lane.translate(_UNBIASED)).cast("b")
+
+
 def _listed(by_code: bytes | list[int]) -> list[int]:
     """The values by code as a list, as the violation listings read them."""
-    return [b - _BIAS for b in by_code] if isinstance(by_code, bytes) else by_code
+    return lane_values(by_code).tolist() if isinstance(by_code, bytes) else by_code
 
 
 def _singletons(n: int) -> list[int]:

@@ -115,7 +115,7 @@ def oracle_families():
 
 def max_plus_rank_by_code(n: int, feasible) -> list[int]:
     """g(S) for all 3^n admissible sets by base-3 code, by a max-plus transform: the oracle
-    for the lane route of ``deltamatroid.signed_rank_by_code``.
+    for the lane route of ``deltamatroid.g_lanes``.
 
     A max-plus form of Yates' transform: start from 0 on the feasible masks
     and a sentinel below -2n elsewhere, then turn one coordinate at a time

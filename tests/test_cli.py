@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -583,6 +584,36 @@ def test_no_cache_holds_an_entry_per_set(gf2_11_file, tmp_path):
     ]
     assert any(value is ground._tails(11) for value in cached)  # the commands walked the canonical order
     assert max(map(_widest, cached)) <= 3**9
+
+
+def test_table_file_is_read_a_block_at_a_time(gf2_11_file, tmp_path):
+    # a table file as rank-table writes it is streamed into the lane: once the tails are cached, reading it
+    # holds a few block-sized buffers and the lanes, not the file's text
+    table = tmp_path / "g.rt"
+    table.write_text(run(["rank-table", gf2_11_file])[1])
+    n, lane = cli._load_by_code(str(table))
+    assert n == 11 and isinstance(lane, bytes) and len(lane) == 3**11
+    tracemalloc.start()
+    try:
+        assert cli._load_by_code(str(table)) == (n, lane)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.stat().st_size // 2, (peak, table.stat().st_size)
+
+
+def test_undecodable_table_file_names_its_byte(tmp_path, capsys):
+    # the streamed read declines a table that does not decode; the whole-file read then reports
+    # the byte's position in the file, not in the chunk being decoded
+    data = bytearray(serialize_value(random_valid(random.Random(7), 7, "gf2").rank_table()).encode())
+    data[20000] = 0xFF
+    table = tmp_path / "bad.rt"
+    table.write_bytes(data)
+    for argv in (["axioms-g", str(table)], ["axioms-h", str(table), "--system", "allys"]):
+        assert run(argv) == (2, ""), argv
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 20000: invalid start byte\n"
+        ), argv
 
 
 def test_table_and_lorentzian_commands_build_no_size_planes(tmp_path):

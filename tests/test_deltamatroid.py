@@ -12,7 +12,7 @@ from deltamat.deltamatroid import (
     _mask_key,
     _uncertified_pairs,
     all_full_size_masks,
-    signed_rank_by_code,
+    g_lanes,
 )
 from deltamat.ground import (
     AdmissibleSet,
@@ -120,7 +120,7 @@ def test_rank_table_matches_per_set_oracle():
 
 def _assert_lanes_match_transform(d: DeltaMatroid) -> None:
     g = max_plus_rank_by_code(d.n, d.feasible)
-    assert signed_rank_by_code(d.n, d.feasible) == g, d
+    assert g_lanes(d.n, d.feasible).tolist() == g, d
     canonical = tuple(map(g.__getitem__, canonical_codes(d.n)))
     assert d.rank_table().values == canonical, d
     sizes = tuple(s.size for s in enumerate_admissible(d.n))
@@ -141,7 +141,7 @@ def test_rank_lanes_match_max_plus_transform_and_brute_force():
             d = random_valid(rng, n, dist)
             _assert_lanes_match_transform(d)
             pos, neg = code_masks(n)
-            g = signed_rank_by_code(n, d.feasible)
+            g = g_lanes(n, d.feasible)
             for code in rng.sample(range(3**n), 200):
                 assert g[code] == d._g(pos[code], neg[code]), (d, code)
 

@@ -9,9 +9,9 @@ from deltamat.deltamatroid import DeltaMatroid, RankTable, g_lanes, h_lanes
 from deltamat.formats import (
     ParseError,
     _feasible_mask,
+    _lines,
     _logical_lines,
     _parse_ranktable,
-    _ranktable_as_written,
     parse_document,
     ranktable_chunks,
     ranktable_lane,
@@ -330,16 +330,17 @@ def _ranktable_variants():
 
     swapped = list(lines)
     swapped[3], swapped[4] = swapped[4], swapped[3]
+    moved = lines[:2] + ["1", "1: -1: -1"] + lines[4:]  # one colon moved down a line: the heads still line up
     commented = ["# a rank table", lines[0] + "  # n = 2", ""] + lines[1:4] + [lines[4] + " # four", ""] + lines[5:]
     same = table.values
     return {
-        # (text, whole-body check applies, values or error message)
+        # (text, read as written by ranktable_lane, values or error message)
         "as written": (serialize_value(table), True, same),
-        "no final newline": ("\n".join(lines), True, same),
-        "crlf": ("\r\n".join(lines) + "\r\n", True, same),
-        "trailing spaces": (edit(3, lines[3] + "   "), True, same),
-        "plus sign": (edit(2, "1: +5"), True, (0, 5) + same[2:]),
-        "underscore": (edit(4, "2: 1_0"), True, same[:3] + (10,) + same[4:]),
+        "no final newline": ("\n".join(lines), False, same),
+        "crlf": ("\r\n".join(lines) + "\r\n", False, same),
+        "trailing spaces": (edit(3, lines[3] + "   "), False, same),
+        "plus sign": (edit(2, "1: +5"), False, (0, 5) + same[2:]),
+        "underscore": (edit(4, "2: 1_0"), False, same[:3] + (10,) + same[4:]),
         "form feed": (edit(3, "\x0c" + lines[3]), False, same),
         "comments and blank lines": ("\n".join(commented) + "\n", False, same),
         "extra token": (edit(3, lines[3] + " 7"), False, "line 4: expected table value, got '-1 7'"),
@@ -348,6 +349,8 @@ def _ranktable_variants():
         "duplicated token": (edit(2, "1 1: 1"), False, same),
         "swapped lines": ("\n".join(swapped) + "\n", False, "line 4: sets out of canonical order: expected {-1}"),
         "truncated": ("\n".join(lines[:-2]) + "\n", False, "line 1: expected 9 table lines, got 7"),
+        "extra line": (serialize_value(table) + lines[-1] + "\n", False, "line 1: expected 9 table lines, got 10"),
+        "colon moved": ("\n".join(moved) + "\n", False, "line 3: expected '<set>: <value>'"),
         "bad header": (edit(0, "ranktable 2 2"), False, "line 1: header must be 'ranktable <n>'"),
         "long size": (edit(0, "ranktable " + "9" * 5000), False, "line 1: expected ground size, got '%s'" % ("9" * 5000)),
     }
@@ -370,8 +373,8 @@ def test_ranktable_whole_body_check_matches_line_parse(tail_width):
     # the body is checked a block at a time; tails of width 0 and 1 cut the 9 lines everywhere
     for width in (9, 0, 1):
         tail_width(width)
-        for name, (text, whole_body, expected) in _ranktable_variants().items():
-            assert (_ranktable_as_written(text) is not None) == whole_body, (name, width)
+        for name, (text, as_written, expected) in _ranktable_variants().items():
+            assert (ranktable_lane(_lines(text)) is not None) == as_written, (name, width)
             assert _outcome(document, text) == _outcome(line_parse, text) == expected, (name, width)
 
 
@@ -383,7 +386,7 @@ def test_commented_table_parse_builds_no_sets(monkeypatch):
         raise AssertionError("a set was built")
 
     monkeypatch.setattr(AdmissibleSet, "from_elements", refuse)
-    assert _ranktable_as_written(text) is None
+    assert ranktable_lane(_lines(text)) is None
     assert parse_document(text).value == table
 
 
@@ -432,7 +435,7 @@ def test_lane_parse_matches_line_parse(tail_width):
     for width in (9, 0, 1, 3):
         tail_width(width)
         for n, text, lane, reports in cases:
-            assert ranktable_lane(text) == (n, bytes(lane)), (text, width)
+            assert ranktable_lane(_lines(text)) == (n, bytes(lane)), (text, width)
             assert _reports(n, bytes(lane)) == reports, (text, width)
     # any text but the serialized one of a table inside the lane takes the line route, with the same result
     texts = {name: text for name, (text, _, _) in _ranktable_variants().items()}
@@ -442,7 +445,7 @@ def test_lane_parse_matches_line_parse(tail_width):
     for width in (9, 0, 1):
         tail_width(width)
         for name, text in texts.items():
-            lane = ranktable_lane(text)
+            lane = ranktable_lane(_lines(text))
             assert (lane is not None) == (name in ("as written", "in range")), (name, width)
             if lane is not None:
                 table = parse_document(text).value

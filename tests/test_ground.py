@@ -8,8 +8,8 @@ from deltamat.ground import (
     AdmissibleSet,
     GuardLimitError,
     SignedPermutation,
+    _blocks,
     _tails,
-    block_labels,
     canonical_blocks,
     canonical_reads,
     canonical_tuple,
@@ -84,14 +84,16 @@ def test_canonical_blocks_match_the_oracle(tail_width):
         for width in (0, 1, 3, 9):
             tail_width(width)
             blocks = list(canonical_blocks(n))
+            tails = [(code, _tails(n)[t][0]) for code, _, t in _blocks(n)]  # each block's prefix code and tail codes
             assert tuple(walk_codes(n)) == codes, (n, width)
-            assert [x for _, label, _, tail, _ in blocks for x in block_labels(label, tail)] == labels, (n, width)
+            assert [x for block in blocks for x in block] == labels, (n, width)
             assert canonical_tuple(n, by_code) == values, (n, width)
-            assert [len(read) for read in canonical_reads(n, by_code)] == [len(tail) for _, _, _, tail, _ in blocks]
-            reads = zip(blocks, canonical_reads(n, range(3**n)))  # a block's codes share its prefix's low digits
-            assert all(c % 3 ** max(n - width, 0) == code for (code, *_), read in reads for c in read), (n, width)
-            assert max(len(tail) for _, _, _, tail, _ in blocks) <= 3**width
-            assert [code + c for code, _, tail, _, _ in blocks for c in tail] == list(codes), (n, width)
+            assert [len(read) for read in canonical_reads(n, by_code)] == [len(tail) for _, tail in tails]
+            assert [len(block) for block in blocks] == [len(tail) for _, tail in tails], (n, width)
+            reads = zip(tails, canonical_reads(n, range(3**n)))  # a block's codes share its prefix's low digits
+            assert all(c % 3 ** max(n - width, 0) == code for (code, _), read in reads for c in read), (n, width)
+            assert max(len(tail) for _, tail in tails) <= 3**width
+            assert [code + c for code, tail in tails for c in tail] == list(codes), (n, width)
             assert (len(blocks) == 1) == (n <= width)
 
 

@@ -368,7 +368,7 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
     def no_table(*args):
         raise AssertionError("rank table built")
 
-    monkeypatch.setattr(deltamatroid, "signed_rank_by_code", no_table)
+    monkeypatch.setattr(deltamatroid, "h_lanes", no_table)  # g_lanes reads it through the module too
     _tails.cache_clear()
     interlace(d)
     upoly_recursive(d)
@@ -398,7 +398,7 @@ def test_code_paths_build_no_tail_labels():
 
 
 def test_table_paths_run_no_max_plus_transform(monkeypatch):
-    # rank_table, h_table, signed_rank_by_code and the independent sets read
+    # rank_table, h_table, g_lanes and the independent sets read
     # distance planes as byte lanes; the max-plus kernel (the tests' transform
     # oracle and the envelope and lattice tests) is never reached
     d = dm_from_gf2(Gf2SymMatrix(5, (0b00110, 0b01001, 0b10101, 0b10010, 0b11100)))
@@ -413,7 +413,7 @@ def test_table_paths_run_no_max_plus_transform(monkeypatch):
     monkeypatch.setattr(deltamatroid, "max_plus_dot", no_transform)
     assert d.rank_table().values == g
     assert d.h_table().values == tuple((gv + s.size) // 2 for gv, s in zip(g, sets))
-    by_code = deltamatroid.signed_rank_by_code(5, d.feasible)
+    by_code = deltamatroid.g_lanes(5, d.feasible)
     assert tuple(map(by_code.__getitem__, canonical_codes(5))) == g
     assert d.independents() == independent
 
