@@ -27,10 +27,11 @@ face, which an exact standard-form LP decides (`lp.pair_is_edge`).
 from __future__ import annotations
 
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain, combinations, compress, starmap
-from operator import add
+from functools import lru_cache, partial, reduce
+from itertools import chain, combinations, compress, starmap, tee
+from operator import add, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import lp
@@ -374,9 +375,9 @@ def _signs(lo: list[int], hi: list[int]) -> list[int]:
     return out
 
 
-def _lanes(plane: int, total: int) -> int:
-    """The plane with each bit widened to a byte: byte c of the result is bit c of the plane."""
-    return int.from_bytes(f"{plane:0{total}b}".encode().translate(bytes.maketrans(b"01", b"\0\1")), "big")
+def _lanes(plane: int, total: int) -> bytes:
+    """The plane with each bit widened to a byte, in code order: byte c is bit c of the plane."""
+    return f"{plane:0{total}b}".encode().translate(bytes.maketrans(b"01", b"\0\1"))[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -390,29 +391,44 @@ def _size_lanes(n: int) -> int:
     return int.from_bytes(sizes, "little")
 
 
-def h_lanes(n: int, feasible: Iterable[int]) -> int:
-    """h(S) = |S| - d(S) for all 3^n sets, one byte per code (byte c for code c).
+def _distance_lanes(n: int, feasible: Iterable[int]) -> int:
+    """d(S) for all 3^n sets, one byte per code, summed from its binary digits (``h_lanes``)."""
+    layers = list(distance_layers(n, feasible))
+    distances = 0
+    for b in range((len(layers) - 1).bit_length()):
+        runs = ((lo, min(lo + (1 << b), len(layers)) - 1) for lo in range(1 << b, len(layers), 2 << b))
+        digit = reduce(or_, (layers[hi] & ~layers[lo - 1] for lo, hi in runs))
+        distances += int.from_bytes(_lanes(digit, 3**n), "little") << b
+    return distances
 
-    d(S) counts the layers of ``distance_layers`` that miss S, so the missed layers,
-    widened to bytes and summed, come off the sizes; no lane carries, as d(S) <= |S| <= n.
+
+def h_lanes(n: int, feasible: Iterable[int]) -> int:
+    """h(S) = |S| - d(S) for all 3^n sets, one byte per code (byte c for code c); no lane borrows.
+
+    The layers of ``distance_layers`` are nested, so layer_j & ~layer_(j-1) marks d(S) = j, and bit b
+    of d(S) is the OR of those planes over the j with bit b set.  Those j come in runs lo..hi, and a
+    run marks layer_hi & ~layer_(lo-1).  So the d lanes are the sum of 2^b·widen(digit b) over the
+    ⌈log2(D + 1)⌉ digits of the largest distance D, not the D + 1 missed layers widened one by one.
     """
-    total = 3**n
-    missed = (_lanes(~layer & ((1 << total) - 1), total) for layer in distance_layers(n, feasible))
-    return _size_lanes(n) - sum(missed)
+    return _size_lanes(n) - _distance_lanes(n, feasible)
 
 
 def g_lanes(n: int, feasible: Iterable[int]) -> memoryview:
-    """g(S) = 2·h(S) - |S| for all 3^n sets, one signed byte per code: the lanes of g + n, less n mod 256."""
+    """g(S) = |S| - 2·d(S) for all 3^n sets, one signed byte per code: the lanes of g + n, less n mod 256."""
     total = 3**n
-    shifted = 2 * h_lanes(n, feasible) - _size_lanes(n) + int.from_bytes(bytes([n]) * total, "little")
+    shifted = _size_lanes(n) - 2 * _distance_lanes(n, feasible)  # one exact int: lanes borrow until n is added
+    shifted += int.from_bytes(bytes([n]) * total, "little")
     down = bytes(range(256 - n, 256)) + bytes(range(256 - n))  # byte x to (x - n) mod 256
     return memoryview(shifted.to_bytes(total, "little").translate(down)).cast("b")
 
 
 def plane_codes(n: int, plane: int) -> Iterator[int]:
     """The codes a plane over the 3^n codes marks, in canonical order, its bits read block by block."""
-    flags = memoryview(_lanes(plane, 3**n).to_bytes(3**n, "little"))
+    flags = memoryview(_lanes(plane, 3**n))
     return compress(walk_codes(n), chain.from_iterable(canonical_reads(n, flags)))
+
+
+_memo: list = [None, None]  # (n, feasible) of the last family, and a tee of its layers that stays at layer 0
 
 
 def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
@@ -431,8 +447,23 @@ def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     3^n codes, by layer n at the latest.  A feasible mask m has code
     3^n - 1 - ``mask_weights(n)[m]``: digit 1 where m holds the index, 2
     where it does not.
+
+    One memo slot keeps the layers of the last family, keyed by value (n,
+    feasible); the guard is checked before every lookup, and a new family
+    drops the old record before any work on it starts.  The record is a tee
+    that never advances, and each reader reads a copy: layers are made when
+    first read and kept, so a reader of layer 0 alone makes layer 0 alone.
     """
     check_guard(n)
+    key = (n, tuple(feasible))
+    if _memo[0] != key:
+        _memo[:] = None, None
+        _memo[:] = key, tee(_layers(n, key[1]), 1)[0]
+    return copy(_memo[1])
+
+
+def _layers(n: int, feasible: tuple[int, ...]) -> Iterator[int]:
+    """The layers of ``distance_layers``, computed one at a time; a suspended one holds no plane but the last."""
     ones = digit_planes(n)
     total = 3**n
     marks = bytearray((total + 7) >> 3)
@@ -441,13 +472,13 @@ def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
         c = total - 1 - weights[m]
         marks[c >> 3] |= 1 << (c & 7)
     layer = int.from_bytes(marks, "little")
+    del marks
     steps = [3**i for i in range(n)]
     for step, one in zip(steps, ones):
         layer |= ((layer | layer >> step) & one) >> step
-    everything = (1 << total) - 1
     yield layer
     for _ in range(n):
-        if layer == everything:
+        if layer.bit_count() == total:
             return
         reach = layer
         for step, one in zip(steps, ones):

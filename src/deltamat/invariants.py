@@ -220,7 +220,7 @@ def independent_activities(d: DeltaMatroid) -> Iterator[tuple[str, tuple[int, ..
     """(label, active indices) of every independent set in canonical order, read block by block from byte lanes."""
     independent, active = _active_planes(d)
     n, total = d.n, 3**d.n
-    lanes = [canonical_reads(n, memoryview(_lanes(p, total).to_bytes(total, "little"))) for p in (independent, *active)]
+    lanes = [canonical_reads(n, memoryview(_lanes(p, total))) for p in (independent, *active)]
     indices = range(1, n + 1)
     for labels, flags, *columns in zip(canonical_blocks(n), *lanes):
         for name, *row in compress(zip(labels, *columns), flags):

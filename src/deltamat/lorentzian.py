@@ -60,7 +60,7 @@ def _independent_counts(d: DeltaMatroid) -> list[tuple[int, int]]:
     folds after them are lists.
     """
     n, total = d.n, 3**d.n
-    lane = _lanes(next(distance_layers(n, d.feasible)), total).to_bytes(total, "little")
+    lane = _lanes(next(distance_layers(n, d.feasible)), total)
     for _ in range(min(n, 7)):
         third = len(lane) // 3
         ones = int.from_bytes(lane[1::3], "little") + int.from_bytes(lane[2::3], "little")

@@ -312,8 +312,7 @@ def _admissible_subsets(n: int, b: int) -> list[int]:
 
 def _envelope_tables(d: DeltaMatroid) -> tuple[int, list[bool]]:
     """The plane of D's independent sets (layer 0), and by code whether each point x of
-    {-1, 0, 1}^n lies in P(D): max over S of <e_S, x> - g(S) <= 0 (the empty S gives 0)."""
-    check_guard(d.n)
+    {-1, 0, 1}^n lies in P(D): max over S of <e_S, x> - g(S) <= 0 (the empty S gives 0); g_lanes checks the guard."""
     g = g_lanes(d.n, d.feasible)
     independent = next(distance_layers(d.n, d.feasible))
     return independent, [v <= 0 for v in max_plus_dot(d.n, [-v for v in g])]

@@ -132,3 +132,26 @@ def max_plus_rank_by_code(n: int, feasible) -> list[int]:
     for _ in range(n):
         vals = deltamatroid._signs(vals[0::2], vals[1::2])
     return vals
+
+
+def missed_layer_h_lanes(n: int, feasible) -> int:
+    """h(S) = |S| - d(S) for all 3^n sets, one byte per code, with d(S) the number of distance layers
+    that miss S: each missed layer, widened, comes off the size lanes.  The oracle for the
+    binary-digit route of ``deltamatroid.h_lanes``."""
+    total = 3**n
+    missed = (
+        int.from_bytes(deltamatroid._lanes(~layer & ((1 << total) - 1), total), "little")
+        for layer in deltamatroid.distance_layers(n, feasible)
+    )
+    return deltamatroid._size_lanes(n) - sum(missed)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty distance-layer memo for the test, and the caller's memo back after it."""
+
+    def clear() -> None:
+        monkeypatch.setattr(deltamatroid, "_memo", [None, None])
+
+    clear()
+    return clear

@@ -17,6 +17,7 @@ import pytest
 from deltamat import cli, ground
 from deltamat.deltamatroid import RankTable
 from deltamat.formats import parse_document, serialize_value
+from deltamat.invariants import independence_fvector
 from deltamat.lorentzian import InequalityCheck, LogConcavityReport
 from deltamat.matroid import Gf2SymMatrix, Matroid, rank_generating, validate_matroid
 from deltamat.randgen import _random_matroid, random_family, random_valid
@@ -94,6 +95,20 @@ def test_guard_limit_exit_code(tmp_path):
     big.write_text(f"n 17\nfeasible {elems}\n")
     code, _ = run(["rank-table", str(big)])
     assert code == 3
+
+
+def test_guard_trips_on_a_warm_distance_memo(tmp_path, monkeypatch):
+    d = random_valid(random.Random(6), 6, "gf2")
+    path = tmp_path / "d6.dm"
+    path.write_text(serialize_value(d))
+    assert run(["rank-table", str(path)])[0] == 0
+    d.rank_table()  # the memo holds the layers of d
+    monkeypatch.setenv("DELTAMAT_GUARD_LIMIT", "5")
+    for call in (d.rank_table, d.h_table, lambda: independence_fvector(d)):
+        with pytest.raises(ground.GuardLimitError):
+            call()
+    for command in ("rank-table", "h-table", "fvector"):
+        assert run([command, str(path)]) == (3, "")
 
 
 def test_huge_ground_size_header_is_a_parse_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from operator import add
 
 import pytest
@@ -12,7 +12,9 @@ from deltamat.deltamatroid import (
     _mask_key,
     _uncertified_pairs,
     all_full_size_masks,
+    distance_layers,
     g_lanes,
+    h_lanes,
 )
 from deltamat.ground import (
     AdmissibleSet,
@@ -26,7 +28,10 @@ from deltamat.ground import (
 )
 from deltamat.randgen import random_signed_permutation, random_valid
 
-from conftest import canonical_codes, max_plus_rank_by_code, oracle_families, sset
+from deltamat.invariants import independence_fvector, upoly_direct
+from deltamat.lorentzian import _independent_counts, efls_gen_poly, indep_gen_poly
+
+from conftest import canonical_codes, max_plus_rank_by_code, missed_layer_h_lanes, oracle_families, sset
 
 
 def all_valid(n):
@@ -156,6 +161,84 @@ def test_rank_tables_trip_the_guard_when_cached(monkeypatch, tripod):
             table()
     with pytest.raises(GuardLimitError):  # the size lanes check it on a cache miss
         deltamatroid._size_lanes.__wrapped__(3)
+
+
+def _distance_results(d: DeltaMatroid, before=lambda: None) -> list:
+    """The readers of the distance layers on d, with ``before`` called ahead of each."""
+    calls = (
+        lambda: h_lanes(d.n, d.feasible),
+        lambda: g_lanes(d.n, d.feasible).tolist(),
+        lambda: list(distance_layers(d.n, d.feasible)),
+        lambda: upoly_direct(d),
+        lambda: independence_fvector(d),
+    )
+    out = []
+    for call in calls:
+        before()
+        out.append(call())
+    return out
+
+
+def test_distance_memo_matches_cold_results_across_families(cold_memo):
+    rng = random.Random(2808)
+    a, b, c = random_valid(rng, 6, "gf2"), random_valid(rng, 6, "twist"), random_valid(rng, 5, "gf2")
+    assert len({a, b, c}) == 3
+    cold = {}
+    for d in (a, b, c):
+        cold[d] = _distance_results(d, before=cold_memo)
+        assert len(cold[d][2]) > 2, d  # every instance has a layer past layer 1
+    for d in (a, b, a, c, a, a, b):  # whole calls, each family after another or after itself
+        assert _distance_results(d) == cold[d], d
+    # open iterators read in turn: of A then B then A, and twice of one family
+    for families in ((a, b, a), (a, a), (b, c, c, b)):
+        cold_memo()
+        readers = [distance_layers(d.n, d.feasible) for d in families]
+        read = [[] for _ in families]
+        for step in range(max(len(cold[d][2]) for d in families)):
+            for out, reader in zip(read, readers) if step % 2 else zip(reversed(read), reversed(readers)):
+                out.extend(islice(reader, 1))
+        assert read == [cold[d][2] for d in families], families
+        assert all(next(reader, None) is None for reader in readers)
+
+
+def test_layer_zero_readers_make_only_layer_zero(monkeypatch, cold_memo):
+    made = []
+    real = deltamatroid._layers
+
+    def counting(n, feasible):
+        for layer in real(n, feasible):
+            made.append(layer)
+            yield layer
+
+    monkeypatch.setattr(deltamatroid, "_layers", counting)
+    d = random_valid(random.Random(6), 6, "gf2")
+    readers = (independence_fvector, _independent_counts, indep_gen_poly, efls_gen_poly)
+    for reader in readers:
+        cold_memo()
+        made.clear()
+        reader(d)
+        assert len(made) == 1, reader
+    assert len(list(distance_layers(d.n, d.feasible))) > 1 and len(made) > 1
+
+
+def test_digit_h_lanes_match_missed_layer_sum(cold_memo):
+    rng = random.Random(4096)
+    for n in range(8):
+        free, single = DeltaMatroid(n, range(1 << n)), DeltaMatroid(n, [rng.randrange(1 << n)])
+        families = [free, single]  # D = 0, and D = n, the largest
+        families += [DeltaMatroid(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))) for _ in range(12)]
+        families += [random_valid(rng, n, dist) for dist in ("gf2", "twist", "family")]
+        depths = set()
+        for d in families:
+            cold_memo()
+            expected = missed_layer_h_lanes(n, d.feasible)
+            depths.add(len(list(distance_layers(n, d.feasible))) - 1)
+            cold_memo()
+            assert h_lanes(n, d.feasible) == expected, d
+            sizes = [(p | q).bit_count() for p, q in zip(*code_masks(n))]
+            h = expected.to_bytes(3**n, "little")
+            assert g_lanes(n, d.feasible).tolist() == [2 * v - size for v, size in zip(h, sizes)], d
+        assert {0, n} <= depths, n
 
 
 def test_rank_function_properties():

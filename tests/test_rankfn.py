@@ -368,7 +368,8 @@ def test_enumerator_paths_read_no_rank_table(monkeypatch, built_sets):
     def no_table(*args):
         raise AssertionError("rank table built")
 
-    monkeypatch.setattr(deltamatroid, "h_lanes", no_table)  # g_lanes reads it through the module too
+    monkeypatch.setattr(deltamatroid, "h_lanes", no_table)
+    monkeypatch.setattr(deltamatroid, "_distance_lanes", no_table)  # the d lanes of h_lanes and g_lanes
     _tails.cache_clear()
     interlace(d)
     upoly_recursive(d)
