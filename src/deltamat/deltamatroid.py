@@ -392,7 +392,7 @@ def _size_lanes(n: int) -> int:
 
 
 def _distance_lanes(n: int, feasible: Iterable[int]) -> int:
-    """d(S) for all 3^n sets, one byte per code, summed from its binary digits (``h_lanes``)."""
+    """d(S) for all 3^n sets, one byte per code, from its binary digits (``h_lanes``)."""
     layers = list(distance_layers(n, feasible))
     distances = 0
     for b in range((len(layers) - 1).bit_length()):
@@ -405,19 +405,16 @@ def _distance_lanes(n: int, feasible: Iterable[int]) -> int:
 def h_lanes(n: int, feasible: Iterable[int]) -> int:
     """h(S) = |S| - d(S) for all 3^n sets, one byte per code (byte c for code c); no lane borrows.
 
-    The layers of ``distance_layers`` are nested, so layer_j & ~layer_(j-1) marks d(S) = j, and bit b
-    of d(S) is the OR of those planes over the j with bit b set.  Those j come in runs lo..hi, and a
-    run marks layer_hi & ~layer_(lo-1).  So the d lanes are the sum of 2^b·widen(digit b) over the
-    ⌈log2(D + 1)⌉ digits of the largest distance D, not the D + 1 missed layers widened one by one.
+    The layers of ``distance_layers`` are nested, so bit b of d(S) is the OR of layer_j & ~layer_(j-1) over the
+    j with bit b set, and a run lo..hi of them marks layer_hi & ~layer_(lo-1): Σ 2^b·widen(digit b) is d.
     """
     return _size_lanes(n) - _distance_lanes(n, feasible)
 
 
 def g_lanes(n: int, feasible: Iterable[int]) -> memoryview:
-    """g(S) = |S| - 2·d(S) for all 3^n sets, one signed byte per code: the lanes of g + n, less n mod 256."""
+    """g(S) = |S| - 2·d(S) by code, a signed byte each: lanes of g + n (exact once n is added), less n mod 256."""
     total = 3**n
-    shifted = _size_lanes(n) - 2 * _distance_lanes(n, feasible)  # one exact int: lanes borrow until n is added
-    shifted += int.from_bytes(bytes([n]) * total, "little")
+    shifted = _size_lanes(n) - 2 * _distance_lanes(n, feasible) + int.from_bytes(bytes([n]) * total, "little")
     down = bytes(range(256 - n, 256)) + bytes(range(256 - n))  # byte x to (x - n) mod 256
     return memoryview(shifted.to_bytes(total, "little").translate(down)).cast("b")
 
@@ -426,9 +423,6 @@ def plane_codes(n: int, plane: int) -> Iterator[int]:
     """The codes a plane over the 3^n codes marks, in canonical order, its bits read block by block."""
     flags = memoryview(_lanes(plane, 3**n))
     return compress(walk_codes(n), chain.from_iterable(canonical_reads(n, flags)))
-
-
-_memo: list = [None, None]  # (n, feasible) of the last family, and a tee of its layers that stays at layer 0
 
 
 def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
@@ -448,18 +442,24 @@ def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     3^n - 1 - ``mask_weights(n)[m]``: digit 1 where m holds the index, 2
     where it does not.
 
-    One memo slot keeps the layers of the last family, keyed by value (n,
-    feasible); the guard is checked before every lookup, and a new family
-    drops the old record before any work on it starts.  The record is a tee
-    that never advances, and each reader reads a copy: layers are made when
-    first read and kept, so a reader of layer 0 alone makes layer 0 alone.
+    One memo slot keeps the layers of the last family, keyed by value (n, feasible): the guard is checked
+    before every lookup, a new family drops the old record before any work, and if making a layer fails the
+    slot is emptied, not left cut off.  Layers are made when first read and kept: a layer-0 reader makes one.
     """
     check_guard(n)
-    key = (n, tuple(feasible))
-    if _memo[0] != key:
-        _memo[:] = None, None
-        _memo[:] = key, tee(_layers(n, key[1]), 1)[0]
-    return copy(_memo[1])
+    return copy(_family_layers(n, tuple(feasible)))
+
+
+@lru_cache(maxsize=1)
+def _family_layers(n: int, feasible: tuple[int, ...]) -> Iterator[int]:
+    """The memo slot: a never-advancing tee of the family's layers, made before any; a failed layer empties it."""
+    def kept() -> Iterator[int]:
+        try:
+            yield from _layers(n, feasible)
+        except (Exception, KeyboardInterrupt):  # not GeneratorExit, which closes a record the slot has dropped
+            _family_layers.cache_clear()
+            raise
+    return tee(kept(), 1)[0]
 
 
 def _layers(n: int, feasible: tuple[int, ...]) -> Iterator[int]:

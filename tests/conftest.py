@@ -145,13 +145,3 @@ def missed_layer_h_lanes(n: int, feasible) -> int:
     )
     return deltamatroid._size_lanes(n) - sum(missed)
 
-
-@pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty distance-layer memo for the test, and the caller's memo back after it."""
-
-    def clear() -> None:
-        monkeypatch.setattr(deltamatroid, "_memo", [None, None])
-
-    clear()
-    return clear

@@ -10,11 +10,12 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from deltamat import cli, ground
+from deltamat import cli, deltamatroid, ground
 from deltamat.deltamatroid import RankTable
 from deltamat.formats import parse_document, serialize_value
 from deltamat.invariants import independence_fvector
@@ -109,6 +110,41 @@ def test_guard_trips_on_a_warm_distance_memo(tmp_path, monkeypatch):
             call()
     for command in ("rank-table", "h-table", "fvector"):
         assert run([command, str(path)]) == (3, "")
+
+
+@pytest.mark.parametrize("made", [0, 1])
+def test_a_failed_distance_layer_leaves_no_memo_record(tmp_path, monkeypatch, capsys, made):
+    # out of memory while making layer `made`: exit 3, and the next command on the
+    # same family in the same process prints what a cold memo prints
+    d = random_valid(random.Random(6), 6, "gf2")
+    path = tmp_path / "d6.dm"
+    path.write_text(serialize_value(d))
+    commands = [[c, str(path)] for c in ("rank-table", "h-table", "upoly", "fvector", "lorentzian")]
+    cold = []
+    for argv in commands:
+        deltamatroid._family_layers.cache_clear()
+        cold.append(run(argv))
+    real = deltamatroid._layers
+
+    def failing(n, feasible):
+        yield from islice(real(n, feasible), made)
+        raise MemoryError()
+
+    for argv in commands:
+        monkeypatch.setattr(deltamatroid, "_layers", failing)
+        deltamatroid._family_layers.cache_clear()
+        assert run(["rank-table", str(path)]) == (3, "")
+        assert capsys.readouterr().err == "error: out of memory\n"
+        monkeypatch.setattr(deltamatroid, "_layers", real)
+        assert run(argv) == cold[commands.index(argv)], argv
+    deltamatroid._family_layers.cache_clear()
+    lanes = deltamatroid.h_lanes(d.n, d.feasible), list(deltamatroid.distance_layers(d.n, d.feasible))
+    monkeypatch.setattr(deltamatroid, "_layers", failing)
+    deltamatroid._family_layers.cache_clear()
+    with pytest.raises(MemoryError):
+        deltamatroid.h_lanes(d.n, d.feasible)
+    monkeypatch.setattr(deltamatroid, "_layers", real)
+    assert (deltamatroid.h_lanes(d.n, d.feasible), list(deltamatroid.distance_layers(d.n, d.feasible))) == lanes
 
 
 def test_huge_ground_size_header_is_a_parse_error(tmp_path, capsys):

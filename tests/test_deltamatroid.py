@@ -179,19 +179,19 @@ def _distance_results(d: DeltaMatroid, before=lambda: None) -> list:
     return out
 
 
-def test_distance_memo_matches_cold_results_across_families(cold_memo):
+def test_distance_memo_matches_cold_results_across_families():
     rng = random.Random(2808)
     a, b, c = random_valid(rng, 6, "gf2"), random_valid(rng, 6, "twist"), random_valid(rng, 5, "gf2")
     assert len({a, b, c}) == 3
     cold = {}
     for d in (a, b, c):
-        cold[d] = _distance_results(d, before=cold_memo)
+        cold[d] = _distance_results(d, before=deltamatroid._family_layers.cache_clear)
         assert len(cold[d][2]) > 2, d  # every instance has a layer past layer 1
     for d in (a, b, a, c, a, a, b):  # whole calls, each family after another or after itself
         assert _distance_results(d) == cold[d], d
     # open iterators read in turn: of A then B then A, and twice of one family
     for families in ((a, b, a), (a, a), (b, c, c, b)):
-        cold_memo()
+        deltamatroid._family_layers.cache_clear()
         readers = [distance_layers(d.n, d.feasible) for d in families]
         read = [[] for _ in families]
         for step in range(max(len(cold[d][2]) for d in families)):
@@ -199,9 +199,13 @@ def test_distance_memo_matches_cold_results_across_families(cold_memo):
                 out.extend(islice(reader, 1))
         assert read == [cold[d][2] for d in families], families
         assert all(next(reader, None) is None for reader in readers)
+    # dropping a family's half-read record, when the next family takes the slot, keeps the new record
+    for d in (a, b, a, c):
+        next(distance_layers(d.n, d.feasible))
+        assert deltamatroid._family_layers.cache_info().currsize == 1, d
 
 
-def test_layer_zero_readers_make_only_layer_zero(monkeypatch, cold_memo):
+def test_layer_zero_readers_make_only_layer_zero(monkeypatch):
     made = []
     real = deltamatroid._layers
 
@@ -214,14 +218,14 @@ def test_layer_zero_readers_make_only_layer_zero(monkeypatch, cold_memo):
     d = random_valid(random.Random(6), 6, "gf2")
     readers = (independence_fvector, _independent_counts, indep_gen_poly, efls_gen_poly)
     for reader in readers:
-        cold_memo()
+        deltamatroid._family_layers.cache_clear()
         made.clear()
         reader(d)
         assert len(made) == 1, reader
     assert len(list(distance_layers(d.n, d.feasible))) > 1 and len(made) > 1
 
 
-def test_digit_h_lanes_match_missed_layer_sum(cold_memo):
+def test_digit_h_lanes_match_missed_layer_sum():
     rng = random.Random(4096)
     for n in range(8):
         free, single = DeltaMatroid(n, range(1 << n)), DeltaMatroid(n, [rng.randrange(1 << n)])
@@ -230,10 +234,10 @@ def test_digit_h_lanes_match_missed_layer_sum(cold_memo):
         families += [random_valid(rng, n, dist) for dist in ("gf2", "twist", "family")]
         depths = set()
         for d in families:
-            cold_memo()
+            deltamatroid._family_layers.cache_clear()
             expected = missed_layer_h_lanes(n, d.feasible)
             depths.add(len(list(distance_layers(n, d.feasible))) - 1)
-            cold_memo()
+            deltamatroid._family_layers.cache_clear()
             assert h_lanes(n, d.feasible) == expected, d
             sizes = [(p | q).bit_count() for p, q in zip(*code_masks(n))]
             h = expected.to_bytes(3**n, "little")
