@@ -150,8 +150,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_table(args) -> int:
     d = _load(args.file, "delta-matroid")
-    signed = args.command == "rank-table"
-    by_code = g_lanes(d.n, d.feasible) if signed else h_lanes(d.n, d.feasible).to_bytes(3**d.n, "little")
+    by_code = (g_lanes if args.command == "rank-table" else h_lanes)(d.n, d.feasible)
     sys.stdout.writelines(ranktable_chunks(d.n, chain.from_iterable(canonical_reads(d.n, by_code))))
     return 0
 

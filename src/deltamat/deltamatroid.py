@@ -27,17 +27,16 @@ face, which an exact standard-form LP decides (`lp.pair_is_edge`).
 from __future__ import annotations
 
 from collections import Counter
-from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import chain, combinations, compress, starmap, tee
+from itertools import chain, combinations, compress, starmap
 from operator import add, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import lp
 from .ground import (
     AdmissibleSet, SignedPermutation, canonical_reads, canonical_tuple, check_guard, digit_planes, enumerate_admissible,
-    mask_weights, set_of_code, walk_codes,
+    mask_weights, plane_of, set_of_code, walk_codes,
 )
 
 
@@ -263,7 +262,7 @@ class DeltaMatroid:
 
     def h_table(self) -> RankTable:
         """h over all 3^n sets in canonical order, from ``h_lanes`` (which checks the guard first)."""
-        return RankTable(self.n, canonical_tuple(self.n, h_lanes(self.n, self.feasible).to_bytes(3**self.n, "little")))
+        return RankTable(self.n, canonical_tuple(self.n, h_lanes(self.n, self.feasible)))
 
     # -- minors and constructions ---------------------------------------------
 
@@ -333,8 +332,7 @@ class DeltaMatroid:
 
     def independents(self) -> tuple[AdmissibleSet, ...]:
         """All admissible sets contained in a feasible set, canonical order."""
-        independent = next(distance_layers(self.n, self.feasible))
-        return tuple(set_of_code(self.n, c) for c in plane_codes(self.n, independent))
+        return tuple(set_of_code(self.n, c) for c in plane_codes(self.n, independent_plane(self.n, self.feasible)))
 
     def lattice_point_test(self) -> bool:
         """Do the lattice points of the half-sum polytope match the independent sets?
@@ -346,7 +344,7 @@ class DeltaMatroid:
         most h(T) elements.  So a no means wrong h lanes (``h_lanes``).
         """
         n, total = self.n, 3**self.n
-        h, sizes = h_lanes(n, self.feasible).to_bytes(total, "little"), _size_lanes(n).to_bytes(total, "little")
+        h, sizes = h_lanes(n, self.feasible), _size_lanes(n).to_bytes(total, "little")
         return all((v <= 0) == (hv == size) for v, hv, size in zip(max_plus_dot(n, [-v for v in h]), h, sizes))
 
 
@@ -393,7 +391,7 @@ def _size_lanes(n: int) -> int:
 
 def _distance_lanes(n: int, feasible: Iterable[int]) -> int:
     """d(S) for all 3^n sets, one byte per code, from its binary digits (``h_lanes``)."""
-    layers = list(distance_layers(n, feasible))
+    layers = distance_layers(n, feasible)
     distances = 0
     for b in range((len(layers) - 1).bit_length()):
         runs = ((lo, min(lo + (1 << b), len(layers)) - 1) for lo in range(1 << b, len(layers), 2 << b))
@@ -402,13 +400,13 @@ def _distance_lanes(n: int, feasible: Iterable[int]) -> int:
     return distances
 
 
-def h_lanes(n: int, feasible: Iterable[int]) -> int:
+def h_lanes(n: int, feasible: Iterable[int]) -> bytes:
     """h(S) = |S| - d(S) for all 3^n sets, one byte per code (byte c for code c); no lane borrows.
 
     The layers of ``distance_layers`` are nested, so bit b of d(S) is the OR of layer_j & ~layer_(j-1) over the
     j with bit b set, and a run lo..hi of them marks layer_hi & ~layer_(lo-1): Σ 2^b·widen(digit b) is d.
     """
-    return _size_lanes(n) - _distance_lanes(n, feasible)
+    return (_size_lanes(n) - _distance_lanes(n, feasible)).to_bytes(3**n, "little")
 
 
 def g_lanes(n: int, feasible: Iterable[int]) -> memoryview:
@@ -425,15 +423,15 @@ def plane_codes(n: int, plane: int) -> Iterator[int]:
     return compress(walk_codes(n), chain.from_iterable(canonical_reads(n, flags)))
 
 
-def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
+def distance_layers(n: int, feasible: Iterable[int]) -> tuple[int, ...]:
     """Planes of the codes at cube distance 0, at most 1, at most 2, ... from the family; checks the guard first.
 
     The one source of g and h by code (``h_lanes``) and of independence, so
-    of the activities and the Lorentzian counts too (layer 0).  Write S as a
-    sign pattern x on its support U and let P_U be the family projected to
-    U.  Then S is independent exactly when x is in P_U, so x ⊕ e_i in P_U
-    says that S with digit i flipped is independent, and g(S) = |S| - 2·d(S),
-    where d(S) is the Hamming distance from x to P_U.
+    of the activities and the Lorentzian counts too (layer 0, ``independent_plane``).
+    Write S as a sign pattern x on its support U and let P_U be the family
+    projected to U.  Then S is independent exactly when x is in P_U, so
+    x ⊕ e_i in P_U says that S with digit i flipped is independent, and
+    g(S) = |S| - 2·d(S), where d(S) is the Hamming distance from x to P_U.
     Layer 0, the independent sets, is the downward closure of the feasible
     codes: one pass per index moves its digit from 1 or 2 to 0.  Layer k + 1
     adds to layer k its digit flips, 1 to 2 and back, a shift by 3^i under
@@ -442,49 +440,48 @@ def distance_layers(n: int, feasible: Iterable[int]) -> Iterator[int]:
     3^n - 1 - ``mask_weights(n)[m]``: digit 1 where m holds the index, 2
     where it does not.
 
-    One memo slot keeps the layers of the last family, keyed by value (n, feasible): the guard is checked
-    before every lookup, a new family drops the old record before any work, and if making a layer fails the
-    slot is emptied, not left cut off.  Layers are made when first read and kept: a layer-0 reader makes one.
+    One memo slot, ``_family_layers``, keeps a list of the layers of the last family, keyed by value
+    (n, feasible).  The guard is checked before every lookup, and a new family drops the old record before any
+    work, as making the slot makes no layer.  A layer is appended only once it is made, so a failure leaves a
+    correct prefix, which the next call extends; a layer-0 reader makes layer 0 alone.
     """
+    return tuple(_filled(n, tuple(feasible), n + 1))
+
+
+def independent_plane(n: int, feasible: Iterable[int]) -> int:
+    """Layer 0 of ``distance_layers``, the independent sets; checks the guard first and makes no other layer."""
+    return _filled(n, tuple(feasible), 1)[0]
+
+
+def _filled(n: int, feasible: tuple[int, ...], depth: int) -> list[int]:
+    """The family's memo slot, looked up after the guard, filled to its first ``depth`` layers or all there are."""
     check_guard(n)
-    return copy(_family_layers(n, tuple(feasible)))
+    layers = _family_layers(n, feasible)
+    while len(layers) < depth and not (layers and layers[-1].bit_count() == 3**n):
+        layers.append(_next_layer(n, feasible, layers))
+    return layers
 
 
 @lru_cache(maxsize=1)
-def _family_layers(n: int, feasible: tuple[int, ...]) -> Iterator[int]:
-    """The memo slot: a never-advancing tee of the family's layers, made before any; a failed layer empties it."""
-    def kept() -> Iterator[int]:
-        try:
-            yield from _layers(n, feasible)
-        except (Exception, KeyboardInterrupt):  # not GeneratorExit, which closes a record the slot has dropped
-            _family_layers.cache_clear()
-            raise
-    return tee(kept(), 1)[0]
+def _family_layers(n: int, feasible: tuple[int, ...]) -> list[int]:
+    """The memo slot: the layers of one family made so far, in order; making it makes none."""
+    return []
 
 
-def _layers(n: int, feasible: tuple[int, ...]) -> Iterator[int]:
-    """The layers of ``distance_layers``, computed one at a time; a suspended one holds no plane but the last."""
+def _next_layer(n: int, feasible: tuple[int, ...], layers: list[int]) -> int:
+    """Layer len(layers) of ``distance_layers``, from the layers before it: the one place a layer is made."""
     ones = digit_planes(n)
-    total = 3**n
-    marks = bytearray((total + 7) >> 3)
-    weights = mask_weights(n)
-    for m in feasible:
-        c = total - 1 - weights[m]
-        marks[c >> 3] |= 1 << (c & 7)
-    layer = int.from_bytes(marks, "little")
-    del marks
     steps = [3**i for i in range(n)]
-    for step, one in zip(steps, ones):
-        layer |= ((layer | layer >> step) & one) >> step
-    yield layer
-    for _ in range(n):
-        if layer.bit_count() == total:
-            return
-        reach = layer
+    if layers:
+        layer = reach = layers[-1]
         for step, one in zip(steps, ones):
             reach |= (layer & one) << step | layer >> step & one
-        layer = reach
-        yield layer
+        return reach
+    top = 3**n - 1  # the weight table is read per mask, so a cold one is made after the marks: a lower peak RSS
+    layer = plane_of((top - mask_weights(n)[m] for m in feasible), top + 1)
+    for step, one in zip(steps, ones):
+        layer |= ((layer | layer >> step) & one) >> step
+    return layer
 
 
 def _uncertified_pairs(feasible: Sequence[int]) -> Iterator[tuple[int, int]]:

@@ -314,6 +314,14 @@ def walk_codes(n: int) -> Iterator[int]:
     return chain.from_iterable(map(code.__add__, tails[t][0]) if code else tails[t][0] for code, _, t in blocks)
 
 
+def plane_of(bits: Iterable[int], width: int) -> int:
+    """The plane of ``width`` bits that marks these bits, marked in a byte array and made into one int."""
+    marks = bytearray((width + 7) >> 3)
+    for b in bits:
+        marks[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(marks, "little")
+
+
 @lru_cache(maxsize=None)
 def digit_planes(n: int) -> tuple[int, ...]:
     """The digit-1 plane of each index over the base-3 codes.

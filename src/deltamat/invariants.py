@@ -20,10 +20,10 @@ from itertools import compress
 from operator import or_
 from typing import Iterator
 
-from .deltamatroid import DeltaMatroid, _lanes, distance_layers, plane_codes
+from .deltamatroid import DeltaMatroid, _lanes, distance_layers, independent_plane, plane_codes
 from .ground import (
     AdmissibleSet, canonical_blocks, canonical_reads, check_guard, digit_planes, mask_reversals,
-    set_of_code, size_planes,
+    plane_of, set_of_code, size_planes,
 )
 from .poly import MultiPoly
 from .rankfn import AxiomReport, Violation
@@ -47,10 +47,9 @@ def upoly_direct(d: DeltaMatroid) -> MultiPoly:
     n = d.n
     sizes = size_planes(n)
     terms = {}
-    seen = 0
-    for j, layer in enumerate(distance_layers(n, d.feasible)):
-        new = layer & ~seen
-        seen = layer
+    layers = distance_layers(n, d.feasible)
+    for j, (below, layer) in enumerate(zip((0,) + layers, layers)):
+        new = layer & ~below
         for s in range(j, n + 1):
             terms[(n - s, j)] = (new & sizes[s]).bit_count()
     return MultiPoly(("u", "v"), terms)
@@ -101,10 +100,7 @@ def upoly_recursive(d: DeltaMatroid) -> MultiPoly:
         memo[key] = res
         return res
 
-    marks = bytearray(((1 << n) + 7) >> 3)
-    for m in map(mask_reversals(n).__getitem__, d.feasible):
-        marks[m >> 3] |= 1 << (m & 7)
-    packed = rec(n, int.from_bytes(marks, "little"))
+    packed = rec(n, plane_of(map(mask_reversals(n).__getitem__, d.feasible), 1 << n))
     field = (1 << w) - 1
     terms = {(i, j): packed >> (i * (n + 1) + j) * w & field for i in range(n + 1) for j in range(n + 1 - i)}
     return MultiPoly(("u", "v"), terms)
@@ -129,10 +125,7 @@ def interlace(d: DeltaMatroid) -> MultiPoly:
         step = 1 << i
         period = ((1 << size) - 1) // ((1 << 2 * step) - 1)  # one bit every 2·step
         flips.append((step, ((1 << step) - 1 << step) * period))
-    marks = bytearray((size + 7) >> 3)
-    for m in d.feasible:
-        marks[m >> 3] |= 1 << (m & 7)
-    frontier = seen = int.from_bytes(marks, "little")
+    frontier = seen = plane_of(d.feasible, size)
     counts: dict[tuple[int], int] = {}
     while frontier:
         counts[(len(counts),)] = frontier.bit_count()
@@ -163,9 +156,9 @@ class FVector:
 
 
 def independence_fvector(d: DeltaMatroid) -> FVector:
-    """Counts of independent sets by size, read from layer 0 of ``distance_layers``; length n + 1."""
+    """Counts of independent sets by size, read from the independent plane (``independent_plane``); length n + 1."""
     sizes = size_planes(d.n)
-    independent = next(distance_layers(d.n, d.feasible))
+    independent = independent_plane(d.n, d.feasible)
     return FVector(tuple((independent & plane).bit_count() for plane in sizes))
 
 
@@ -198,7 +191,7 @@ class ActivityRecord:
 
 
 def _active_planes(d: DeltaMatroid) -> tuple[int, list[int]]:
-    """Layer 0 of ``distance_layers`` and, per index, the plane of the sets it is active at.
+    """The independent plane (``independent_plane``) and, per index, the plane of the sets it is active at.
 
     By the identity in ``distance_layers``, x ⊕ e_i in P_U says that S with
     digit i flipped (1 to 2 and back) is independent.  So index i is active
@@ -206,7 +199,7 @@ def _active_planes(d: DeltaMatroid) -> tuple[int, list[int]]:
     S with digits i and j flipped, for any j < i that S holds, is
     independent.  ``below`` ORs flip_j(I) over j < i, clear at digit j = 0.
     """
-    independent = next(distance_layers(d.n, d.feasible))
+    independent = independent_plane(d.n, d.feasible)
     active, below = [], 0
     for i, one in enumerate(digit_planes(d.n)):
         step = 3**i

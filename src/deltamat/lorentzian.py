@@ -1,8 +1,8 @@
 """Lorentzian-polynomial verification and the log-concavity inequality suite.
 
 The generating polynomials of a delta-matroid are built from the independent
-plane, layer 0 of ``distance_layers``: folding it digit by digit counts the
-independent sets on each underline mask, and no set object is made.
+plane of ``deltamatroid.independent_plane``: folding it digit by digit counts
+the independent sets on each underline mask, and no set object is made.
 
 A homogeneous polynomial with nonnegative coefficients is Lorentzian when its
 support is M-convex and every Hessian obtained by taking degree-minus-two
@@ -44,7 +44,7 @@ from itertools import compress
 from operator import add, sub
 from typing import Sequence
 
-from .deltamatroid import DeltaMatroid, _lanes, distance_layers
+from .deltamatroid import DeltaMatroid, _lanes, independent_plane
 from .invariants import independence_fvector
 from .poly import MultiPoly
 
@@ -52,15 +52,15 @@ from .poly import MultiPoly
 def _independent_counts(d: DeltaMatroid) -> list[tuple[int, int]]:
     """(U, c_U) for each underline mask U that c_U > 0 independent sets have.
 
-    Layer 0 of ``distance_layers``, one byte per base-3 code, is folded one
-    digit per pass: the lowest digit becomes the top bit of the index, clear
-    for state 0 and set for states 1 and 2 summed, so at the end entry U is c_U.
-    After k folds an entry counts at most 2^k sets, so the first seven folds add
-    the byte strings as big ints, no byte carrying into the next, and only the
-    folds after them are lists.
+    The independent plane (``independent_plane``), one byte per base-3 code,
+    is folded one digit per pass: the lowest digit becomes the top bit of the
+    index, clear for state 0 and set for states 1 and 2 summed, so at the end
+    entry U is c_U.  After k folds an entry counts at most 2^k sets, so the
+    first seven folds add the byte strings as big ints, no byte carrying into
+    the next, and only the folds after them are lists.
     """
     n, total = d.n, 3**d.n
-    lane = _lanes(next(distance_layers(n, d.feasible)), total)
+    lane = _lanes(independent_plane(n, d.feasible), total)
     for _ in range(min(n, 7)):
         third = len(lane) // 3
         ones = int.from_bytes(lane[1::3], "little") + int.from_bytes(lane[2::3], "little")

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
-from .deltamatroid import DeltaMatroid, distance_layers, g_lanes, max_plus_dot, plane_codes
-from .ground import AdmissibleSet, GuardLimitError, check_guard, element_key, set_of_code, signed_ground, submasks
+from .deltamatroid import DeltaMatroid, g_lanes, independent_plane, max_plus_dot, plane_codes
+from .ground import (
+    AdmissibleSet, GuardLimitError, check_guard, element_key, plane_of, set_of_code, signed_ground, submasks,
+)
 from .poly import MultiPoly, poly_u_v
 from .rankfn import AxiomReport, Violation
 
@@ -311,10 +313,10 @@ def _admissible_subsets(n: int, b: int) -> list[int]:
 
 
 def _envelope_tables(d: DeltaMatroid) -> tuple[int, list[bool]]:
-    """The plane of D's independent sets (layer 0), and by code whether each point x of
+    """The plane of D's independent sets (``independent_plane``), and by code whether each point x of
     {-1, 0, 1}^n lies in P(D): max over S of <e_S, x> - g(S) <= 0 (the empty S gives 0); g_lanes checks the guard."""
     g = g_lanes(d.n, d.feasible)
-    independent = next(distance_layers(d.n, d.feasible))
+    independent = independent_plane(d.n, d.feasible)
     return independent, [v <= 0 for v in max_plus_dot(d.n, [-v for v in g])]
 
 
@@ -347,7 +349,7 @@ def enveloping_check(m: Matroid, d: DeltaMatroid) -> AxiomReport:
         if not inside[_fold_code(n, b)]:
             out.append(Violation("basis-folds-outside", (basis,), 0, 1))
     if not out:
-        in_m = sum(1 << c for c in set().union(*(_admissible_subsets(n, b) for b in bases)))  # a plane
+        in_m = plane_of(chain.from_iterable(_admissible_subsets(n, b) for b in bases), 3**n)
         for c in plane_codes(n, independent ^ in_m):
             out.append(Violation("independents-differ", (set_of_code(n, c),), in_m >> c & 1, independent >> c & 1))
     return AxiomReport.from_violations(out)

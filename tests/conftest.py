@@ -134,7 +134,7 @@ def max_plus_rank_by_code(n: int, feasible) -> list[int]:
     return vals
 
 
-def missed_layer_h_lanes(n: int, feasible) -> int:
+def missed_layer_h_lanes(n: int, feasible) -> bytes:
     """h(S) = |S| - d(S) for all 3^n sets, one byte per code, with d(S) the number of distance layers
     that miss S: each missed layer, widened, comes off the size lanes.  The oracle for the
     binary-digit route of ``deltamatroid.h_lanes``."""
@@ -143,5 +143,5 @@ def missed_layer_h_lanes(n: int, feasible) -> int:
         int.from_bytes(deltamatroid._lanes(~layer & ((1 << total) - 1), total), "little")
         for layer in deltamatroid.distance_layers(n, feasible)
     )
-    return deltamatroid._size_lanes(n) - sum(missed)
+    return (deltamatroid._size_lanes(n) - sum(missed)).to_bytes(total, "little")
 

@@ -10,7 +10,6 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -108,14 +107,15 @@ def test_guard_trips_on_a_warm_distance_memo(tmp_path, monkeypatch):
     for call in (d.rank_table, d.h_table, lambda: independence_fvector(d)):
         with pytest.raises(ground.GuardLimitError):
             call()
-    for command in ("rank-table", "h-table", "fvector"):
-        assert run([command, str(path)]) == (3, "")
+    for command in (["rank-table"], ["h-table"], ["fvector"], ["lorentzian"], ["activity", "--all"]):
+        assert run([command[0], str(path), *command[1:]]) == (3, ""), command
 
 
 @pytest.mark.parametrize("made", [0, 1])
 def test_a_failed_distance_layer_leaves_no_memo_record(tmp_path, monkeypatch, capsys, made):
     # out of memory while making layer `made`: exit 3, and the next command on the
-    # same family in the same process prints what a cold memo prints
+    # same family in the same process prints what a cold memo prints (the slot
+    # keeps layers 0..made-1, which the next call extends)
     d = random_valid(random.Random(6), 6, "gf2")
     path = tmp_path / "d6.dm"
     path.write_text(serialize_value(d))
@@ -124,26 +124,27 @@ def test_a_failed_distance_layer_leaves_no_memo_record(tmp_path, monkeypatch, ca
     for argv in commands:
         deltamatroid._family_layers.cache_clear()
         cold.append(run(argv))
-    real = deltamatroid._layers
+    real = deltamatroid._next_layer
 
-    def failing(n, feasible):
-        yield from islice(real(n, feasible), made)
-        raise MemoryError()
+    def failing(n, feasible, layers):
+        if len(layers) == made:
+            raise MemoryError()
+        return real(n, feasible, layers)
 
     for argv in commands:
-        monkeypatch.setattr(deltamatroid, "_layers", failing)
+        monkeypatch.setattr(deltamatroid, "_next_layer", failing)
         deltamatroid._family_layers.cache_clear()
         assert run(["rank-table", str(path)]) == (3, "")
         assert capsys.readouterr().err == "error: out of memory\n"
-        monkeypatch.setattr(deltamatroid, "_layers", real)
+        monkeypatch.setattr(deltamatroid, "_next_layer", real)
         assert run(argv) == cold[commands.index(argv)], argv
     deltamatroid._family_layers.cache_clear()
     lanes = deltamatroid.h_lanes(d.n, d.feasible), list(deltamatroid.distance_layers(d.n, d.feasible))
-    monkeypatch.setattr(deltamatroid, "_layers", failing)
+    monkeypatch.setattr(deltamatroid, "_next_layer", failing)
     deltamatroid._family_layers.cache_clear()
     with pytest.raises(MemoryError):
         deltamatroid.h_lanes(d.n, d.feasible)
-    monkeypatch.setattr(deltamatroid, "_layers", real)
+    monkeypatch.setattr(deltamatroid, "_next_layer", real)
     assert (deltamatroid.h_lanes(d.n, d.feasible), list(deltamatroid.distance_layers(d.n, d.feasible))) == lanes
 
 

@@ -28,7 +28,13 @@ from deltamat.ground import (
 )
 from deltamat.randgen import random_signed_permutation, random_valid
 
-from deltamat.invariants import independence_fvector, upoly_direct
+from deltamat.invariants import (
+    activity_expansion,
+    activity_zero_complex,
+    independence_fvector,
+    independent_activities,
+    upoly_direct,
+)
 from deltamat.lorentzian import _independent_counts, efls_gen_poly, indep_gen_poly
 
 from conftest import canonical_codes, max_plus_rank_by_code, missed_layer_h_lanes, oracle_families, sset
@@ -192,7 +198,7 @@ def test_distance_memo_matches_cold_results_across_families():
     # open iterators read in turn: of A then B then A, and twice of one family
     for families in ((a, b, a), (a, a), (b, c, c, b)):
         deltamatroid._family_layers.cache_clear()
-        readers = [distance_layers(d.n, d.feasible) for d in families]
+        readers = [iter(distance_layers(d.n, d.feasible)) for d in families]
         read = [[] for _ in families]
         for step in range(max(len(cold[d][2]) for d in families)):
             for out, reader in zip(read, readers) if step % 2 else zip(reversed(read), reversed(readers)):
@@ -201,28 +207,56 @@ def test_distance_memo_matches_cold_results_across_families():
         assert all(next(reader, None) is None for reader in readers)
     # dropping a family's half-read record, when the next family takes the slot, keeps the new record
     for d in (a, b, a, c):
-        next(distance_layers(d.n, d.feasible))
+        next(iter(distance_layers(d.n, d.feasible)))
         assert deltamatroid._family_layers.cache_info().currsize == 1, d
 
 
 def test_layer_zero_readers_make_only_layer_zero(monkeypatch):
     made = []
-    real = deltamatroid._layers
+    real = deltamatroid._next_layer
 
-    def counting(n, feasible):
-        for layer in real(n, feasible):
-            made.append(layer)
-            yield layer
+    def counting(n, feasible, layers):
+        made.append(len(layers))
+        return real(n, feasible, layers)
 
-    monkeypatch.setattr(deltamatroid, "_layers", counting)
+    def all_activities(d):
+        return list(independent_activities(d))
+
+    monkeypatch.setattr(deltamatroid, "_next_layer", counting)
     d = random_valid(random.Random(6), 6, "gf2")
-    readers = (independence_fvector, _independent_counts, indep_gen_poly, efls_gen_poly)
+    readers = (
+        independence_fvector, _independent_counts, indep_gen_poly, efls_gen_poly, DeltaMatroid.independents,
+        all_activities, activity_zero_complex, activity_expansion,
+    )
     for reader in readers:
         deltamatroid._family_layers.cache_clear()
         made.clear()
         reader(d)
         assert len(made) == 1, reader
     assert len(list(distance_layers(d.n, d.feasible))) > 1 and len(made) > 1
+
+
+def test_a_failed_layer_leaves_the_layers_below_it(monkeypatch):
+    # out of memory while making layer k: the slot keeps layers 0..k-1, and the next call extends them
+    d = random_valid(random.Random(6), 6, "gf2")
+    deltamatroid._family_layers.cache_clear()
+    cold = distance_layers(d.n, d.feasible)
+    assert len(cold) > 2
+    real = deltamatroid._next_layer
+    for k in range(1, len(cold)):
+
+        def failing(n, feasible, layers):
+            if len(layers) == k:
+                raise MemoryError()
+            return real(n, feasible, layers)
+
+        monkeypatch.setattr(deltamatroid, "_next_layer", failing)
+        deltamatroid._family_layers.cache_clear()
+        with pytest.raises(MemoryError):
+            distance_layers(d.n, d.feasible)
+        assert deltamatroid._family_layers(d.n, tuple(d.feasible)) == list(cold[:k]), k
+        monkeypatch.setattr(deltamatroid, "_next_layer", real)
+        assert distance_layers(d.n, d.feasible) == cold, k
 
 
 def test_digit_h_lanes_match_missed_layer_sum():
@@ -240,8 +274,7 @@ def test_digit_h_lanes_match_missed_layer_sum():
             deltamatroid._family_layers.cache_clear()
             assert h_lanes(n, d.feasible) == expected, d
             sizes = [(p | q).bit_count() for p, q in zip(*code_masks(n))]
-            h = expected.to_bytes(3**n, "little")
-            assert g_lanes(n, d.feasible).tolist() == [2 * v - size for v, size in zip(h, sizes)], d
+            assert g_lanes(n, d.feasible).tolist() == [2 * v - size for v, size in zip(expected, sizes)], d
         assert {0, n} <= depths, n
 
 

@@ -248,8 +248,7 @@ def test_ranktable_chunks_join_to_the_serialized_text(tripod, tail_width):
     zero = DeltaMatroid(0, [0])
     assert serialize_value(zero.rank_table()) == "ranktable 0\n: 0\n"
     for d in (zero, tripod):
-        h_by_code = h_lanes(d.n, d.feasible).to_bytes(3**d.n, "little")
-        for table, by_code in ((d.rank_table(), g_lanes(d.n, d.feasible)), (d.h_table(), h_by_code)):
+        for table, by_code in ((d.rank_table(), g_lanes(d.n, d.feasible)), (d.h_table(), h_lanes(d.n, d.feasible))):
             lines = [f"ranktable {table.n}"] + [f"{s.render()}: {v}" for s, v in table.items()]
             text = "\n".join(lines) + "\n"
             for width in (0, 1, 2, 9):
